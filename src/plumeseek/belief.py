@@ -79,20 +79,28 @@ def posterior_from_weights(grid: GridSpec, weights) -> SourcePosterior:
     return SourcePosterior(lp - logsumexp(lp), grid)
 
 
-def log_likelihood(m: float, loc, source_cell, params: PlumeParams) -> float:
-    """Gaussian measurement log-density of reading m at loc given one source."""
-    f = concentration(loc, source_cell, params)
-    resid = (m - f) / params.noise_sigma
-    return float(
-        -0.5 * resid * resid - np.log(params.noise_sigma * np.sqrt(2.0 * np.pi))
+def gaussian_loglik(m, f, sigma: float):
+    """Log-density of reading m under N(f, sigma^2), floored at LOGLIK_FLOOR.
+
+    m and f broadcast against each other. This is the one measurement model:
+    the filter's updates and the planner's hypothetical updates both use it.
+    """
+    resid = (m - f) / sigma
+    return np.maximum(
+        -0.5 * resid * resid - np.log(sigma * np.sqrt(2.0 * np.pi)), LOGLIK_FLOOR
     )
 
 
+def log_likelihood(m: float, loc, source_cell, params: PlumeParams) -> float:
+    """Floored Gaussian log-density of reading m at loc given one source."""
+    f = concentration(loc, source_cell, params)
+    return float(gaussian_loglik(m, f, params.noise_sigma))
+
+
 def loglik_grid(record: MeasurementRecord, grid: GridSpec, params: PlumeParams) -> np.ndarray:
-    """Log-likelihood of one record against every source hypothesis, (I, J)."""
+    """Floored log-likelihood of one record against every source hypothesis, (I, J)."""
     f = concentration(np.array([record.x, record.y]), grid.src_centers(), params)
-    resid = (record.value - f) / params.noise_sigma
-    return -0.5 * resid * resid - np.log(params.noise_sigma * np.sqrt(2.0 * np.pi))
+    return gaussian_loglik(record.value, f, params.noise_sigma)
 
 
 def posterior_update(
@@ -114,7 +122,7 @@ def posterior_update(
                 f"measurement {rec.value!r} at ({rec.x}, {rec.y}) is impossible "
                 "under every source hypothesis"
             )
-        total += np.maximum(ll, LOGLIK_FLOOR)
+        total += ll
     norm = logsumexp(total)
     if not np.isfinite(norm):
         raise AllMassLost("no posterior mass survived the update")

@@ -92,7 +92,7 @@ def cmd_simulate(ns) -> int:
     _echo_config(cfg)
 
     seeds = tuple(ns.seed) if ns.seed else cfg.seeds
-    policies = tuple(ns.policy) if ns.policy else tuple(cfg.sim["policies"])
+    policies = tuple(ns.policy) if ns.policy else cfg.policies
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "effective_config.json", cfg.effective_dict())
 

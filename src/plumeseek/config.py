@@ -1,25 +1,24 @@
 """JSON run configuration: parsing, validation, defaults, and echo.
 
 A config file may specify any subset of the sections below; everything else
-falls back to defaults. Unknown keys are rejected rather than ignored so
+falls back to the field defaults of the dataclass that the section builds
+(GridSpec, PlumeParams, CostModel, QuadratureSpec, SimConfig,
+HybridEnvConfig, RewardWeights, TrainConfig). Every section is built, and so
+validated, at load time. Unknown keys are rejected rather than ignored so
 typos fail loudly. The fully resolved config can be re-serialized
 (effective_dict) and reloaded to reproduce a run exactly.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .field import GridSpec, PlumeParams
-from .planner import (
-    TIER_EXACT,
-    TIERS,
-    CostModel,
-    QuadratureSpec,
-)
+from .planner import TIER_EXACT, CostModel, QuadratureSpec
 from .rl.env import HybridEnvConfig, RewardWeights
-from .rl.train import MODES, TrainConfig
+from .rl.train import TrainConfig
 from .swarm import POLICIES, SimConfig
 
 # exact-tier expected-IG scoring is quartic in grid size; refuse silly runs
@@ -31,234 +30,180 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-_GRID_DEFAULTS = {
-    "x_min": 0.0, "x_max": 64.0, "y_min": 0.0, "y_max": 64.0,
-    "a_cells": 64, "b_cells": 64, "i_cells": 64, "j_cells": 64,
-}
-_PLUME_DEFAULTS = {
-    "kind": "isotropic-blob", "strength": 1.0, "length_scale": 1.0,
-    "wind": [0.0, 0.0], "sigma0": 1.0, "spread_rate": 0.0, "noise_sigma": 1.0,
-}
-_COST_DEFAULTS = {"overhead": 1.0, "quad_coeff": 0.0}
-_PLANNER_DEFAULTS = {"tier": "snr-fft", "quad_nodes": 16}
-_PRIOR_DEFAULTS = {"kind": "uniform"}
-_SIM_DEFAULTS = {
-    "n_agents": 5, "n_steps": 100,
-    "policies": ["info", "cost-only", "random"],
-    "source": {"placement": "sampled"},
-}
-_REWARD_DEFAULTS = {
-    "w_info": 1.0, "w_est": 1.0, "action_costs": [0.0, 0.2, 0.1, 0.1, 0.3],
-}
-_RL_DEFAULTS = {
-    "n_agents": 3, "horizon": 200, "a_max": 0.5, "damping": 0.95,
-    "v_max": 1.0, "dt": 1.0, "w_max": 1.0, "buffer_capacity": 4,
-    "reward": _REWARD_DEFAULTS,
-    "hidden": [64, 64], "batch_size": 32, "replay_capacity": 10_000,
-    "gamma": 0.95, "learning_rate": 1e-3, "target_sync": 500,
-    "train_steps": 10_000, "eps_start": 1.0, "eps_end": 0.05,
-    "eps_decay_steps": 10_000, "smoothing": 0.02,
-}
 _TOP_LEVEL_KEYS = ("grid", "plume", "cost", "planner", "prior", "sim", "rl", "seeds")
+_PLANNER_KEYS = ("tier", "quad_nodes")
+_SIM_KEYS = ("n_agents", "n_steps", "policies", "source")
+# HybridEnvConfig fields that other sections set, and TrainConfig fields each job sets
+_ENV_FROM_OTHER_SECTIONS = ("grid", "plume", "reward", "source_xy", "prior_weights")
+_TRAIN_PER_JOB = ("env", "mode", "seed")
 
 
-def _merge(section: str, defaults: dict, given: dict) -> dict:
+def _names(cls, skip=()) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
+
+
+def _values(obj, skip=()) -> dict:
+    return {name: getattr(obj, name) for name in _names(type(obj), skip)}
+
+
+_ENV_KEYS = _names(HybridEnvConfig, _ENV_FROM_OTHER_SECTIONS)
+_RL_KEYS = _ENV_KEYS + _names(TrainConfig, _TRAIN_PER_JOB) + ("reward",)
+
+
+def _section(name: str, given, keys) -> dict:
+    """The keys a config section sets, with JSON arrays as tuples.
+
+    Keys the section leaves out are not filled in here: the dataclass the
+    section builds supplies its own field defaults.
+    """
     if not isinstance(given, dict):
-        raise ConfigError(f"{section}: expected an object")
-    unknown = set(given) - set(defaults)
+        raise ConfigError(f"{name}: expected an object")
+    unknown = set(given) - set(keys)
     if unknown:
-        raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
-    out = dict(defaults)
-    out.update(given)
-    return out
+        raise ConfigError(f"{name}: unknown key(s) {sorted(unknown)}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
+
+
+def _source_xy(src):
+    """sim.source as a fixed (x, y), or None for a source sampled from the prior."""
+    if not isinstance(src, dict) or src.get("placement") not in ("fixed", "sampled"):
+        raise ConfigError("sim.source.placement must be 'fixed' or 'sampled'")
+    if src["placement"] == "sampled":
+        return None
+    if not ("x" in src and "y" in src):
+        raise ConfigError("sim.source: fixed placement requires x and y")
+    return (float(src["x"]), float(src["y"]))
+
+
+def _prior_weights(prior, grid: GridSpec):
+    """The prior section as row-major weights, or None for a uniform prior."""
+    if not isinstance(prior, dict) or prior.get("kind") not in ("uniform", "weights"):
+        raise ConfigError("prior.kind must be 'uniform' or 'weights'")
+    if prior["kind"] == "uniform":
+        return None
+    values = prior.get("values")
+    if not isinstance(values, list) or len(values) != grid.n_src_cells:
+        raise ConfigError(f"prior.values must list {grid.n_src_cells} weights (row-major)")
+    if not all(0.0 <= v < math.inf for v in values) or not any(v > 0 for v in values):
+        raise ConfigError("prior.values must be finite, nonnegative and with positive mass")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration."""
+    """Fully resolved run configuration.
 
-    grid: GridSpec
-    plume: PlumeParams
-    cost: CostModel
-    tier: str
-    quad: QuadratureSpec
-    prior: dict
-    sim: dict
-    rl: dict
+    sim and train are templates: each job sets its policy or mode and its seed.
+    """
+
+    sim: SimConfig
+    policies: tuple[str, ...]
+    train: TrainConfig
     seeds: tuple[int, ...]
 
-    def prior_weights(self):
-        if self.prior["kind"] == "uniform":
-            return None
-        return tuple(self.prior["values"])
+    @property
+    def grid(self) -> GridSpec:
+        return self.sim.grid
 
-    def source_xy(self, section: dict):
-        src = section["source"]
-        if src["placement"] == "fixed":
-            return (float(src["x"]), float(src["y"]))
-        return None
+    @property
+    def plume(self) -> PlumeParams:
+        return self.sim.plume
+
+    def prior_weights(self):
+        return self.sim.prior_weights
 
     def sim_config(self, seed: int, policy: str) -> SimConfig:
-        return SimConfig(
-            grid=self.grid,
-            plume=self.plume,
-            cost=self.cost,
-            n_agents=self.sim["n_agents"],
-            n_steps=self.sim["n_steps"],
-            policy=policy,
-            tier=self.tier,
-            quad=self.quad,
-            source_xy=self.source_xy(self.sim),
-            prior_weights=self.prior_weights(),
-            seed=seed,
-        )
-
-    def env_config(self) -> HybridEnvConfig:
-        rl = self.rl
-        costs = rl["reward"]["action_costs"]
-        return HybridEnvConfig(
-            grid=self.grid,
-            plume=self.plume,
-            n_agents=rl["n_agents"],
-            horizon=rl["horizon"],
-            a_max=rl["a_max"],
-            damping=rl["damping"],
-            v_max=rl["v_max"],
-            dt=rl["dt"],
-            w_max=rl["w_max"],
-            buffer_capacity=rl["buffer_capacity"],
-            reward=RewardWeights(
-                w_info=rl["reward"]["w_info"],
-                w_est=rl["reward"]["w_est"],
-                c_nothing=costs[0],
-                c_move=costs[1],
-                c_measure=costs[2],
-                c_update=costs[3],
-                c_comm=costs[4],
-            ),
-            source_xy=self.source_xy(self.sim),
-            prior_weights=self.prior_weights(),
-        )
+        return replace(self.sim, seed=seed, policy=policy)
 
     def train_config(self, seed: int, mode: str) -> TrainConfig:
-        rl = self.rl
-        return TrainConfig(
-            env=self.env_config(),
-            mode=mode,
-            train_steps=rl["train_steps"],
-            hidden=tuple(rl["hidden"]),
-            batch_size=rl["batch_size"],
-            replay_capacity=rl["replay_capacity"],
-            gamma=rl["gamma"],
-            learning_rate=rl["learning_rate"],
-            target_sync=rl["target_sync"],
-            eps_start=rl["eps_start"],
-            eps_end=rl["eps_end"],
-            eps_decay_steps=rl["eps_decay_steps"],
-            smoothing=rl["smoothing"],
-            seed=seed,
-        )
+        return replace(self.train, seed=seed, mode=mode)
 
     def effective_dict(self) -> dict:
         """JSON-ready dict with every default made explicit."""
-        return {
-            "grid": {
-                "x_min": self.grid.x_min, "x_max": self.grid.x_max,
-                "y_min": self.grid.y_min, "y_max": self.grid.y_max,
-                "a_cells": self.grid.a_cells, "b_cells": self.grid.b_cells,
-                "i_cells": self.grid.i_cells, "j_cells": self.grid.j_cells,
+        sim, env = self.sim, self.train.env
+        if sim.source_xy is None:
+            source = {"placement": "sampled"}
+        else:
+            source = {"placement": "fixed", "x": sim.source_xy[0], "y": sim.source_xy[1]}
+        if sim.prior_weights is None:
+            prior = {"kind": "uniform"}
+        else:
+            prior = {"kind": "weights", "values": sim.prior_weights}
+        out = {
+            "grid": _values(sim.grid),
+            "plume": _values(sim.plume),
+            "cost": _values(sim.cost),
+            "planner": {"tier": sim.tier, "quad_nodes": sim.quad.n_nodes},
+            "prior": prior,
+            "sim": {
+                "n_agents": sim.n_agents,
+                "n_steps": sim.n_steps,
+                "policies": self.policies,
+                "source": source,
             },
-            "plume": {
-                "kind": self.plume.kind,
-                "strength": self.plume.strength,
-                "length_scale": self.plume.length_scale,
-                "wind": list(self.plume.wind),
-                "sigma0": self.plume.sigma0,
-                "spread_rate": self.plume.spread_rate,
-                "noise_sigma": self.plume.noise_sigma,
+            "rl": {
+                **_values(env, _ENV_FROM_OTHER_SECTIONS),
+                **_values(self.train, _TRAIN_PER_JOB),
+                "reward": _values(env.reward),
             },
-            "cost": {"overhead": self.cost.overhead, "quad_coeff": self.cost.quad_coeff},
-            "planner": {"tier": self.tier, "quad_nodes": self.quad.n_nodes},
-            "prior": dict(self.prior),
-            "sim": json.loads(json.dumps(self.sim)),
-            "rl": json.loads(json.dumps(self.rl)),
-            "seeds": list(self.seeds),
+            "seeds": self.seeds,
         }
+        return json.loads(json.dumps(out))
 
 
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
-    unknown = set(raw) - set(_TOP_LEVEL_KEYS)
-    if unknown:
-        raise ConfigError(f"top level: unknown key(s) {sorted(unknown)}")
-
-    grid_d = _merge("grid", _GRID_DEFAULTS, raw.get("grid", {}))
-    plume_d = _merge("plume", _PLUME_DEFAULTS, raw.get("plume", {}))
-    cost_d = _merge("cost", _COST_DEFAULTS, raw.get("cost", {}))
-    planner_d = _merge("planner", _PLANNER_DEFAULTS, raw.get("planner", {}))
-    prior_d = raw.get("prior", dict(_PRIOR_DEFAULTS))
-    sim_d = _merge("sim", _SIM_DEFAULTS, raw.get("sim", {}))
-    rl_d = _merge("rl", _RL_DEFAULTS, raw.get("rl", {}))
-    rl_d["reward"] = _merge("rl.reward", _REWARD_DEFAULTS, rl_d["reward"])
-
+    _section("top level", raw, _TOP_LEVEL_KEYS)
+    # ConfigError is a ValueError: the handler below re-raises it unchanged in text
     try:
-        grid = GridSpec(**grid_d)
-        wind = plume_d.pop("wind")
-        plume = PlumeParams(wind=tuple(float(w) for w in wind), **plume_d)
-        cost = CostModel(**cost_d)
-        quad = QuadratureSpec(int(planner_d["quad_nodes"]))
+        planner = _section("planner", raw.get("planner", {}), _PLANNER_KEYS)
+        sim = _section("sim", raw.get("sim", {}), _SIM_KEYS)
+        rl = _section("rl", raw.get("rl", {}), _RL_KEYS)
+        reward = _section("rl.reward", rl.pop("reward", {}), _names(RewardWeights))
+
+        policies = sim.pop("policies", POLICIES)
+        for pol in policies:
+            if pol not in POLICIES:
+                raise ConfigError(f"sim.policies: {pol!r} is not one of {list(POLICIES)}")
+        if "source" in sim:
+            sim["source_xy"] = _source_xy(sim.pop("source"))
+
+        # a config without seeds runs the episode's default seed
+        seeds = raw.get("seeds", [SimConfig.seed])
+        if (
+            not isinstance(seeds, list)
+            or not seeds
+            or any(int(s) != s or s < 0 for s in seeds)
+        ):
+            raise ConfigError("seeds must be a non-empty list of nonnegative integers")
+
+        grid = GridSpec(**_section("grid", raw.get("grid", {}), _names(GridSpec)))
+        if "prior" in raw:
+            sim["prior_weights"] = _prior_weights(raw["prior"], grid)
+        if "quad_nodes" in planner:
+            sim["quad"] = QuadratureSpec(planner.pop("quad_nodes"))
+        sim = SimConfig(
+            grid=grid,
+            plume=PlumeParams(**_section("plume", raw.get("plume", {}), _names(PlumeParams))),
+            cost=CostModel(**_section("cost", raw.get("cost", {}), _names(CostModel))),
+            **planner,
+            **sim,
+        )
+        env = HybridEnvConfig(
+            grid=grid,
+            plume=sim.plume,
+            reward=RewardWeights(**reward),
+            source_xy=sim.source_xy,
+            prior_weights=sim.prior_weights,
+            **{k: v for k, v in rl.items() if k in _ENV_KEYS},
+        )
+        train = TrainConfig(env=env, **{k: v for k, v in rl.items() if k not in _ENV_KEYS})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    tier = planner_d["tier"]
-    if tier not in TIERS:
-        raise ConfigError(f"planner.tier: {tier!r} is not one of {list(TIERS)}")
-
-    if not isinstance(prior_d, dict) or prior_d.get("kind") not in ("uniform", "weights"):
-        raise ConfigError("prior.kind must be 'uniform' or 'weights'")
-    if prior_d["kind"] == "weights":
-        values = prior_d.get("values")
-        if not isinstance(values, list) or len(values) != grid.n_src_cells:
-            raise ConfigError(
-                f"prior.values must list {grid.n_src_cells} weights (row-major)"
-            )
-        if any(v < 0 for v in values) or not any(v > 0 for v in values):
-            raise ConfigError("prior.values must be nonnegative with positive mass")
-
-    for pol in sim_d["policies"]:
-        if pol not in POLICIES:
-            raise ConfigError(f"sim.policies: {pol!r} is not one of {list(POLICIES)}")
-    src = sim_d["source"]
-    if not isinstance(src, dict) or src.get("placement") not in ("fixed", "sampled"):
-        raise ConfigError("sim.source.placement must be 'fixed' or 'sampled'")
-    if src["placement"] == "fixed" and not ("x" in src and "y" in src):
-        raise ConfigError("sim.source: fixed placement requires x and y")
-    if int(sim_d["n_agents"]) < 1 or int(sim_d["n_steps"]) < 0:
-        raise ConfigError("sim.n_agents must be >= 1 and sim.n_steps >= 0")
-
-    costs = rl_d["reward"]["action_costs"]
-    if not isinstance(costs, list) or len(costs) != 5:
-        raise ConfigError("rl.reward.action_costs must list 5 values")
-
-    seeds = raw.get("seeds", [0])
-    if (
-        not isinstance(seeds, list)
-        or not seeds
-        or any(int(s) != s or s < 0 for s in seeds)
-    ):
-        raise ConfigError("seeds must be a non-empty list of nonnegative integers")
-
     return RunConfig(
-        grid=grid,
-        plume=plume,
-        cost=cost,
-        tier=tier,
-        quad=quad,
-        prior=prior_d,
-        sim=sim_d,
-        rl=rl_d,
-        seeds=tuple(int(s) for s in seeds),
+        sim=sim, policies=tuple(policies), train=train, seeds=tuple(int(s) for s in seeds)
     )
 
 
@@ -275,7 +220,7 @@ def load_config(path) -> RunConfig:
 
 def check_tier_budget(cfg: RunConfig, force: bool = False) -> None:
     """Reject exact-tier scoring on large grids unless explicitly forced."""
-    if force or cfg.tier != TIER_EXACT:
+    if force or cfg.sim.tier != TIER_EXACT:
         return
     if (
         cfg.grid.n_meas_cells > EXACT_TIER_MAX_MEAS_CELLS

@@ -35,16 +35,18 @@ class GridSpec:
     x_min + (ix + 0.5) * dx.
     """
 
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    a_cells: int
-    b_cells: int
-    i_cells: int
-    j_cells: int
+    x_min: float = 0.0
+    x_max: float = 64.0
+    y_min: float = 0.0
+    y_max: float = 64.0
+    a_cells: int = 64
+    b_cells: int = 64
+    i_cells: int = 64
+    j_cells: int = 64
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.x_min, self.x_max, self.y_min, self.y_max))):
+            raise ValueError("grid extent must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("grid extent must be positive in both axes")
         for n in (self.a_cells, self.b_cells, self.i_cells, self.j_cells):
@@ -143,18 +145,22 @@ class PlumeParams:
     def __post_init__(self):
         if self.kind not in (BLOB, ADVECTED):
             raise ValueError(f"unknown plume kind {self.kind!r}")
-        if self.strength < 0:
-            raise ValueError("strength must be >= 0")
-        if self.noise_sigma <= 0:
-            raise ValueError("noise_sigma must be > 0")
-        if self.kind == BLOB and self.length_scale <= 0:
-            raise ValueError("length_scale must be > 0")
+        if not 0.0 <= self.strength < np.inf:
+            raise ValueError("strength must be finite and >= 0")
+        if not 0.0 < self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and > 0")
+        wx, wy = self.wind
+        object.__setattr__(self, "wind", (float(wx), float(wy)))
+        if self.kind == BLOB and not 0.0 < self.length_scale < np.inf:
+            raise ValueError("length_scale must be finite and > 0")
         if self.kind == ADVECTED:
-            if self.sigma0 <= 0:
-                raise ValueError("sigma0 must be > 0")
-            if self.spread_rate < 0:
-                raise ValueError("spread_rate must be >= 0")
-            if self.wind[0] == 0.0 and self.wind[1] == 0.0:
+            if not 0.0 < self.sigma0 < np.inf:
+                raise ValueError("sigma0 must be finite and > 0")
+            if not 0.0 <= self.spread_rate < np.inf:
+                raise ValueError("spread_rate must be finite and >= 0")
+            if not np.all(np.isfinite(self.wind)):
+                raise ValueError("wind must be finite")
+            if wx == 0.0 and wy == 0.0:
                 raise ValueError("advected plume needs a nonzero wind vector")
 
 

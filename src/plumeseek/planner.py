@@ -9,13 +9,14 @@ measurement cells x source cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.fft import next_fast_len
 from scipy.special import logsumexp
 
-from .belief import LOG_2, LOGLIK_FLOOR, SourcePosterior, uniform_posterior
+from .belief import LOG_2, SourcePosterior, gaussian_loglik, uniform_posterior
 from .field import (
     GridSpec,
     KernelGridMismatch,
@@ -40,10 +41,10 @@ class CostModel:
     quad_coeff: float = 0.0
 
     def __post_init__(self):
-        if self.overhead <= 0:
-            raise ValueError("overhead must be > 0 so cost ratios stay finite")
-        if self.quad_coeff < 0:
-            raise ValueError("quad_coeff must be >= 0")
+        if not 0.0 < self.overhead < np.inf:
+            raise ValueError("overhead must be finite and > 0 so cost ratios stay finite")
+        if not 0.0 <= self.quad_coeff < np.inf:
+            raise ValueError("quad_coeff must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class QuadratureSpec:
     n_nodes: int = 16
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
+        if not isinstance(self.n_nodes, Integral) or self.n_nodes < 1:
+            raise ValueError("quadrature n_nodes must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -76,18 +77,19 @@ def movement_cost(cm: CostModel, frm, to) -> np.ndarray:
 
 def _hypothetical_ig_bits(
     post: SourcePosterior,
-    candidate,
+    f: np.ndarray,
     m_values: np.ndarray,
     params: PlumeParams,
     reference: SourcePosterior,
 ) -> np.ndarray:
-    """Info gain (bits) vs reference after one reading at candidate, per m."""
-    f = concentration(np.asarray(candidate, float), post.grid.src_centers(), params)
-    f = f.ravel()
+    """Info gain (bits) vs reference after one reading m with mean f, per m.
+
+    f holds the candidate's mean concentration per source cell, row-major.
+    The update is posterior_update's: same log-likelihood, same floor.
+    """
     lp = post.log_probs.ravel()
     ref_lp = reference.log_probs.ravel()
-    resid = (m_values[:, None] - f[None, :]) / params.noise_sigma
-    ll = np.maximum(-0.5 * resid * resid, LOGLIK_FLOOR)  # shared const drops in norm
+    ll = gaussian_loglik(m_values[:, None], f[None, :], params.noise_sigma)
     new_lp = lp[None, :] + ll
     new_lp -= logsumexp(new_lp, axis=1, keepdims=True)
     p = np.exp(new_lp)
@@ -119,7 +121,7 @@ def eig_exact(
     p = post.probs().ravel()
     live = p > 0.0  # components with no mass contribute nothing
     m_grid = f[live, None] + np.sqrt(2.0) * params.noise_sigma * nodes[None, :]
-    ig = _hypothetical_ig_bits(post, candidate, m_grid.ravel(), params, reference)
+    ig = _hypothetical_ig_bits(post, f, m_grid.ravel(), params, reference)
     ig = ig.reshape(-1, quad.n_nodes)
     return float(p[live] @ (ig @ weights))
 
@@ -134,8 +136,9 @@ def eig_at_expected_measurement(
     if reference is None:
         reference = uniform_posterior(post.grid)
     f = concentration(np.asarray(candidate, float), post.grid.src_centers(), params)
-    m_bar = float(post.probs().ravel() @ f.ravel())
-    ig = _hypothetical_ig_bits(post, candidate, np.array([m_bar]), params, reference)
+    f = f.ravel()
+    m_bar = float(post.probs().ravel() @ f)
+    ig = _hypothetical_ig_bits(post, f, np.array([m_bar]), params, reference)
     return float(ig[0])
 
 

@@ -18,11 +18,10 @@ from ..belief import (
     SourcePosterior,
     info_gain_bits,
     map_estimate,
-    posterior_from_weights,
     posterior_update,
-    uniform_posterior,
 )
 from ..field import GridSpec, PlumeParams, concentration
+from ..swarm import world_setup
 
 OBS_SIZE = 17
 
@@ -63,21 +62,22 @@ class RewardWeights:
 
     reward = w_info * (info gain this step, bits)
            + w_est * (1 - estimate_error / world_diagonal)
-           - action cost
+           - action_costs[action]
+
+    action_costs is indexed by Action: do-nothing, move, measure, update,
+    communicate.
     """
 
     w_info: float = 1.0
     w_est: float = 1.0
-    c_nothing: float = 0.0
-    c_move: float = 0.2
-    c_measure: float = 0.1
-    c_update: float = 0.1
-    c_comm: float = 0.3
+    action_costs: tuple[float, ...] = (0.0, 0.2, 0.1, 0.1, 0.3)
+
+    def __post_init__(self):
+        if len(self.action_costs) != N_ACTIONS:
+            raise ValueError(f"action_costs must list {N_ACTIONS} values")
 
     def action_cost(self, action: int) -> float:
-        return (self.c_nothing, self.c_move, self.c_measure, self.c_update, self.c_comm)[
-            int(action)
-        ]
+        return self.action_costs[int(action)]
 
 
 @dataclass(frozen=True)
@@ -114,11 +114,6 @@ class HybridEnv:
 
     def __init__(self, cfg: HybridEnvConfig):
         self.cfg = cfg
-        self._prior = (
-            uniform_posterior(cfg.grid)
-            if cfg.prior_weights is None
-            else posterior_from_weights(cfg.grid, np.asarray(cfg.prior_weights, float))
-        )
         self._done = True
 
     @property
@@ -151,16 +146,8 @@ class HybridEnv:
         children = ss.spawn(1 + cfg.n_agents)
         world = np.random.default_rng(children[0])
         self._meas_rngs = [np.random.default_rng(c) for c in children[1:]]
-
-        if cfg.source_xy is not None:
-            self._source = np.asarray(cfg.source_xy, dtype=float)
-        else:
-            flat = int(world.choice(cfg.grid.n_src_cells, p=self._prior.probs().ravel()))
-            self._source = np.asarray(cfg.grid.src_cell_center(flat))
-        self._pos = world.uniform(
-            low=(cfg.grid.x_min, cfg.grid.y_min),
-            high=(cfg.grid.x_max, cfg.grid.y_max),
-            size=(cfg.n_agents, 2),
+        self._prior, self._source, self._pos = world_setup(
+            cfg.grid, cfg.prior_weights, cfg.source_xy, world, cfg.n_agents
         )
         self._vel = np.zeros((cfg.n_agents, 2))
         self._beliefs = [self._prior] * cfg.n_agents

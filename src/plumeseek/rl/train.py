@@ -44,6 +44,12 @@ class TrainConfig:
             raise ValueError(f"unknown training mode {self.mode!r}")
         if self.train_steps < 0:
             raise ValueError("train_steps must be >= 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        if not self.batch_size >= 1:
+            raise ValueError("batch_size must be >= 1")
+        if not self.target_sync >= 1:
+            raise ValueError("target_sync must be >= 1")
         if not 0.0 < self.smoothing <= 1.0:
             raise ValueError("smoothing must be in (0, 1]")
 

@@ -6,7 +6,6 @@ bytes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -39,19 +38,14 @@ def line_chart(
     y_label: str = "",
     width: int = 760,
     height: int = 420,
-    log_y: bool = False,
-    y_floor: float = 1e-3,
 ) -> str:
-    """Render series as an SVG string; log_y plots log10(max(y, y_floor))."""
+    """Render series as an SVG string."""
     margin_l, margin_r, margin_t, margin_b = 64, 16, 34, 46
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
-    def transform_y(v: float) -> float:
-        return math.log10(max(v, y_floor)) if log_y else v
-
     xs_all = [x for s in series for x in s.xs]
-    ys_all = [transform_y(y) for s in series for y in s.ys]
+    ys_all = [y for s in series for y in s.ys]
     x_lo, x_hi = (min(xs_all), max(xs_all)) if xs_all else (0.0, 1.0)
     y_lo, y_hi = (min(ys_all), max(ys_all)) if ys_all else (0.0, 1.0)
     if x_hi <= x_lo:
@@ -89,13 +83,12 @@ def line_chart(
         )
     for ty in _ticks(y_lo, y_hi):
         gy = py(ty)
-        label = f"1e{ty:g}" if log_y else f"{ty:g}"
         parts.append(
             f'<line x1="{margin_l - 5}" y1="{_fmt(gy)}" x2="{margin_l}" '
             f'y2="{_fmt(gy)}" stroke="#333"/>'
         )
         parts.append(
-            f'<text x="{margin_l - 8}" y="{_fmt(gy + 4)}" text-anchor="end">{label}</text>'
+            f'<text x="{margin_l - 8}" y="{_fmt(gy + 4)}" text-anchor="end">{ty:g}</text>'
         )
     if x_label:
         parts.append(
@@ -109,7 +102,7 @@ def line_chart(
         )
     for s in series:
         pts = " ".join(
-            f"{_fmt(px(x))},{_fmt(py(transform_y(y)))}" for x, y in zip(s.xs, s.ys)
+            f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.xs, s.ys)
         )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{s.color}" stroke-width="1.5"/>'

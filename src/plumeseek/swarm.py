@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .belief import (
 from .field import GridSpec, PlumeParams, concentration, squared_snr_kernel
 from .planner import (
     TIER_SNR_FFT,
+    TIERS,
     CostModel,
     QuadratureSpec,
     compute_score_map,
@@ -42,12 +44,10 @@ EPISODE_CSV_COLUMNS = ("step", "agent_id", "x", "y", "m", "ig_bits", "cost")
 
 @dataclass
 class AgentState:
-    """One agent: position, velocity, and its belief over source cells."""
+    """One agent: its id and current position."""
 
     id: int
     position: np.ndarray
-    velocity: np.ndarray
-    belief: SourcePosterior
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,12 @@ class SimConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"unknown motion policy {self.policy!r}")
-        if self.n_agents < 1 or self.n_steps < 0:
-            raise ValueError("need at least one agent and a nonnegative step count")
+        if self.tier not in TIERS:
+            raise ValueError(f"planner tier {self.tier!r} is not one of {list(TIERS)}")
+        if not isinstance(self.n_agents, Integral) or self.n_agents < 1:
+            raise ValueError("n_agents must be an integer >= 1")
+        if not isinstance(self.n_steps, Integral) or self.n_steps < 0:
+            raise ValueError("n_steps must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -168,32 +172,35 @@ def cost_only_policy(
     return grid.meas_cell_center(flat)
 
 
-def _initial_prior(cfg: SimConfig) -> SourcePosterior:
-    if cfg.prior_weights is None:
-        return uniform_posterior(cfg.grid)
-    return posterior_from_weights(cfg.grid, np.asarray(cfg.prior_weights, dtype=float))
+def world_setup(grid: GridSpec, prior_weights, source_xy, world_rng, n_agents: int):
+    """(prior, source, start positions) of one episode, drawn from the world stream.
+
+    prior_weights None means a uniform prior. A fixed source_xy is used as
+    given; otherwise the source is the center of a cell drawn from the prior.
+    Start positions are uniform over the world and drawn after the source.
+    """
+    if prior_weights is None:
+        prior = uniform_posterior(grid)
+    else:
+        prior = posterior_from_weights(grid, np.asarray(prior_weights, dtype=float))
+    if source_xy is not None:
+        source = np.asarray(source_xy, dtype=float)
+    else:
+        flat = int(world_rng.choice(grid.n_src_cells, p=prior.probs().ravel()))
+        source = np.asarray(grid.src_cell_center(flat))
+    positions = world_rng.uniform(
+        low=(grid.x_min, grid.y_min), high=(grid.x_max, grid.y_max), size=(n_agents, 2)
+    )
+    return prior, source, positions
 
 
 def run_episode(cfg: SimConfig) -> EpisodeLog:
     """Run one seeded episode and return its full log."""
     world_rng, meas_rngs, policy_rngs = agent_streams(cfg.seed, cfg.n_agents)
-    prior = _initial_prior(cfg)
-
-    if cfg.source_xy is not None:
-        source = np.asarray(cfg.source_xy, dtype=float)
-    else:
-        flat = int(world_rng.choice(cfg.grid.n_src_cells, p=prior.probs().ravel()))
-        source = np.asarray(cfg.grid.src_cell_center(flat))
-    positions = world_rng.uniform(
-        low=(cfg.grid.x_min, cfg.grid.y_min),
-        high=(cfg.grid.x_max, cfg.grid.y_max),
-        size=(cfg.n_agents, 2),
+    prior, source, positions = world_setup(
+        cfg.grid, cfg.prior_weights, cfg.source_xy, world_rng, cfg.n_agents
     )
-
-    agents = [
-        AgentState(i, positions[i].copy(), np.zeros(2), prior)
-        for i in range(cfg.n_agents)
-    ]
+    agents = [AgentState(i, positions[i].copy()) for i in range(cfg.n_agents)]
     belief = prior
     kernel = None
     if cfg.policy == POLICY_INFO and cfg.tier == TIER_SNR_FFT:
@@ -225,8 +232,6 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
             )
         # broadcast: every reading reaches every agent before one shared update
         belief = posterior_update(belief, readings, cfg.plume)
-        for agent in agents:
-            agent.belief = belief
         ig = info_gain_bits(belief, prior)
 
         scores = None

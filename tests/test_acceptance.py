@@ -66,7 +66,7 @@ def desk_runs():
     t0 = time.perf_counter()
     logs = {
         policy: [run_episode(cfg.sim_config(seed, policy)) for seed in cfg.seeds]
-        for policy in cfg.sim["policies"]
+        for policy in cfg.policies
     }
     return cfg, logs, time.perf_counter() - t0
 
@@ -282,7 +282,7 @@ def test_criterion_05_search_efficiency(desk_runs):
     from plumeseek.field import snr_area_fraction
 
     frac = snr_area_fraction(cfg.plume, frac_grid)
-    cap = cfg.sim["n_steps"] + 1
+    cap = cfg.sim.n_steps + 1
     info_med, info_vals = _capped_median(logs["info"], 10.0, cap)
     cost_med, _ = _capped_median(logs["cost-only"], 10.0, cap)
     rand_med, _ = _capped_median(logs["random"], 10.0, cap)
@@ -290,7 +290,7 @@ def test_criterion_05_search_efficiency(desk_runs):
     trend = info_med < cost_med < rand_med
     ok = (
         0.002 <= frac <= 0.005
-        and info_med <= cfg.sim["n_steps"]
+        and info_med <= cfg.sim.n_steps
         and trend
         and ratio >= EFFICIENCY_RATIO
         and elapsed < 600.0

@@ -1,5 +1,6 @@
 """Config parsing/validation and the command-line front end."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from plumeseek.config import (
     load_config,
     parse_config,
 )
+from plumeseek.rl.train import MODES
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -51,10 +55,11 @@ def test_empty_config_resolves_all_defaults():
     cfg = parse_config({})
     assert cfg.grid.a_cells == 64 and cfg.grid.n_src_cells == 64 * 64
     assert cfg.plume.kind == "isotropic-blob"
-    assert cfg.tier == "snr-fft" and cfg.quad.n_nodes == 16
-    assert cfg.prior == {"kind": "uniform"}
+    assert cfg.sim.tier == "snr-fft" and cfg.sim.quad.n_nodes == 16
+    assert cfg.prior_weights() is None
+    assert cfg.effective_dict()["prior"] == {"kind": "uniform"}
     assert cfg.seeds == (0,)
-    assert cfg.sim["policies"] == ["info", "cost-only", "random"]
+    assert cfg.policies == ("info", "cost-only", "random")
 
 
 def test_effective_dict_round_trips_exactly():
@@ -110,13 +115,14 @@ def test_prior_validation():
                 "prior": {"kind": "weights", "values": [1.0, 2.0]},
             }
         )
-    with pytest.raises(ConfigError):
-        parse_config(
-            {
-                "grid": {"a_cells": 2, "b_cells": 2, "i_cells": 2, "j_cells": 2},
-                "prior": {"kind": "weights", "values": [-1.0, 1.0, 1.0, 1.0]},
-            }
-        )
+    for bad in ([-1.0, 1.0, 1.0, 1.0], [float("nan"), 1.0, 1.0, 1.0]):
+        with pytest.raises(ConfigError):
+            parse_config(
+                {
+                    "grid": {"a_cells": 2, "b_cells": 2, "i_cells": 2, "j_cells": 2},
+                    "prior": {"kind": "weights", "values": bad},
+                }
+            )
 
 
 def test_sim_and_rl_validation():
@@ -144,11 +150,52 @@ def test_config_builds_working_sub_configs():
     sim = cfg.sim_config(seed=3, policy="random")
     assert sim.seed == 3 and sim.policy == "random"
     assert sim.source_xy == (2.5, 2.5)
-    env = cfg.env_config()
+    env = cfg.train.env
     assert env.n_agents == 2 and env.horizon == 8
-    assert env.reward.c_move == 0.2
+    assert env.reward.action_cost(1) == 0.2
     tc = cfg.train_config(seed=1, mode="individual")
     assert tc.hidden == (8,) and tc.seed == 1
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_bundled_config_round_trips_and_builds_jobs(path):
+    cfg = load_config(path)
+    echoed = json.loads(json.dumps(cfg.effective_dict()))
+    again = parse_config(echoed)
+    assert again == cfg
+    assert again.effective_dict() == echoed
+    seed = cfg.seeds[0]
+    for policy in cfg.policies:
+        sim = cfg.sim_config(seed, policy)
+        assert (sim.policy, sim.seed, sim.grid) == (policy, seed, cfg.grid)
+    for mode in MODES:
+        tc = cfg.train_config(seed, mode)
+        assert (tc.mode, tc.seed, tc.env.grid) == (mode, seed, cfg.grid)
+
+
+# every entry: (section, key, value) that must fail at load time
+BAD_VALUES = [
+    ("plume", "noise_sigma", float("nan")),
+    ("plume", "strength", float("nan")),
+    ("plume", "length_scale", float("nan")),
+    ("grid", "x_max", float("inf")),
+    ("cost", "overhead", float("nan")),
+    ("sim", "n_agents", 2.5),
+    ("rl", "learning_rate", -1),
+    ("rl", "batch_size", 0),
+    ("rl", "target_sync", 0),
+    ("rl", "horizon", 0),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+@pytest.mark.parametrize("section,key,value", BAD_VALUES)
+def test_bad_value_in_any_section_exits_2(tmp_path, capsys, command, section, key, value):
+    cfg_path = write_config(tmp_path, {section: {key: value}})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_load_config_errors(tmp_path):

@@ -6,8 +6,11 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 
 from plumeseek.belief import (
+    MeasurementRecord,
     SourcePosterior,
+    info_gain_bits,
     posterior_from_weights,
+    posterior_update,
     uniform_posterior,
 )
 from plumeseek.field import (
@@ -313,3 +316,19 @@ def test_select_next_all_equal_scores_picks_nearest():
     scores = ScoreMap(np.ones((5, 5)), TIER_SNR_FFT, g)
     cm = CostModel(overhead=1.0, quad_coeff=2.0)
     assert select_next(scores, cm, (3.4, 1.7)) == (3.5, 1.5)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.3, 0.01])  # 0.01: far cells hit the floor
+def test_expected_measurement_ig_is_the_filter_update(noise_sigma):
+    g = grid(8)
+    params = blob(length_scale=1.5, noise_sigma=noise_sigma)
+    rng = np.random.default_rng(4)
+    post = posterior_from_weights(g, rng.random(g.n_src_cells) + 0.05)
+    reference = uniform_posterior(g)
+    for x, y in [(1.5, 2.5), (4.5, 4.5), (7.5, 0.5)]:
+        f = concentration(np.array([x, y]), g.src_centers(), params)
+        m_bar = float(post.probs().ravel() @ f.ravel())
+        updated = posterior_update(post, [MeasurementRecord(x, y, m_bar)], params)
+        want = info_gain_bits(updated, reference)
+        got = eig_at_expected_measurement(post, (x, y), params, reference)
+        assert got == pytest.approx(want, rel=1e-12)

@@ -355,7 +355,7 @@ def test_reward_components_hand_example():
 
 
 def test_reward_weights_price_each_action():
-    w = RewardWeights(c_nothing=0.0, c_move=0.2, c_measure=0.1, c_update=0.1, c_comm=0.3)
+    w = RewardWeights(action_costs=(0.0, 0.2, 0.1, 0.1, 0.3))
     assert [w.action_cost(a) for a in Action] == [0.0, 0.2, 0.1, 0.1, 0.3]
 
 

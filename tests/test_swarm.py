@@ -10,6 +10,7 @@ from plumeseek.belief import (
 )
 from plumeseek.field import BLOB, GridSpec, PlumeParams
 from plumeseek.planner import CostModel, TIER_SNR_BRUTE, TIER_SNR_FFT
+from plumeseek.rl.env import HybridEnv, HybridEnvConfig
 from plumeseek.swarm import (
     POLICY_COST_ONLY,
     POLICY_INFO,
@@ -190,7 +191,7 @@ def test_info_policy_with_fft_matches_bruteforce_tier():
 
 def test_random_policy_is_uniform_over_cells():
     g = GridSpec(0.0, 2.0, 0.0, 2.0, 2, 2, 2, 2)
-    agent = AgentState(0, np.array([1.0, 1.0]), np.zeros(2), uniform_posterior(g))
+    agent = AgentState(0, np.array([1.0, 1.0]))
     rng = np.random.default_rng(0)
     counts = {}
     n = 100_000
@@ -206,7 +207,7 @@ def test_cost_only_policy_prefers_cheap_cells():
     # two cells, distances 0 and 1, unit overhead and unit quadratic term:
     # weights 1 and 1/2, so probabilities 2/3 and 1/3
     g = GridSpec(0.0, 2.0, 0.0, 1.0, 2, 1, 2, 1)
-    agent = AgentState(0, np.array([0.5, 0.5]), np.zeros(2), uniform_posterior(g))
+    agent = AgentState(0, np.array([0.5, 0.5]))
     cm = CostModel(overhead=1.0, quad_coeff=1.0)
     rng = np.random.default_rng(1)
     n = 30_000
@@ -215,3 +216,18 @@ def test_cost_only_policy_prefers_cheap_cells():
         if cost_only_policy(agent, cm, rng, g) == (0.5, 0.5):
             near += 1
     assert abs(near / n - 2 / 3) < 0.01
+
+
+def test_episode_and_rl_env_draw_the_same_world():
+    # the world stream is child 0 of the seed in both layouts, and both draw
+    # the source and then the start positions from it in one shared helper
+    weights = tuple(np.arange(1.0, 65.0))
+    cfg = small_config(n_agents=3, n_steps=1, seed=21, prior_weights=weights)
+    log = run_episode(cfg)
+    env = HybridEnv(
+        HybridEnvConfig(grid=cfg.grid, plume=cfg.plume, n_agents=3, prior_weights=cfg.prior_weights)
+    )
+    env.reset(seed=21)
+    assert tuple(env.source) == log.source_xy
+    assert [(r.x, r.y) for r in log.records] == [tuple(p) for p in env.positions]
+    assert np.array_equal(env.prior.log_probs, log.prior.log_probs)
