@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .field import GridSpec, PlumeParams, concentration
+from .field import GridSpec, PlumeParams, concentration, concentration_at_sources
 
 LOG_2 = float(np.log(2.0))
 # Per-cell log-likelihood floor: keeps exp() finite while leaving a huge
@@ -99,7 +99,7 @@ def log_likelihood(m: float, loc, source_cell, params: PlumeParams) -> float:
 
 def loglik_grid(record: MeasurementRecord, grid: GridSpec, params: PlumeParams) -> np.ndarray:
     """Floored log-likelihood of one record against every source hypothesis, (I, J)."""
-    f = concentration(np.array([record.x, record.y]), grid.src_centers(), params)
+    f = concentration_at_sources((record.x, record.y), grid, params)
     return gaussian_loglik(record.value, f, params.noise_sigma)
 
 

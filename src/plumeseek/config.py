@@ -68,7 +68,9 @@ def _source_xy(src):
     """sim.source as a fixed (x, y), or None for a source sampled from the prior."""
     if not isinstance(src, dict) or src.get("placement") not in ("fixed", "sampled"):
         raise ConfigError("sim.source.placement must be 'fixed' or 'sampled'")
-    if src["placement"] == "sampled":
+    sampled = src["placement"] == "sampled"
+    _section("sim.source", src, ("placement",) if sampled else ("placement", "x", "y"))
+    if sampled:
         return None
     if not ("x" in src and "y" in src):
         raise ConfigError("sim.source: fixed placement requires x and y")
@@ -79,7 +81,9 @@ def _prior_weights(prior, grid: GridSpec):
     """The prior section as row-major weights, or None for a uniform prior."""
     if not isinstance(prior, dict) or prior.get("kind") not in ("uniform", "weights"):
         raise ConfigError("prior.kind must be 'uniform' or 'weights'")
-    if prior["kind"] == "uniform":
+    uniform = prior["kind"] == "uniform"
+    _section("prior", prior, ("kind",) if uniform else ("kind", "values"))
+    if uniform:
         return None
     values = prior.get("values")
     if not isinstance(values, list) or len(values) != grid.n_src_cells:

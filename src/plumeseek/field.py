@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 BLOB = "isotropic-blob"
 ADVECTED = "advected-plume"
@@ -197,6 +198,19 @@ def concentration(loc, source, params: PlumeParams):
     return _concentration_at_offset(offset[..., 0], offset[..., 1], params)
 
 
+def concentration_at_sources(loc, grid: GridSpec, params: PlumeParams) -> np.ndarray:
+    """Mean concentration read at loc for a source at every source-cell center, (I, J).
+
+    Equal to concentration(loc, grid.src_centers(), params), bit for bit, but
+    builds the displacements from the two center axes instead of an (I, J, 2)
+    array of points.
+    """
+    x, y = np.asarray(loc, dtype=float)
+    return _concentration_at_offset(
+        (x - grid.src_x_centers())[:, None], (y - grid.src_y_centers())[None, :], params
+    )
+
+
 def snr_area_fraction(params: PlumeParams, grid: GridSpec, threshold: float = 1.0) -> float:
     """Fraction of measurement cells where f / noise_sigma exceeds threshold.
 
@@ -223,11 +237,13 @@ def _axis_strides(meas_pitch: float, src_pitch: float) -> tuple[int, int]:
 class OffsetKernel:
     """Squared-SNR kernel tabulated on the lattice of sensor-source offsets.
 
-    values[tx - tx0, ty - ty0] holds f(offset)^2 / (2 sigma^2) in nats at
-    offset_x = tx * pitch_x + shift_x (same per axis in y), where
+    values[tx - tx0, ty - ty0] holds f(offset)^2 / (2 sigma^2) in nats at the
+    x offset tx * pitch_x + shift_x (same per axis in y), where
     tx = stride_meas_x * ix - stride_src_x * is for measurement column ix and
     source column is. Strides record how each grid embeds into the common
-    fine lattice.
+    fine lattice. spectrum is rfft2 of values zero-padded to fft_shape, the
+    size of the linear convolution with a posterior on this grid; it is
+    computed once here so score maps do not redo it.
     """
 
     values: np.ndarray
@@ -242,12 +258,8 @@ class OffsetKernel:
     stride_meas_y: int
     stride_src_y: int
     grid: GridSpec = field(repr=False)
-
-    def offset_x(self, tx) -> np.ndarray:
-        return np.asarray(tx) * self.pitch_x + self.shift_x
-
-    def offset_y(self, ty) -> np.ndarray:
-        return np.asarray(ty) * self.pitch_y + self.shift_y
+    spectrum: np.ndarray = field(repr=False, compare=False)
+    fft_shape: tuple[int, int] = field(repr=False, compare=False)
 
 
 def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
@@ -272,6 +284,12 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     off_y = ty * fine_dy + shift_y
     f = _concentration_at_offset(off_x[:, None], off_y[None, :], params)
     values = (f * f) / (2.0 * params.noise_sigma**2)
+    # the posterior embeds on the fine lattice with the source strides, so the
+    # full linear convolution has (len(tx) + q*(I-1)) x (len(ty) + q*(J-1)) cells
+    fft_shape = (
+        next_fast_len(len(tx) + qx * (grid.i_cells - 1), real=True),
+        next_fast_len(len(ty) + qy * (grid.j_cells - 1), real=True),
+    )
     return OffsetKernel(
         values=values,
         tx0=int(tx0),
@@ -285,4 +303,6 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
         stride_meas_y=py,
         stride_src_y=qy,
         grid=grid,
+        spectrum=np.fft.rfft2(values, s=fft_shape),
+        fft_shape=fft_shape,
     )

@@ -13,7 +13,6 @@ from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.fft import next_fast_len
 from scipy.special import logsumexp
 
 from .belief import LOG_2, SourcePosterior, gaussian_loglik, uniform_posterior
@@ -23,6 +22,7 @@ from .field import (
     OffsetKernel,
     PlumeParams,
     concentration,
+    concentration_at_sources,
     squared_snr_kernel,
 )
 
@@ -75,6 +75,18 @@ def movement_cost(cm: CostModel, frm, to) -> np.ndarray:
     return cm.overhead + cm.quad_coeff * d2
 
 
+def movement_cost_map(cm: CostModel, grid: GridSpec, frm) -> np.ndarray:
+    """Cost of relocating from frm to every measurement cell center, (a_cells, b_cells).
+
+    Equal to movement_cost(cm, frm, grid.meas_centers()), bit for bit, from
+    the squared x and y distances to the center axes.
+    """
+    x, y = np.asarray(frm, dtype=float)
+    dx2 = (grid.meas_x_centers() - x) ** 2
+    dy2 = (grid.meas_y_centers() - y) ** 2
+    return cm.overhead + cm.quad_coeff * (dx2[:, None] + dy2[None, :])
+
+
 def _hypothetical_ig_bits(
     post: SourcePosterior,
     f: np.ndarray,
@@ -116,8 +128,7 @@ def eig_exact(
         reference = uniform_posterior(post.grid)
     nodes, weights = hermgauss(quad.n_nodes)
     weights = weights / np.sqrt(np.pi)  # normalize to a probability average
-    f = concentration(np.asarray(candidate, float), post.grid.src_centers(), params)
-    f = f.ravel()
+    f = concentration_at_sources(candidate, post.grid, params).ravel()
     p = post.probs().ravel()
     live = p > 0.0  # components with no mass contribute nothing
     m_grid = f[live, None] + np.sqrt(2.0) * params.noise_sigma * nodes[None, :]
@@ -135,8 +146,7 @@ def eig_at_expected_measurement(
     """Info gain from a single update at the posterior-mean reading."""
     if reference is None:
         reference = uniform_posterior(post.grid)
-    f = concentration(np.asarray(candidate, float), post.grid.src_centers(), params)
-    f = f.ravel()
+    f = concentration_at_sources(candidate, post.grid, params).ravel()
     m_bar = float(post.probs().ravel() @ f)
     ig = _hypothetical_ig_bits(post, f, np.array([m_bar]), params, reference)
     return float(ig[0])
@@ -181,7 +191,10 @@ def snr_score_map_fft(
 
     The posterior is embedded on the kernel's fine offset lattice, linearly
     convolved with the tabulated kernel under zero padding (no wraparound),
-    and sampled back at the measurement centers.
+    and sampled back at the measurement centers. The kernel's spectrum is
+    the one cached on it. The inverse runs in irfft2's own order, the
+    complex transform over axis 0 first, so the real transform over axis 1
+    is done only for the rows a measurement center samples.
     """
     if grid is None:
         grid = kernel.grid
@@ -191,19 +204,14 @@ def snr_score_map_fft(
     px, py = kernel.stride_meas_x, kernel.stride_meas_y
     up = np.zeros((qx * (grid.i_cells - 1) + 1, qy * (grid.j_cells - 1) + 1))
     up[::qx, ::qy] = post.probs()
-    kv = kernel.values
-    sx = next_fast_len(up.shape[0] + kv.shape[0] - 1, real=True)
-    sy = next_fast_len(up.shape[1] + kv.shape[1] - 1, real=True)
-    conv = np.fft.irfft2(
-        np.fft.rfft2(up, s=(sx, sy)) * np.fft.rfft2(kv, s=(sx, sy)), s=(sx, sy)
-    )
+    sx, sy = kernel.fft_shape
+    spec = np.fft.rfft2(up, s=(sx, sy))
+    spec *= kernel.spectrum
     # score(im) lives at convolution index p*im - tx0 (tx0 = -q*(I-1))
     x0 = -kernel.tx0
     y0 = -kernel.ty0
-    vals = conv[
-        x0 : x0 + px * (grid.a_cells - 1) + 1 : px,
-        y0 : y0 + py * (grid.b_cells - 1) + 1 : py,
-    ]
+    rows = np.fft.ifft(spec, sx, axis=0)[x0 : x0 + px * (grid.a_cells - 1) + 1 : px]
+    vals = np.fft.irfft(rows, sy, axis=1)[:, y0 : y0 + py * (grid.b_cells - 1) + 1 : py]
     vals = np.maximum(vals, 0.0) / LOG_2  # FFT roundoff may graze below zero
     return ScoreMap(np.ascontiguousarray(vals), TIER_SNR_FFT, grid)
 
@@ -242,8 +250,6 @@ def select_next(scores: ScoreMap, cm: CostModel, agent_pos) -> tuple[float, floa
     Exact ratio ties resolve to the lowest row-major cell index, so selection
     is deterministic.
     """
-    centers = scores.grid.meas_centers().reshape(-1, 2)
-    costs = movement_cost(cm, np.asarray(agent_pos, float), centers)
-    ratio = scores.values.ravel() / costs
+    ratio = scores.values / movement_cost_map(cm, scores.grid, agent_pos)
     best = int(np.argmax(ratio))  # first occurrence wins ties
     return scores.grid.meas_cell_center(best)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -97,16 +98,14 @@ class HybridEnvConfig:
     prior_weights: tuple | None = None
 
     def __post_init__(self):
-        if self.n_agents < 1:
-            raise ValueError("need at least one agent")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        for name in ("n_agents", "horizon", "buffer_capacity"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
         if min(self.a_max, self.v_max, self.dt, self.w_max) <= 0:
             raise ValueError("a_max, v_max, dt and w_max must be > 0")
         if not 0.0 <= self.damping <= 1.0:
             raise ValueError("damping must be in [0, 1]")
-        if self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
 
 
 class HybridEnv:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -42,14 +43,22 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown training mode {self.mode!r}")
-        if self.train_steps < 0:
-            raise ValueError("train_steps must be >= 0")
+        for name, low in (
+            ("train_steps", 0),
+            ("eps_decay_steps", 0),
+            ("batch_size", 1),
+            ("replay_capacity", 1),
+            ("target_sync", 1),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        if not isinstance(self.hidden, (tuple, list)) or not all(
+            isinstance(n, Integral) and n >= 1 for n in self.hidden
+        ):
+            raise ValueError("hidden must be a list of integer layer widths >= 1")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and > 0")
-        if not self.batch_size >= 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.target_sync >= 1:
-            raise ValueError("target_sync must be >= 1")
         if not 0.0 < self.smoothing <= 1.0:
             raise ValueError("smoothing must be in (0, 1]")
 

@@ -31,6 +31,7 @@ from .planner import (
     QuadratureSpec,
     compute_score_map,
     movement_cost,
+    movement_cost_map,
     select_next,
 )
 
@@ -166,8 +167,7 @@ def cost_only_policy(
     agent: AgentState, cm: CostModel, rng: np.random.Generator, grid: GridSpec
 ):
     """Sample a cell with probability proportional to 1 / movement cost."""
-    centers = grid.meas_centers().reshape(-1, 2)
-    w = 1.0 / movement_cost(cm, agent.position, centers)
+    w = 1.0 / movement_cost_map(cm, grid, agent.position).ravel()
     flat = int(rng.choice(w.size, p=w / w.sum()))
     return grid.meas_cell_center(flat)
 

@@ -185,6 +185,17 @@ BAD_VALUES = [
     ("rl", "batch_size", 0),
     ("rl", "target_sync", 0),
     ("rl", "horizon", 0),
+    ("rl", "n_agents", 2.5),
+    ("rl", "horizon", 2.5),
+    ("rl", "buffer_capacity", 2.5),
+    ("rl", "train_steps", 2.5),
+    ("rl", "batch_size", 2.5),
+    ("rl", "replay_capacity", 2.5),
+    ("rl", "replay_capacity", 0),
+    ("rl", "target_sync", 2.5),
+    ("rl", "eps_decay_steps", 2.5),
+    ("rl", "hidden", 8.5),
+    ("rl", "hidden", [8.5]),
 ]
 
 
@@ -196,6 +207,20 @@ def test_bad_value_in_any_section_exits_2(tmp_path, capsys, command, section, ke
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"prior": {"kind": "uniform", "values": [1]}},
+        {"sim": {"source": {"placement": "sampled", "x": 3}}},
+        {"sim": {"source": {"placement": "fixed", "x": 1, "y": 2, "z": 3}}},
+    ],
+)
+def test_unknown_key_in_prior_or_source_exits_2(tmp_path, capsys, payload):
+    cfg_path = write_config(tmp_path, payload)
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key" in capsys.readouterr().err
 
 
 def test_load_config_errors(tmp_path):

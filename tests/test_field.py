@@ -11,6 +11,7 @@ from plumeseek.field import (
     KernelGridMismatch,
     PlumeParams,
     concentration,
+    concentration_at_sources,
     snr_area_fraction,
     squared_snr_kernel,
 )
@@ -226,6 +227,24 @@ def test_concentration_broadcasts_over_point_arrays():
     assert concentration(locs, srcs, p).shape == (4, 3)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 12, 6),
+        GridSpec(0.0, 8.0, 0.0, 8.0, 8, 8, 4, 4),  # source pitch twice the measurement pitch
+    ],
+)
+@pytest.mark.parametrize("params", [blob(length_scale=1.7), advected(wind=(1.0, 0.3))])
+def test_concentration_at_sources_equals_point_array_oracle(g, params):
+    rng = np.random.default_rng(12)
+    on_lattice = [g.meas_cell_center(int(c)) for c in rng.integers(g.n_meas_cells, size=4)]
+    off_lattice = [tuple(rng.uniform(0.0, 8.0, 2)) for _ in range(4)]
+    for loc in on_lattice + off_lattice + [(-3.0, 20.0)]:
+        want = concentration(np.asarray(loc), g.src_centers(), params)
+        got = concentration_at_sources(loc, g, params)
+        assert np.array_equal(got, want)
+
+
 # -- footprint summary --------------------------------------------------------
 
 
@@ -292,7 +311,8 @@ def test_kernel_offset_coordinates_match_strides():
     assert (k.stride_meas_x, k.stride_src_x) == (1, 2)
     # offset between measurement cell 0 and source cell 0 along x
     t = k.stride_meas_x * 0 - k.stride_src_x * 0
-    assert k.offset_x(t) == pytest.approx(g.meas_x_centers()[0] - g.src_x_centers()[0])
+    offset = t * k.pitch_x + k.shift_x
+    assert offset == pytest.approx(g.meas_x_centers()[0] - g.src_x_centers()[0])
 
 
 def test_kernel_zero_strength_is_all_zero():

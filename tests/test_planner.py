@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
+from scipy.fft import next_fast_len
 
 from plumeseek.belief import (
     MeasurementRecord,
@@ -34,6 +35,7 @@ from plumeseek.planner import (
     eig_at_expected_measurement,
     eig_exact,
     movement_cost,
+    movement_cost_map,
     select_next,
     snr_score_bruteforce,
     snr_score_map_bruteforce,
@@ -92,6 +94,22 @@ def test_movement_cost_examples():
     assert np.allclose(got, [1.0, 26.0])
 
 
+def select_next_oracle(scores, cm, agent_pos):
+    """select_next written as movement_cost over every measurement center."""
+    centers = scores.grid.meas_centers().reshape(-1, 2)
+    ratio = scores.values.ravel() / movement_cost(cm, np.asarray(agent_pos, float), centers)
+    return scores.grid.meas_cell_center(int(np.argmax(ratio)))
+
+
+def test_movement_cost_map_equals_point_array_oracle():
+    rng = np.random.default_rng(3)
+    g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)
+    cm = CostModel(overhead=0.7, quad_coeff=0.03)
+    for frm in [tuple(rng.uniform(0.0, 16.0, 2)) for _ in range(5)] + [(2.5, 3.5)]:
+        want = movement_cost(cm, frm, g.meas_centers())
+        assert np.array_equal(movement_cost_map(cm, g, frm), want)
+
+
 def test_cost_model_validation():
     with pytest.raises(ValueError):
         CostModel(0.0, 1.0)
@@ -146,6 +164,35 @@ def test_fft_map_matches_bruteforce(a, b, i, j):
         assert fft.values.shape == (a, b)
         scale = brute.values.max()
         assert np.max(np.abs(fft.values - brute.values)) <= 1e-9 * scale
+
+
+def test_fft_map_with_cached_spectrum_equals_full_irfft2():
+    # the score map the kernel's cached spectrum and the row-cropped inverse
+    # give must be the uncached full-size irfft2 convolution, bit for bit
+    g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)  # measurement:source pitch 1:2
+    rng = np.random.default_rng(5)
+    for params in (
+        blob(length_scale=2.5, noise_sigma=0.5),
+        PlumeParams(kind=ADVECTED, wind=(1.0, 0.4), sigma0=1.2, spread_rate=0.3, noise_sigma=0.5),
+    ):
+        kernel = squared_snr_kernel(params, g)
+        post = posterior_from_weights(g, rng.random(g.n_src_cells) + 1e-3)
+        qx, qy = kernel.stride_src_x, kernel.stride_src_y
+        px, py = kernel.stride_meas_x, kernel.stride_meas_y
+        up = np.zeros((qx * (g.i_cells - 1) + 1, qy * (g.j_cells - 1) + 1))
+        up[::qx, ::qy] = post.probs()
+        kv = kernel.values
+        sx = next_fast_len(up.shape[0] + kv.shape[0] - 1, real=True)
+        sy = next_fast_len(up.shape[1] + kv.shape[1] - 1, real=True)
+        conv = np.fft.irfft2(
+            np.fft.rfft2(up, s=(sx, sy)) * np.fft.rfft2(kv, s=(sx, sy)), s=(sx, sy)
+        )
+        x0, y0 = -kernel.tx0, -kernel.ty0
+        want = conv[
+            x0 : x0 + px * (g.a_cells - 1) + 1 : px, y0 : y0 + py * (g.b_cells - 1) + 1 : py
+        ]
+        want = np.maximum(want, 0.0) / LOG2
+        assert np.array_equal(snr_score_map_fft(post, kernel).values, want)
 
 
 def test_fft_map_on_point_mass_reproduces_kernel_slice():
@@ -298,6 +345,23 @@ def test_select_next_tie_goes_to_lowest_row_major_cell():
     scores = ScoreMap(np.array([[2.0], [2.0]]), TIER_SNR_FFT, g)
     cm = CostModel(overhead=1.0, quad_coeff=1.0)
     assert select_next(scores, cm, (2.0, 0.5)) == (1.0, 0.5)  # equidistant tie
+
+
+def test_select_next_equals_movement_cost_oracle():
+    rng = np.random.default_rng(17)
+    g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)
+    cm = CostModel(overhead=0.7, quad_coeff=0.03)
+    vals = rng.random((16, 12))
+    for _ in range(20):
+        pos = rng.uniform((0.0, 0.0), (16.0, 12.0))
+        scores = ScoreMap(vals, TIER_SNR_FFT, g)
+        assert select_next(scores, cm, pos) == select_next_oracle(scores, cm, pos)
+    # exact tie: equal scores at cells mirrored about the agent
+    tied = np.zeros((16, 12))
+    tied[3, 5] = tied[9, 5] = 1.0
+    scores = ScoreMap(tied, TIER_SNR_FFT, g)
+    pos = (6.5, 5.5)
+    assert select_next(scores, cm, pos) == select_next_oracle(scores, cm, pos) == (3.5, 5.5)
 
 
 def test_select_next_is_scale_invariant():

@@ -9,7 +9,7 @@ from plumeseek.belief import (
     uniform_posterior,
 )
 from plumeseek.field import BLOB, GridSpec, PlumeParams
-from plumeseek.planner import CostModel, TIER_SNR_BRUTE, TIER_SNR_FFT
+from plumeseek.planner import CostModel, TIER_SNR_BRUTE, TIER_SNR_FFT, movement_cost
 from plumeseek.rl.env import HybridEnv, HybridEnvConfig
 from plumeseek.swarm import (
     POLICY_COST_ONLY,
@@ -216,6 +216,19 @@ def test_cost_only_policy_prefers_cheap_cells():
         if cost_only_policy(agent, cm, rng, g) == (0.5, 0.5):
             near += 1
     assert abs(near / n - 2 / 3) < 0.01
+
+
+def test_cost_only_policy_equals_movement_cost_oracle():
+    g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)
+    cm = CostModel(overhead=0.7, quad_coeff=0.03)
+    centers = g.meas_centers().reshape(-1, 2)
+    # (8.0, 6.0) sits on a cell corner: its four nearest cells tie exactly
+    for pos in [np.array([8.0, 6.0]), np.array([2.3, 10.9]), np.array([15.1, 0.2])]:
+        w = 1.0 / movement_cost(cm, pos, centers)
+        want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(50):
+            want = g.meas_cell_center(int(want_rng.choice(w.size, p=w / w.sum())))
+            assert cost_only_policy(AgentState(0, pos), cm, got_rng, g) == want
 
 
 def test_episode_and_rl_env_draw_the_same_world():
