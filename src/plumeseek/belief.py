@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .field import GridSpec, PlumeParams, concentration, concentration_at_sources
 
@@ -61,6 +60,34 @@ class SourcePosterior:
 
     def probs(self) -> np.ndarray:
         return np.exp(self.log_probs)
+
+
+def logsumexp(a, axis=None, keepdims: bool = False):
+    """log(sum(exp(a))) over axis, stable for real input.
+
+    A NumPy port of SciPy's real-input algorithm, so results match
+    `scipy.special.logsumexp` bit for bit: the maxima are taken out of the
+    sum and counted, the rest is summed as exp(a - max), and the result is
+    log1p(rest / count) + log(count) + max. Where that is not finite (every
+    entry -inf, an inf or a NaN), the direct log(sum(exp(a))) is returned.
+    A full reduction gives a NumPy scalar, as SciPy does.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        count = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
+        rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / count)
+        out = np.log1p(rest) + np.log(count) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    if not keepdims:
+        out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def uniform_posterior(grid: GridSpec) -> SourcePosterior:

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 BLOB = "isotropic-blob"
 ADVECTED = "advected-plume"
@@ -262,6 +261,24 @@ class OffsetKernel:
     fft_shape: tuple[int, int] = field(repr=False, compare=False)
 
 
+def next_fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (n >= 1): a size the real FFT transforms fast.
+
+    The same sizes as `scipy.fft.next_fast_len(n, real=True)`, searched over
+    every 3^b 5^c below the next power of two.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-n // p35) - 1).bit_length()  # smallest 2^a with 2^a p35 >= n
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     """Tabulate k(d) = f(d)^2 / (2 sigma^2) over every sensor-source offset.
 
@@ -287,8 +304,8 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     # the posterior embeds on the fine lattice with the source strides, so the
     # full linear convolution has (len(tx) + q*(I-1)) x (len(ty) + q*(J-1)) cells
     fft_shape = (
-        next_fast_len(len(tx) + qx * (grid.i_cells - 1), real=True),
-        next_fast_len(len(ty) + qy * (grid.j_cells - 1), real=True),
+        next_fast_len(len(tx) + qx * (grid.i_cells - 1)),
+        next_fast_len(len(ty) + qy * (grid.j_cells - 1)),
     )
     return OffsetKernel(
         values=values,

@@ -13,9 +13,8 @@ from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import logsumexp
 
-from .belief import LOG_2, SourcePosterior, gaussian_loglik, uniform_posterior
+from .belief import LOG_2, SourcePosterior, gaussian_loglik, logsumexp, uniform_posterior
 from .field import (
     GridSpec,
     KernelGridMismatch,

@@ -76,6 +76,8 @@ class RewardWeights:
     def __post_init__(self):
         if len(self.action_costs) != N_ACTIONS:
             raise ValueError(f"action_costs must list {N_ACTIONS} values")
+        if not np.all(np.isfinite([self.w_info, self.w_est, *self.action_costs])):
+            raise ValueError("w_info, w_est and every action cost must be finite")
 
     def action_cost(self, action: int) -> float:
         return self.action_costs[int(action)]
@@ -102,8 +104,8 @@ class HybridEnvConfig:
             value = getattr(self, name)
             if not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
-        if min(self.a_max, self.v_max, self.dt, self.w_max) <= 0:
-            raise ValueError("a_max, v_max, dt and w_max must be > 0")
+        if not all(0.0 < v < np.inf for v in (self.a_max, self.v_max, self.dt, self.w_max)):
+            raise ValueError("a_max, v_max, dt and w_max must be finite and > 0")
         if not 0.0 <= self.damping <= 1.0:
             raise ValueError("damping must be in [0, 1]")
 
@@ -290,15 +292,15 @@ class HybridEnv:
         span = np.array([g.x_max - g.x_min, g.y_max - g.y_min])
         origin = np.array([g.x_min, g.y_min])
         max_ig = np.log2(g.n_src_cells)
-        for i in range(cfg.n_agents):
-            obs[i, OBS_POS] = (self._pos[i] - origin) / span
-            obs[i, OBS_VEL] = self._vel[i] / cfg.v_max
-            obs[i, OBS_WIND] = np.clip(np.asarray(cfg.plume.wind) / cfg.w_max, -1.0, 1.0)
-            obs[i, OBS_LAST_M] = np.clip(self._last_m[i], 0.0, 1.0)
-            obs[i, OBS_ESTIMATE] = (self._estimates[i] - origin) / span
-            obs[i, OBS_IG] = np.clip(self._igs[i] / max_ig, 0.0, 1.0) if max_ig > 0 else 0.0
-            obs[i, OBS_MOVED_FLAG] = float(self._moved_since_measure[i])
-            obs[i, OBS_REPEAT_FLAG] = float(self._repeat_count[i] > 4)
-            if self._last_action[i] >= 0:
-                obs[i, OBS_LAST_ACTION.start + self._last_action[i]] = 1.0
+        obs[:, OBS_POS] = (self._pos - origin) / span
+        obs[:, OBS_VEL] = self._vel / cfg.v_max
+        obs[:, OBS_WIND] = np.clip(np.asarray(cfg.plume.wind) / cfg.w_max, -1.0, 1.0)
+        obs[:, OBS_LAST_M] = np.clip(self._last_m, 0.0, 1.0)
+        obs[:, OBS_ESTIMATE] = (self._estimates - origin) / span
+        if max_ig > 0:
+            obs[:, OBS_IG] = np.clip(self._igs / max_ig, 0.0, 1.0)
+        obs[:, OBS_MOVED_FLAG] = self._moved_since_measure
+        obs[:, OBS_REPEAT_FLAG] = self._repeat_count > 4
+        acted = self._last_action >= 0  # -1 before the first step: no one-hot
+        obs[acted, OBS_LAST_ACTION.start + self._last_action[acted]] = 1.0
         return obs

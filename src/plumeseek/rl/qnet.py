@@ -30,7 +30,14 @@ class Batch(NamedTuple):
 
 
 class QNet:
-    """MLP with ReLU hidden layers and a linear action-value head."""
+    """MLP with ReLU hidden layers and a linear action-value head.
+
+    A single net holds 2-D weights (fan_in, fan_out) and 1-D biases. A team
+    net (see `stack`) holds every agent's layer stacked along a leading axis:
+    weights (n_agents, fan_in, fan_out), biases (n_agents, 1, fan_out), and
+    inputs (n_agents, batch, sizes[0]). The same code serves both, and each
+    agent's slice of a team computes exactly what its own net would.
+    """
 
     def __init__(self, sizes=(17, 64, 64, 5), rng: np.random.Generator | None = None):
         if len(sizes) < 2:
@@ -44,12 +51,38 @@ class QNet:
             self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
 
+    @classmethod
+    def _from_layers(cls, sizes, weights, biases) -> "QNet":
+        net = cls.__new__(cls)
+        net.sizes = tuple(sizes)
+        net.weights = list(weights)
+        net.biases = list(biases)
+        return net
+
+    @classmethod
+    def stack(cls, nets) -> "QNet":
+        """A team net holding copies of the given same-shaped nets, in order."""
+        sizes = nets[0].sizes
+        if any(net.sizes != sizes for net in nets):
+            raise ValueError("cannot stack networks of different shapes")
+        return cls._from_layers(
+            sizes,
+            [np.stack(ws) for ws in zip(*(net.weights for net in nets))],
+            [np.stack(bs)[:, None, :] for bs in zip(*(net.biases for net in nets))],
+        )
+
+    def agent(self, i: int) -> "QNet":
+        """Agent i's single net of a team, as views into the team's arrays."""
+        return QNet._from_layers(
+            self.sizes, [w[i] for w in self.weights], [b[i, 0] for b in self.biases]
+        )
+
     @property
     def n_actions(self) -> int:
         return self.sizes[-1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Action values, shape (batch, n_actions)."""
+        """Action values, shape (batch, n_actions), or (n_agents, batch, n_actions)."""
         h = np.atleast_2d(np.asarray(x, dtype=float))
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -71,17 +104,16 @@ class QNet:
         return activations, pre
 
     def clone(self) -> "QNet":
-        twin = QNet.__new__(QNet)
-        twin.sizes = self.sizes
-        twin.weights = [w.copy() for w in self.weights]
-        twin.biases = [b.copy() for b in self.biases]
-        return twin
+        return QNet._from_layers(
+            self.sizes, [w.copy() for w in self.weights], [b.copy() for b in self.biases]
+        )
 
     def copy_from(self, other: "QNet") -> None:
+        """Overwrite this net's parameters in place with other's."""
         if other.sizes != self.sizes:
             raise ValueError("cannot sync networks of different shapes")
-        self.weights = [w.copy() for w in other.weights]
-        self.biases = [b.copy() for b in other.biases]
+        for dst, src in zip(self.weights + self.biases, other.weights + other.biases):
+            np.copyto(dst, src)
 
     def save(self, path) -> None:
         payload = {
@@ -96,10 +128,11 @@ class QNet:
     def load(cls, path) -> "QNet":
         with open(path) as fh:
             payload = json.load(fh)
-        net = cls.__new__(cls)
-        net.sizes = tuple(payload["sizes"])
-        net.weights = [np.array(w, dtype=float) for w in payload["weights"]]
-        net.biases = [np.array(b, dtype=float) for b in payload["biases"]]
+        net = cls._from_layers(
+            payload["sizes"],
+            [np.array(w, dtype=float) for w in payload["weights"]],
+            [np.array(b, dtype=float) for b in payload["biases"]],
+        )
         expect = list(zip(net.sizes[:-1], net.sizes[1:]))
         got = [w.shape for w in net.weights]
         if got != expect or any(
@@ -113,34 +146,40 @@ def loss_and_grads(net: QNet, obs: np.ndarray, actions: np.ndarray, targets: np.
     """Mean squared TD error on the taken actions, plus its exact gradient.
 
     Returns (loss, weight_grads, bias_grads) without touching net parameters.
+    For a team net, obs is (n_agents, batch, obs_size), actions and targets
+    are (n_agents, batch), and the loss is one value per agent.
     """
     acts, pre = net._forward_cached(obs)
     q = acts[-1]
-    batch = q.shape[0]
-    idx = np.arange(batch)
-    taken = q[idx, actions]
-    err = taken - targets
-    loss = float(np.mean(err * err))
+    batch = q.shape[-2]
+    actions = np.asarray(actions)
+    taken = (*np.indices(actions.shape, sparse=True), actions)  # q[..., b, actions[..., b]]
+    err = q[taken] - targets
+    loss = np.mean(err * err, axis=-1)
 
     dq = np.zeros_like(q)
-    dq[idx, actions] = 2.0 * err / batch
+    dq[taken] = 2.0 * err / batch
     w_grads = [None] * len(net.weights)
     b_grads = [None] * len(net.biases)
     delta = dq
     for k in range(len(net.weights) - 1, -1, -1):
-        w_grads[k] = acts[k].T @ delta
-        b_grads[k] = delta.sum(axis=0)
+        w_grads[k] = acts[k].swapaxes(-1, -2) @ delta
+        b_grads[k] = delta.sum(axis=-2).reshape(net.biases[k].shape)
         if k > 0:
-            delta = (delta @ net.weights[k].T) * (pre[k - 1] > 0.0)
+            delta = (delta @ net.weights[k].swapaxes(-1, -2)) * (pre[k - 1] > 0.0)
     return loss, w_grads, b_grads
 
 
 def td_train_step(
     net: QNet, target_net: QNet, batch: Batch, gamma: float, lr: float
-) -> float:
-    """One SGD step on the TD(0) target; returns the pre-step loss."""
+) -> float | np.ndarray:
+    """One SGD step on the TD(0) target; returns the pre-step loss.
+
+    A team net takes a batch stacked per agent, (n_agents, batch, ...), and
+    returns one loss per agent.
+    """
     next_q = target_net.forward(batch.next_obs)
-    targets = batch.rewards + gamma * (1.0 - batch.dones) * next_q.max(axis=1)
+    targets = batch.rewards + gamma * (1.0 - batch.dones) * next_q.max(axis=-1)
     loss, w_grads, b_grads = loss_and_grads(net, batch.obs, batch.actions, targets)
     for w, g in zip(net.weights, w_grads):
         w -= lr * g
@@ -150,37 +189,49 @@ def td_train_step(
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform sampling."""
+    """Fixed-capacity ring of transitions with uniform sampling.
+
+    Transitions are stored column by column in arrays allocated on the first
+    push; row k holds the k-th transition until the ring wraps and the oldest
+    row is overwritten.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: list[Transition] = []
+        self._columns: Batch | None = None
+        self._size = 0
         self._pos = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
     def push(self, t: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(t)
-        else:
-            self._items[self._pos] = t  # overwrite oldest first
-        self._pos = (self._pos + 1) % self.capacity
+        """Copy one transition into the ring, overwriting the oldest when full."""
+        if self._columns is None:
+            obs_size = np.shape(t.obs)
+            self._columns = Batch(
+                obs=np.empty((self.capacity, *obs_size)),
+                actions=np.empty(self.capacity, dtype=int),
+                rewards=np.empty(self.capacity),
+                next_obs=np.empty((self.capacity, *obs_size)),
+                dones=np.empty(self.capacity),
+            )
+        cols, k = self._columns, self._pos
+        cols.obs[k] = t.obs
+        cols.actions[k] = t.action
+        cols.rewards[k] = t.reward
+        cols.next_obs[k] = t.next_obs
+        cols.dones[k] = float(t.done)
+        self._pos = (k + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
-        if not self._items:
+        if not self._size:
             raise ValueError("cannot sample from an empty buffer")
-        picks = rng.integers(0, len(self._items), size=batch_size)
-        rows = [self._items[int(i)] for i in picks]
-        return Batch(
-            obs=np.stack([r.obs for r in rows]),
-            actions=np.array([r.action for r in rows], dtype=int),
-            rewards=np.array([r.reward for r in rows], dtype=float),
-            next_obs=np.stack([r.next_obs for r in rows]),
-            dones=np.array([float(r.done) for r in rows]),
-        )
+        picks = rng.integers(0, self._size, size=batch_size)
+        return Batch(*(col[picks] for col in self._columns))
 
 
 def epsilon(

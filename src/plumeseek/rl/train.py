@@ -1,9 +1,12 @@
 """DQN training loop over the hybrid control environment.
 
 Each agent trains its own network against its own target copy and replay
-buffer. In individual mode the Communicate action is masked out: greedy
-selection never considers it and an exploratory draw of it lands on
-DoNothing, so no transition ever records it.
+buffer. The networks are held as one stacked team net (`QNet.stack`), so a
+train step runs one forward pass to act and one TD step for the whole team;
+each agent's slice computes exactly what its own net would. In individual
+mode the Communicate action is masked out: greedy selection never considers
+it and an exploratory draw of it lands on DoNothing, so no transition ever
+records it.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from numbers import Integral
 import numpy as np
 
 from .env import Action, HybridEnv, HybridEnvConfig, N_ACTIONS
-from .qnet import QNet, ReplayBuffer, Transition, epsilon, td_train_step
+from .qnet import Batch, QNet, ReplayBuffer, Transition, epsilon, td_train_step
 
 MODE_INDIVIDUAL = "individual"
 MODE_COMMUNICATING = "communicating"
@@ -57,6 +60,9 @@ class TrainConfig:
             isinstance(n, Integral) and n >= 1 for n in self.hidden
         ):
             raise ValueError("hidden must be a list of integer layer widths >= 1")
+        for name in ("gamma", "eps_start", "eps_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 < self.smoothing <= 1.0:
@@ -68,7 +74,7 @@ class TrainResult:
     mode: str
     seed: int
     curves: np.ndarray                 # (train_steps, n_agents) smoothed reward
-    nets: list[QNet]
+    nets: list[QNet]                   # per-agent views into the trained team net
     n_episodes: int
     transitions: list[list[Transition]] | None = field(default=None, repr=False)
 
@@ -86,12 +92,12 @@ def train(cfg: TrainConfig, record_transitions: bool = False) -> TrainResult:
     ss = np.random.SeedSequence(cfg.seed)
     children = ss.spawn(1 + 2 * n_agents)
     episode_seeder = np.random.default_rng(children[0])
-    nets = [
+    team = QNet.stack([
         QNet((17, *cfg.hidden, N_ACTIONS), np.random.default_rng(children[1 + 2 * i]))
         for i in range(n_agents)
-    ]
+    ])
     explore_rngs = [np.random.default_rng(children[2 + 2 * i]) for i in range(n_agents)]
-    targets = [net.clone() for net in nets]
+    team_target = team.clone()
     buffers = [ReplayBuffer(cfg.replay_capacity) for _ in range(n_agents)]
 
     env = HybridEnv(cfg.env)
@@ -107,29 +113,28 @@ def train(cfg: TrainConfig, record_transitions: bool = False) -> TrainResult:
         done = False
         while not done and step < cfg.train_steps:
             eps = epsilon(step, cfg.eps_start, cfg.eps_end, cfg.eps_decay_steps)
+            q = team.forward(obs[:, None, :])  # (n_agents, 1, N_ACTIONS)
             actions = []
             for i in range(n_agents):
                 if explore_rngs[i].random() < eps:
                     a = int(explore_rngs[i].integers(N_ACTIONS))
                 else:
-                    a = greedy_action(nets[i].forward(obs[i])[0], cfg.mode)
+                    a = greedy_action(q[i, 0], cfg.mode)
                 if cfg.mode == MODE_INDIVIDUAL and a == Action.COMMUNICATE:
                     a = int(Action.DO_NOTHING)
                 actions.append(a)
             next_obs, rewards, done = env.step(actions)
+            samples = []
             for i in range(n_agents):
-                t = Transition(obs[i].copy(), actions[i], float(rewards[i]), next_obs[i].copy(), done)
+                t = Transition(obs[i], actions[i], float(rewards[i]), next_obs[i], done)
                 buffers[i].push(t)
                 if logged is not None:
-                    logged[i].append(t)
+                    logged[i].append(t._replace(obs=obs[i].copy(), next_obs=next_obs[i].copy()))
                 if len(buffers[i]) >= cfg.batch_size:
-                    td_train_step(
-                        nets[i],
-                        targets[i],
-                        buffers[i].sample(cfg.batch_size, explore_rngs[i]),
-                        cfg.gamma,
-                        cfg.learning_rate,
-                    )
+                    samples.append(buffers[i].sample(cfg.batch_size, explore_rngs[i]))
+            if samples:  # every buffer holds the same number of transitions
+                batch = Batch(*(np.array(column) for column in zip(*samples)))
+                td_train_step(team, team_target, batch, cfg.gamma, cfg.learning_rate)
             if step == 0:
                 ema[:] = rewards
             else:
@@ -138,14 +143,13 @@ def train(cfg: TrainConfig, record_transitions: bool = False) -> TrainResult:
             obs = next_obs
             step += 1
             if step % cfg.target_sync == 0:
-                for net, tgt in zip(nets, targets):
-                    tgt.copy_from(net)
+                team_target.copy_from(team)
 
     return TrainResult(
         mode=cfg.mode,
         seed=cfg.seed,
         curves=curves,
-        nets=nets,
+        nets=[team.agent(i) for i in range(n_agents)],
         n_episodes=n_episodes,
         transitions=logged,
     )

@@ -14,6 +14,7 @@ from plumeseek.belief import (
     hpd_region,
     info_gain_bits,
     log_likelihood,
+    logsumexp,
     map_estimate,
     posterior_from_weights,
     posterior_to_csv,
@@ -187,6 +188,42 @@ def test_normalization_holds_after_many_updates():
         )
         post = posterior_update(post, [rec], p)
         assert abs(logsumexp(post.log_probs)) <= 1e-12
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(37)
+    for k in range(60):
+        shape = [(1,), (9,), (4, 5), (16, 16), (3, 1)][k % 5]
+        a = rng.normal(scale=[1.0, 40.0, 900.0][(k // 6) % 3], size=shape)
+        kind = k % 6
+        if kind == 1:
+            a[a > 0.3] = a.max()  # several tied maxima
+        elif kind == 2:
+            a[rng.random(shape) < 0.4] = -np.inf
+        elif kind == 3:
+            a[:] = -np.inf
+        elif kind == 4:
+            a.flat[-1] = np.inf
+        elif kind == 5:
+            a = np.round(a)  # ties below the maximum too
+        yield a
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{}, {"axis": 0}, {"axis": -1}, {"axis": 1, "keepdims": True}, {"keepdims": True}]
+)
+def test_logsumexp_equals_scipy(kwargs):
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    for a in _logsumexp_cases():
+        if kwargs.get("axis") == 1 and a.ndim < 2:
+            continue
+        with np.errstate(all="ignore"):
+            want = scipy_logsumexp(a, **kwargs)
+        got = logsumexp(a, **kwargs)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+    assert type(logsumexp(np.zeros((2, 2)))) is np.float64  # a full reduction is 0-d
 
 
 def test_impossible_measurement_raises():

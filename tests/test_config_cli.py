@@ -1,5 +1,7 @@
 """Config parsing/validation and the command-line front end."""
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,22 @@ TINY_RL = {
 
 
 # -- parsing and defaults -----------------------------------------------------------
+
+
+def test_cli_and_training_import_without_scipy():
+    import plumeseek
+
+    src = str(Path(plumeseek.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "import plumeseek.cli, plumeseek.rl.train; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
 
 
 def test_empty_config_resolves_all_defaults():
@@ -196,6 +214,17 @@ BAD_VALUES = [
     ("rl", "eps_decay_steps", 2.5),
     ("rl", "hidden", 8.5),
     ("rl", "hidden", [8.5]),
+    ("rl", "gamma", float("nan")),
+    ("rl", "gamma", 1.5),
+    ("rl", "eps_start", float("nan")),
+    ("rl", "eps_end", -0.1),
+    ("rl", "a_max", float("nan")),
+    ("rl", "v_max", float("inf")),
+    ("rl", "dt", float("nan")),
+    ("rl", "w_max", float("inf")),
+    ("rl", "reward", {"w_info": float("nan")}),
+    ("rl", "reward", {"w_est": float("inf")}),
+    ("rl", "reward", {"action_costs": [0.0, 0.2, float("nan"), 0.1, 0.3]}),
 ]
 
 

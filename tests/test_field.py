@@ -12,6 +12,7 @@ from plumeseek.field import (
     PlumeParams,
     concentration,
     concentration_at_sources,
+    next_fast_len,
     snr_area_fraction,
     squared_snr_kernel,
 )
@@ -319,6 +320,13 @@ def test_kernel_zero_strength_is_all_zero():
     g = GridSpec(0.0, 4.0, 0.0, 4.0, 4, 4, 4, 4)
     k = squared_snr_kernel(blob(strength=0.0), g)
     assert np.all(k.values == 0.0)
+
+
+def test_next_fast_len_equals_scipy():
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    for n in range(1, 30001):
+        assert next_fast_len(n) == scipy_next_fast_len(n, real=True), n
 
 
 def test_kernel_rejects_incommensurate_pitches():

@@ -1,6 +1,7 @@
 """Q-network forward/backward math, TD updates, replay, schedules."""
 import numpy as np
 import pytest
+from oracles import ListReplayOracle, per_agent_td_step
 
 from plumeseek.rl.qnet import (
     Batch,
@@ -172,6 +173,53 @@ def test_td_step_applies_sgd_with_given_learning_rate():
         assert np.allclose(got, want, atol=1e-15)
 
 
+def test_team_td_step_equals_per_agent_loop_across_target_sync():
+    sizes = (5, 8, 6, 4)
+    agents = [QNet(sizes, rng=np.random.default_rng(40 + i)) for i in range(3)]
+    agent_targets = [net.clone() for net in agents]
+    team = QNet.stack(agents)
+    team_target = team.clone()
+    data = np.random.default_rng(41)
+    for step in range(1, 8):
+        batches = [
+            make_batch(data, agents[0], batch=6, rewards=data.normal(size=6),
+                       dones=(data.random(6) < 0.3).astype(float))
+            for _ in agents
+        ]
+        team_batch = Batch(*(np.array(column) for column in zip(*batches)))
+        want = [
+            per_agent_td_step(n, t, b, 0.9, 0.05) for n, t, b in zip(agents, agent_targets, batches)
+        ]
+        got = td_train_step(team, team_target, team_batch, gamma=0.9, lr=0.05)
+        assert np.array_equal(got, want)
+        for i, net in enumerate(agents):
+            mine = team.agent(i)
+            for g, w in zip(mine.weights + mine.biases, net.weights + net.biases):
+                assert g.shape == w.shape and np.array_equal(g, w)
+        x = data.normal(size=(3, 2, 5))
+        acting = team.forward(x)
+        for i, net in enumerate(agents):
+            assert np.array_equal(acting[i], net.forward(x[i]))
+            assert np.array_equal(team.forward(x[:, :1])[i], net.forward(x[i, 0]))
+        if step % 3 == 0:
+            team_target.copy_from(team)
+            for net, tgt in zip(agents, agent_targets):
+                tgt.copy_from(net)
+            for g, w in zip(team_target.weights + team_target.biases, team.weights + team.biases):
+                assert np.array_equal(g, w)
+
+
+def test_team_agent_views_save_the_single_net_checkpoint(tmp_path):
+    nets = [QNet((4, 6, 3), rng=np.random.default_rng(50 + i)) for i in range(2)]
+    team = QNet.stack(nets)
+    for i, net in enumerate(nets):
+        net.save(tmp_path / f"own{i}.json")
+        team.agent(i).save(tmp_path / f"view{i}.json")
+        assert (tmp_path / f"own{i}.json").read_bytes() == (tmp_path / f"view{i}.json").read_bytes()
+    with pytest.raises(ValueError):
+        QNet.stack([nets[0], QNet((4, 5, 3))])
+
+
 # -- clone / sync / checkpoints ---------------------------------------------------------
 
 
@@ -224,8 +272,26 @@ def test_replay_drops_oldest_beyond_capacity():
     for tag in range(7):
         buf.push(transition(tag))
     assert len(buf) == 4
-    held = {int(t.reward) for t in buf._items}
+    held = {int(r) for r in buf.sample(1000, np.random.default_rng(0)).rewards}
     assert held == {3, 4, 5, 6}
+
+
+def test_columnar_replay_equals_list_oracle_across_wraparound():
+    data = np.random.default_rng(31)
+    buf, oracle = ReplayBuffer(capacity=7), ListReplayOracle(capacity=7)
+    rng_buf, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+    for step in range(25):  # wraps the ring three times
+        obs = data.normal(size=3)
+        action, reward, done = int(data.integers(5)), float(data.normal()), step % 4 == 0
+        t = Transition(obs, action, reward, data.normal(size=3), done)
+        buf.push(t)
+        oracle.push(Transition(obs.copy(), t.action, t.reward, t.next_obs.copy(), t.done))
+        obs[:] = np.nan  # the buffer holds its own copy of what was pushed
+        assert len(buf) == len(oracle.items)
+        got, want = buf.sample(6, rng_buf), oracle.sample(6, rng_oracle)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert np.array_equal(rng_buf.random(4), rng_oracle.random(4))  # same draws consumed
 
 
 def test_replay_sample_shapes_and_contents():

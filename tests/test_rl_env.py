@@ -1,6 +1,7 @@
 """Discrete-control environment: actions, observations, rewards, streams."""
 import numpy as np
 import pytest
+from oracles import per_agent_observe
 
 from plumeseek.belief import MeasurementRecord, posterior_update
 from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams
@@ -125,6 +126,33 @@ def test_initial_observation_layout():
         assert obs[i, OBS_IG] == 0.0
         assert obs[i, OBS_MOVED_FLAG] == 0.0 and obs[i, OBS_REPEAT_FLAG] == 0.0
         assert np.all(obs[i, OBS_LAST_ACTION] == 0.0)  # no action taken yet
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"n_agents": 4, "grid": GridSpec(-3.0, 5.0, 1.0, 7.0, 8, 6, 4, 3)},
+        {"plume": PlumeParams(kind=ADVECTED, wind=(2.5, -0.4), sigma0=0.5, spread_rate=0.2),
+         "w_max": 2.0, "source_xy": None},
+    ],
+)
+def test_vectorised_observation_equals_per_agent_oracle(overrides):
+    env = make_env(**overrides)
+    rng = np.random.default_rng(8)
+    for episode in range(2):
+        obs = env.reset(seed=episode)
+        assert np.all(env._last_action == -1)  # no one-hot right after reset
+        assert np.array_equal(obs, per_agent_observe(env))
+        for t in range(30):
+            # a run of six moves first, so the repeat and moved flags are raised
+            n = env.cfg.n_agents
+            actions = [MOVE] * n if t < 6 else rng.integers(0, N_ACTIONS, size=n)
+            obs, _, _ = env.step(actions)
+            assert np.array_equal(obs, per_agent_observe(env))
+            if t == 5:
+                assert np.all(obs[:, OBS_REPEAT_FLAG] == 1.0)
+                assert np.all(obs[:, OBS_MOVED_FLAG] == 1.0)
 
 
 def test_wind_observation_normalized_and_clipped():

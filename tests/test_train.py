@@ -1,6 +1,9 @@
 """DQN training loop: determinism, action masking, curves."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from oracles import per_agent_train
 
 from plumeseek.field import BLOB, GridSpec, PlumeParams
 from plumeseek.rl.env import Action, HybridEnvConfig
@@ -60,6 +63,19 @@ def test_training_is_deterministic_per_seed():
         assert all(np.array_equal(wa, wb) for wa, wb in zip(na.weights, nb.weights))
     c = train(tiny_train_config(seed=4))
     assert not np.array_equal(a.curves, c.curves)
+
+
+@pytest.mark.parametrize("mode", [MODE_COMMUNICATING, MODE_INDIVIDUAL])
+def test_team_training_equals_per_agent_loop(mode):
+    # 45 steps: four full or partial episodes, four target syncs, buffers wrap
+    cfg = tiny_train_config(mode=mode, seed=5, train_steps=45, n_agents=3)
+    cfg = replace(cfg, replay_capacity=16, eps_decay_steps=30)
+    result = train(cfg)
+    want_curves, want_nets = per_agent_train(cfg)
+    assert np.array_equal(result.curves, want_curves)
+    for got, want in zip(result.nets, want_nets, strict=True):
+        for g, w in zip(got.weights + got.biases, want.weights + want.biases, strict=True):
+            assert g.shape == w.shape and np.array_equal(g, w)
 
 
 def test_curves_shape_and_episode_count():
