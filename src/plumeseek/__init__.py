@@ -36,18 +36,17 @@ from .planner import (
     eig_exact,
     movement_cost,
     select_next,
-    snr_score_bruteforce,
     snr_score_map_bruteforce,
     snr_score_map_fft,
 )
 from .swarm import (
-    AgentState,
     EpisodeLog,
     SimConfig,
     StepRecord,
     cost_only_policy,
     random_policy,
     run_episode,
+    sense,
     steps_to_ig,
 )
 

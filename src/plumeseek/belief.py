@@ -198,14 +198,6 @@ def hpd_region(post: SourcePosterior, mass: float) -> set[int]:
     return {int(i) for i in order[: k + 1]}
 
 
-def posterior_to_csv(post: SourcePosterior, path) -> None:
-    """Write cell probabilities row-major, one per line, full precision."""
-    with open(path, "w") as fh:
-        fh.write("probability\n")
-        for v in post.probs().ravel():
-            fh.write(repr(float(v)) + "\n")
-
-
 def posterior_summary(post: SourcePosterior, reference: SourcePosterior) -> dict:
     """MAP cell/location, info gain, and 95% HPD size as a JSON-ready dict."""
     (ix, iy), (x, y) = map_estimate(post)

@@ -46,13 +46,41 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _run_jobs(ns, cfg: RunConfig, job, kinds, summary_name: str, plot, what: str) -> int:
+    """Run job((cfg, kind, seed, out_dir)) for every kind and seed, then write the summary.
+
+    The output directory gets effective_config.json first, then
+    {"runs": [one summary per job]} under summary_name in job order, then
+    plot(out_dir). With --threads > 1 the jobs run in worker processes;
+    the outputs do not depend on that.
+    """
+    out_dir = Path(ns.out)
+    _refuse_nonempty(out_dir, ns.force)
+    _echo_config(cfg)
+    seeds = tuple(ns.seed) if ns.seed else cfg.seeds
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "effective_config.json", cfg.effective_dict())
+
+    jobs = [(cfg, kind, seed, str(out_dir)) for kind in kinds for seed in seeds]
+    if ns.threads > 1:
+        with ProcessPoolExecutor(max_workers=ns.threads) as pool:
+            summaries = list(pool.map(job, jobs))
+    else:
+        summaries = [job(args) for args in jobs]
+
+    _write_json(out_dir / summary_name, {"runs": summaries})
+    plot(out_dir)
+    print(f"wrote {len(jobs)} {what} under {out_dir}")
+    return 0
+
+
 def _simulate_job(args):
     cfg, policy, seed, out_dir = args
     log = run_episode(cfg.sim_config(seed, policy))
     pol_dir = Path(out_dir) / policy
     pol_dir.mkdir(parents=True, exist_ok=True)
     log.to_csv(pol_dir / f"episode_{seed}.csv")
-    return policy, seed, log.summary()
+    return log.summary()
 
 
 def _ig_curves_svg(out_dir: Path) -> bool:
@@ -87,27 +115,10 @@ def _ig_curves_svg(out_dir: Path) -> bool:
 def cmd_simulate(ns) -> int:
     cfg = load_config(ns.config)
     check_tier_budget(cfg, ns.force)
-    out_dir = Path(ns.out)
-    _refuse_nonempty(out_dir, ns.force)
-    _echo_config(cfg)
-
-    seeds = tuple(ns.seed) if ns.seed else cfg.seeds
     policies = tuple(ns.policy) if ns.policy else cfg.policies
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "effective_config.json", cfg.effective_dict())
-
-    jobs = [(cfg, policy, seed, str(out_dir)) for policy in policies for seed in seeds]
-    if ns.threads > 1:
-        with ProcessPoolExecutor(max_workers=ns.threads) as pool:
-            results = list(pool.map(_simulate_job, jobs))
-    else:
-        results = [_simulate_job(job) for job in jobs]
-
-    summaries = [summary for _, _, summary in results]
-    _write_json(out_dir / "summary.json", {"runs": summaries})
-    _ig_curves_svg(out_dir)
-    print(f"wrote {len(jobs)} episode(s) under {out_dir}")
-    return 0
+    return _run_jobs(
+        ns, cfg, _simulate_job, policies, "summary.json", _ig_curves_svg, "episode(s)"
+    )
 
 
 def _train_job(args):
@@ -119,7 +130,7 @@ def _train_job(args):
         net.save(out / f"qnet_{mode}_{seed}_agent{j}.json")
     mean_curve = result.curves.mean(axis=1) if result.curves.size else np.zeros(0)
     quarter = max(1, len(mean_curve) // 4)
-    summary = {
+    return {
         "mode": mode,
         "seed": seed,
         "n_episodes": result.n_episodes,
@@ -131,7 +142,6 @@ def _train_job(args):
         if mean_curve.size
         else 0.0,
     }
-    return mode, seed, summary
 
 
 def _reward_curves_svg(out_dir: Path) -> bool:
@@ -165,26 +175,10 @@ def _reward_curves_svg(out_dir: Path) -> bool:
 
 def cmd_train(ns) -> int:
     cfg = load_config(ns.config)
-    out_dir = Path(ns.out)
-    _refuse_nonempty(out_dir, ns.force)
-    _echo_config(cfg)
-
-    seeds = tuple(ns.seed) if ns.seed else cfg.seeds
     modes = tuple(MODES) if ns.mode == "both" else (ns.mode,)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "effective_config.json", cfg.effective_dict())
-
-    jobs = [(cfg, mode, seed, str(out_dir)) for mode in modes for seed in seeds]
-    if ns.threads > 1:
-        with ProcessPoolExecutor(max_workers=ns.threads) as pool:
-            results = list(pool.map(_train_job, jobs))
-    else:
-        results = [_train_job(job) for job in jobs]
-
-    _write_json(out_dir / "train_summary.json", {"runs": [s for _, _, s in results]})
-    _reward_curves_svg(out_dir)
-    print(f"wrote {len(jobs)} training run(s) under {out_dir}")
-    return 0
+    return _run_jobs(
+        ns, cfg, _train_job, modes, "train_summary.json", _reward_curves_svg, "training run(s)"
+    )
 
 
 def bench_grid(side: int, world: float = 64.0) -> GridSpec:

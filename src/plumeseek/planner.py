@@ -151,18 +151,6 @@ def eig_at_expected_measurement(
     return float(ig[0])
 
 
-def snr_score_bruteforce(post: SourcePosterior, candidate, params: PlumeParams) -> float:
-    """Posterior-weighted squared SNR at one candidate, in bits.
-
-    Direct sum over every source hypothesis; the oracle the FFT map must
-    reproduce.
-    """
-    f = concentration(np.asarray(candidate, float), post.grid.src_centers(), params)
-    f = f.ravel()
-    score = post.probs().ravel() @ (f * f) / (2.0 * params.noise_sigma**2)
-    return float(score / LOG_2)
-
-
 def snr_score_map_bruteforce(
     post: SourcePosterior, params: PlumeParams, grid: GridSpec, chunk: int = 256
 ) -> ScoreMap:

@@ -9,6 +9,7 @@ communication is a real choice with a real price.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -21,8 +22,8 @@ from ..belief import (
     map_estimate,
     posterior_update,
 )
-from ..field import GridSpec, PlumeParams, concentration
-from ..swarm import world_setup
+from ..field import GridSpec, PlumeParams
+from ..swarm import sense, world_setup
 
 OBS_SIZE = 17
 
@@ -152,7 +153,7 @@ class HybridEnv:
         )
         self._vel = np.zeros((cfg.n_agents, 2))
         self._beliefs = [self._prior] * cfg.n_agents
-        self._buffers = [[] for _ in range(cfg.n_agents)]
+        self._buffers = [deque(maxlen=cfg.buffer_capacity) for _ in range(cfg.n_agents)]
         self._latest: list[tuple[int, MeasurementRecord] | None] = [None] * cfg.n_agents
         self._next_meas_id = 1
         # consumed[i, j]: id of agent j's newest reading already folded into i
@@ -168,6 +169,9 @@ class HybridEnv:
         return self._observe()
 
     # -- action effects -----------------------------------------------------
+
+    def _do_nothing(self, i: int) -> None:
+        pass
 
     def _do_move(self, i: int) -> None:
         cfg = self.cfg
@@ -195,23 +199,11 @@ class HybridEnv:
         self._moved_since_measure[i] = True
 
     def _do_measure(self, i: int) -> None:
-        cfg = self.cfg
-        f = float(concentration(self._pos[i], self._source, cfg.plume))
-        m = f + cfg.plume.noise_sigma * float(self._meas_rngs[i].standard_normal())
-        rec = MeasurementRecord(
-            x=float(self._pos[i][0]),
-            y=float(self._pos[i][1]),
-            value=m,
-            step=self.t,
-            agent_id=i,
-        )
-        buf = self._buffers[i]
-        buf.append(rec)
-        if len(buf) > cfg.buffer_capacity:
-            buf.pop(0)
+        rec = sense(self._pos[i], self._source, self.cfg.plume, self._meas_rngs[i], self.t, i)
+        self._buffers[i].append(rec)  # a full buffer drops its oldest reading
         self._latest[i] = (self._next_meas_id, rec)
         self._next_meas_id += 1
-        self._last_m[i] = m
+        self._last_m[i] = rec.value
         self._moved_since_measure[i] = False
 
     def _refresh_belief_stats(self, i: int) -> None:
@@ -222,7 +214,7 @@ class HybridEnv:
         if not self._buffers[i]:
             return
         self._beliefs[i] = posterior_update(self._beliefs[i], self._buffers[i], self.cfg.plume)
-        self._buffers[i] = []
+        self._buffers[i].clear()
         self._refresh_belief_stats(i)
 
     def _do_communicate(self, i: int) -> None:
@@ -238,52 +230,49 @@ class HybridEnv:
             self._beliefs[i] = posterior_update(self._beliefs[i], fresh, self.cfg.plume)
             self._refresh_belief_stats(i)
 
+    # indexed by Action: do-nothing, move, measure, update, communicate
+    _HANDLERS = (_do_nothing, _do_move, _do_measure, _do_update, _do_communicate)
+
     # -- step/observe ---------------------------------------------------------
 
     def step(self, actions) -> tuple[np.ndarray, np.ndarray, bool]:
         if self._done:
             raise EpisodeDone("episode is over; call reset()")
-        actions = [int(a) for a in actions]
+        checked = []
+        for a in actions:
+            if not isinstance(a, Integral) or not 0 <= a < N_ACTIONS:
+                raise ValueError(f"action {a!r} is not an integer in [0, {N_ACTIONS})")
+            checked.append(int(a))
+        actions = checked
         if len(actions) != self.cfg.n_agents:
             raise ValueError("one action per agent required")
-        for a in actions:
-            if not 0 <= a < N_ACTIONS:
-                raise ValueError(f"action {a} out of range")
 
         prev_ig = self._igs.copy()
-        handlers = {
-            Action.DO_NOTHING: lambda i: None,
-            Action.MOVE: self._do_move,
-            Action.MEASURE: self._do_measure,
-            Action.UPDATE: self._do_update,
-            Action.COMMUNICATE: self._do_communicate,
-        }
         for i, a in enumerate(actions):  # effects resolve in agent-id order
-            handlers[Action(a)](i)
+            self._HANDLERS[a](self, i)
             if a == self._last_action[i]:
                 self._repeat_count[i] += 1
             else:
                 self._repeat_count[i] = 1
             self._last_action[i] = a
 
-        rewards = np.empty(self.cfg.n_agents)
-        for i, a in enumerate(actions):
-            parts = self.reward_components(i, a, self._igs[i] - prev_ig[i])
-            rewards[i] = parts["info"] + parts["estimate"] - parts["action_cost"]
-
+        info, estimate, action_cost = self.reward_components(actions, self._igs - prev_ig)
         self.t += 1
         self._done = self.t >= self.cfg.horizon
-        return self._observe(), rewards, self._done
+        return self._observe(), info + estimate - action_cost, self._done
 
-    def reward_components(self, i: int, action: int, delta_ig_bits: float) -> dict:
-        """The three reward terms, exposed separately for diagnostics."""
+    def reward_components(self, actions, delta_ig_bits) -> tuple[np.ndarray, ...]:
+        """The three reward terms, one array each: (info, estimate, action_cost).
+
+        One entry per agent; the step reward is info + estimate - action_cost.
+        """
         w = self.cfg.reward
-        err = float(np.hypot(*(self._estimates[i] - self._source)))
-        return {
-            "info": w.w_info * delta_ig_bits,
-            "estimate": w.w_est * (1.0 - err / self.cfg.grid.diagonal),
-            "action_cost": w.action_cost(action),
-        }
+        err = np.hypot(*(self._estimates - self._source).T)
+        return (
+            w.w_info * np.asarray(delta_ig_bits, dtype=float),
+            w.w_est * (1.0 - err / self.cfg.grid.diagonal),
+            np.array([w.action_cost(a) for a in actions]),
+        )
 
     def _observe(self) -> np.ndarray:
         cfg = self.cfg

@@ -43,14 +43,6 @@ POLICIES = (POLICY_INFO, POLICY_COST_ONLY, POLICY_RANDOM)
 EPISODE_CSV_COLUMNS = ("step", "agent_id", "x", "y", "m", "ig_bits", "cost")
 
 
-@dataclass
-class AgentState:
-    """One agent: its id and current position."""
-
-    id: int
-    position: np.ndarray
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Everything one heuristic episode needs, including its RNG seed."""
@@ -158,16 +150,14 @@ def agent_streams(seed: int, n_agents: int):
     return world, meas, policy
 
 
-def random_policy(agent: AgentState, rng: np.random.Generator, grid: GridSpec):
+def random_policy(rng: np.random.Generator, grid: GridSpec):
     """Uniformly random measurement cell center."""
     return grid.meas_cell_center(int(rng.integers(grid.n_meas_cells)))
 
 
-def cost_only_policy(
-    agent: AgentState, cm: CostModel, rng: np.random.Generator, grid: GridSpec
-):
-    """Sample a cell with probability proportional to 1 / movement cost."""
-    w = 1.0 / movement_cost_map(cm, grid, agent.position).ravel()
+def cost_only_policy(position, cm: CostModel, rng: np.random.Generator, grid: GridSpec):
+    """Sample a cell with probability proportional to 1 / movement cost from position."""
+    w = 1.0 / movement_cost_map(cm, grid, position).ravel()
     flat = int(rng.choice(w.size, p=w / w.sum()))
     return grid.meas_cell_center(flat)
 
@@ -194,13 +184,30 @@ def world_setup(grid: GridSpec, prior_weights, source_xy, world_rng, n_agents: i
     return prior, source, positions
 
 
+def sense(
+    position, source, plume: PlumeParams, rng: np.random.Generator, step: int, agent_id: int
+) -> MeasurementRecord:
+    """One noisy reading at position: the true concentration plus Gaussian noise from rng.
+
+    Both episode engines measure through here: the shared-belief episodes
+    and the RL environment.
+    """
+    f = float(concentration(position, source, plume))
+    return MeasurementRecord(
+        x=float(position[0]),
+        y=float(position[1]),
+        value=f + plume.noise_sigma * float(rng.standard_normal()),
+        step=step,
+        agent_id=agent_id,
+    )
+
+
 def run_episode(cfg: SimConfig) -> EpisodeLog:
     """Run one seeded episode and return its full log."""
     world_rng, meas_rngs, policy_rngs = agent_streams(cfg.seed, cfg.n_agents)
     prior, source, positions = world_setup(
         cfg.grid, cfg.prior_weights, cfg.source_xy, world_rng, cfg.n_agents
     )
-    agents = [AgentState(i, positions[i].copy()) for i in range(cfg.n_agents)]
     belief = prior
     kernel = None
     if cfg.policy == POLICY_INFO and cfg.tier == TIER_SNR_FFT:
@@ -217,19 +224,10 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
 
     for step in range(cfg.n_steps):
         # measure, in agent-id order, each on its own noise stream
-        readings = []
-        for agent in agents:
-            f = float(concentration(agent.position, source, cfg.plume))
-            m = f + cfg.plume.noise_sigma * float(meas_rngs[agent.id].standard_normal())
-            readings.append(
-                MeasurementRecord(
-                    x=float(agent.position[0]),
-                    y=float(agent.position[1]),
-                    value=m,
-                    step=step,
-                    agent_id=agent.id,
-                )
-            )
+        readings = [
+            sense(positions[i], source, cfg.plume, meas_rngs[i], step, i)
+            for i in range(cfg.n_agents)
+        ]
         # broadcast: every reading reaches every agent before one shared update
         belief = posterior_update(belief, readings, cfg.plume)
         ig = info_gain_bits(belief, prior)
@@ -239,21 +237,21 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
             scores = compute_score_map(
                 belief, cfg.plume, cfg.grid, cfg.tier, cfg.quad, prior, kernel
             )
-        for agent in agents:
+        for i, position in enumerate(positions):
             if cfg.policy == POLICY_INFO:
-                target = select_next(scores, cfg.cost, agent.position)
+                target = select_next(scores, cfg.cost, position)
             elif cfg.policy == POLICY_COST_ONLY:
-                target = cost_only_policy(agent, cfg.cost, policy_rngs[agent.id], cfg.grid)
+                target = cost_only_policy(position, cfg.cost, policy_rngs[i], cfg.grid)
             else:
-                target = random_policy(agent, policy_rngs[agent.id], cfg.grid)
-            paid = float(movement_cost(cfg.cost, agent.position, np.asarray(target)))
+                target = random_policy(policy_rngs[i], cfg.grid)
+            paid = float(movement_cost(cfg.cost, position, np.asarray(target)))
             log.records.append(
                 StepRecord(
                     step=step,
-                    agent_id=agent.id,
-                    x=float(agent.position[0]),
-                    y=float(agent.position[1]),
-                    m=readings[agent.id].value,
+                    agent_id=i,
+                    x=float(position[0]),
+                    y=float(position[1]),
+                    m=readings[i].value,
                     ig_bits=ig,
                     cost=paid,
                     next_x=float(target[0]),
@@ -261,7 +259,7 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
                 )
             )
             log.cumulative_cost += paid
-            agent.position = np.asarray(target, dtype=float)
+            positions[i] = target
 
     log.final_posterior = belief
     return log

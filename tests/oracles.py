@@ -1,13 +1,17 @@
-"""Slow, obviously-correct versions of the RL fast paths, for oracle tests.
+"""Slow, obviously-correct versions of fast or shared code paths, for oracle tests.
 
-Each mirrors the per-agent code that the batched version replaced: the
+Most mirror the per-agent code that a batched version replaced: the
 list-of-Transition replay ring, the 2-D TD step, the per-agent training
-loop with one Q-net, target and buffer per agent, and the per-agent
-observation loop. They share no arithmetic with `plumeseek.rl.qnet`, so a
-change there that moves a bit shows up against them.
+loop with one Q-net, target and buffer per agent, the per-agent
+observation loop and the per-agent reward. The rest are direct sums and
+the inline reading formula that `swarm.sense` replaced. They share no
+arithmetic with the code under test, so a change there that moves a bit
+shows up against them.
 """
 import numpy as np
 
+from plumeseek.belief import LOG_2, MeasurementRecord
+from plumeseek.field import concentration
 from plumeseek.rl.env import OBS_LAST_ACTION, OBS_SIZE, Action, HybridEnv, N_ACTIONS
 from plumeseek.rl.qnet import Batch, QNet, Transition, epsilon
 from plumeseek.rl.train import MODE_INDIVIDUAL, greedy_action
@@ -140,3 +144,36 @@ def per_agent_observe(env):
         if env._last_action[i] >= 0:
             obs[i, OBS_LAST_ACTION.start + env._last_action[i]] = 1.0
     return obs
+
+
+def per_agent_rewards(env, actions, delta_ig_bits):
+    """Step rewards one agent at a time: info + estimate - action_cost."""
+    w = env.cfg.reward
+    out = np.empty(len(actions))
+    for i, a in enumerate(actions):
+        err = float(np.hypot(*(env._estimates[i] - env._source)))
+        info = w.w_info * delta_ig_bits[i]
+        estimate = w.w_est * (1.0 - err / env.cfg.grid.diagonal)
+        out[i] = info + estimate - w.action_costs[int(a)]
+    return out
+
+
+def inline_reading(position, source, plume, rng, step, agent_id):
+    """The reading formula as both episode engines once wrote it inline."""
+    f = float(concentration(position, source, plume))
+    m = f + plume.noise_sigma * float(rng.standard_normal())
+    return MeasurementRecord(
+        x=float(position[0]), y=float(position[1]), value=m, step=step, agent_id=agent_id
+    )
+
+
+def snr_score_bruteforce(post, candidate, params):
+    """Posterior-weighted squared SNR at one candidate, in bits.
+
+    Direct sum over every source hypothesis; the oracle the FFT map must
+    reproduce.
+    """
+    f = concentration(np.asarray(candidate, float), post.grid.src_centers(), params)
+    f = f.ravel()
+    score = post.probs().ravel() @ (f * f) / (2.0 * params.noise_sigma**2)
+    return float(score / LOG_2)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from plumeseek.belief import (
@@ -17,7 +19,6 @@ from plumeseek.belief import (
     logsumexp,
     map_estimate,
     posterior_from_weights,
-    posterior_to_csv,
     posterior_update,
     uniform_posterior,
 )
@@ -136,6 +137,40 @@ def test_batch_equals_sequential_and_order_invariant():
     assert np.allclose(batch.log_probs, seq.log_probs, rtol=0, atol=1e-12)
     shuffled = posterior_update(uniform_posterior(g), records[::-1], p)
     assert np.allclose(batch.log_probs, shuffled.log_probs, rtol=0, atol=1e-12)
+
+
+@st.composite
+def prior_records_plume(draw):
+    """A small grid's prior (zeros allowed), 1-4 readings on it and a blob plume."""
+    n = draw(st.integers(1, 5))
+    g = grid(n)
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    weights = draw(st.lists(unit, min_size=n * n, max_size=n * n).filter(any))
+    coord = st.floats(0.0, float(n), allow_nan=False)
+    records = [
+        MeasurementRecord(
+            x=draw(coord), y=draw(coord), value=draw(st.floats(-1.0, 3.0)), step=t, agent_id=t % 2
+        )
+        for t in range(draw(st.integers(1, 4)))
+    ]
+    # |reading - prediction| <= 30 sigma: every log-likelihood stays above the floor
+    plume = blob(
+        strength=draw(st.floats(0.0, 2.0)),
+        length_scale=draw(st.floats(0.2, 3.0)),
+        noise_sigma=draw(st.floats(0.1, 2.0)),
+    )
+    return posterior_from_weights(g, np.array(weights)), records, plume
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(prior_records_plume())
+def test_update_normalised_and_order_free_property(case):
+    prior, records, plume = case
+    post = posterior_update(prior, records, plume)
+    assert math.isclose(post.probs().sum(), 1.0, rel_tol=0.0, abs_tol=1e-12)
+    assert abs(logsumexp(post.log_probs)) <= 1e-12
+    backwards = posterior_update(prior, records[::-1], plume)
+    assert np.allclose(post.log_probs, backwards.log_probs, rtol=0.0, atol=1e-9)
 
 
 def test_update_matches_linear_space_bayes():
@@ -333,15 +368,3 @@ def test_hpd_region_validates_mass():
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             hpd_region(post, bad)
-
-
-def test_posterior_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(31)
-    g = grid(3)
-    post = posterior_from_weights(g, rng.random(9) + 0.01)
-    path = tmp_path / "post.csv"
-    posterior_to_csv(post, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "probability"
-    back = np.array([float(v) for v in lines[1:]])
-    assert np.array_equal(back, post.probs().ravel())

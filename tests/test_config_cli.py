@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumeseek.cli import main
 from plumeseek.config import (
@@ -14,7 +16,9 @@ from plumeseek.config import (
     load_config,
     parse_config,
 )
+from plumeseek.planner import TIERS
 from plumeseek.rl.train import MODES
+from plumeseek.swarm import POLICIES
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,6 +95,93 @@ def test_effective_dict_round_trips_exactly():
     )
     echoed = json.loads(json.dumps(cfg.effective_dict()))
     assert parse_config(echoed) == cfg
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _some(draw, section: dict) -> dict:
+    """A random subset of a section's keys; the rest fall back to defaults."""
+    keep = draw(st.lists(st.sampled_from(sorted(section)), unique=True))
+    return {k: draw(section[k]) for k in keep}
+
+
+@st.composite
+def raw_configs(draw):
+    """Valid raw configs that set a random subset of the sections and their keys."""
+    grid = {"i_cells": draw(st.integers(1, 6)), "j_cells": draw(st.integers(1, 6))}
+    extent = {
+        "x_min": _floats(-10.0, 0.0),
+        "x_max": _floats(1.0, 100.0),
+        "y_min": _floats(-10.0, 0.0),
+        "y_max": _floats(1.0, 100.0),
+        "a_cells": st.integers(1, 8),
+        "b_cells": st.integers(1, 8),
+    }
+    grid.update(_some(draw, extent))
+    # an advected plume needs a nonzero wind, so the wind is always given
+    plume = {
+        "kind": draw(st.sampled_from(["isotropic-blob", "advected-plume"])),
+        "wind": [draw(_floats(0.1, 3.0)), draw(_floats(-3.0, 3.0))],
+    }
+    shape = {
+        "strength": _floats(0.0, 5.0),
+        "length_scale": _floats(0.1, 5.0),
+        "sigma0": _floats(0.1, 5.0),
+        "spread_rate": _floats(0.0, 1.0),
+        "noise_sigma": _floats(0.01, 2.0),
+    }
+    plume.update(_some(draw, shape))
+    n_src = grid["i_cells"] * grid["j_cells"]
+    weights = st.lists(_floats(0.0, 1.0), min_size=n_src, max_size=n_src).filter(any)
+    source = st.one_of(
+        st.just({"placement": "sampled"}),
+        st.fixed_dictionaries(
+            {"placement": st.just("fixed"), "x": _floats(0.0, 1.0), "y": _floats(0.0, 1.0)}
+        ),
+    )
+    sections = {
+        "plume": st.just(plume),
+        "cost": st.builds(dict, overhead=_floats(0.1, 5.0), quad_coeff=_floats(0.0, 1.0)),
+        "planner": st.builds(dict, tier=st.sampled_from(TIERS), quad_nodes=st.integers(1, 20)),
+        "prior": st.one_of(
+            st.just({"kind": "uniform"}), st.builds(dict, kind=st.just("weights"), values=weights)
+        ),
+        "sim": st.builds(
+            dict,
+            n_agents=st.integers(1, 6),
+            n_steps=st.integers(0, 50),
+            policies=st.lists(st.sampled_from(POLICIES), max_size=3),
+            source=source,
+        ),
+        "rl": st.builds(
+            dict,
+            n_agents=st.integers(1, 5),
+            horizon=st.integers(1, 300),
+            damping=_floats(0.0, 1.0),
+            buffer_capacity=st.integers(1, 10),
+            hidden=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+            gamma=_floats(0.0, 1.0),
+            learning_rate=_floats(1e-5, 1.0),
+            eps_decay_steps=st.integers(0, 1000),
+            reward=st.builds(
+                dict,
+                w_info=_floats(-5.0, 5.0),
+                action_costs=st.lists(_floats(0.0, 1.0), min_size=5, max_size=5),
+            ),
+        ),
+        "seeds": st.lists(st.integers(0, 1000), min_size=1, max_size=4),
+    }
+    # the grid is always given: a weights prior lists one value per source cell
+    return {"grid": grid, **_some(draw, sections)}
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(raw_configs())
+def test_effective_dict_round_trip_property(raw):
+    echoed = parse_config(raw).effective_dict()
+    assert parse_config(echoed).effective_dict() == echoed
 
 
 def test_unknown_keys_are_rejected():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
+from oracles import snr_score_bruteforce
 from scipy.fft import next_fast_len
 
 from plumeseek.belief import (
@@ -37,7 +38,6 @@ from plumeseek.planner import (
     movement_cost,
     movement_cost_map,
     select_next,
-    snr_score_bruteforce,
     snr_score_map_bruteforce,
     snr_score_map_fft,
 )

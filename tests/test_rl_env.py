@@ -1,7 +1,7 @@
 """Discrete-control environment: actions, observations, rewards, streams."""
 import numpy as np
 import pytest
-from oracles import per_agent_observe
+from oracles import per_agent_observe, per_agent_rewards
 
 from plumeseek.belief import MeasurementRecord, posterior_update
 from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams
@@ -96,6 +96,10 @@ def test_step_validates_actions():
         env.step([0])  # one action per agent
     with pytest.raises(ValueError):
         env.step([0, 7])
+    with pytest.raises(ValueError):
+        env.step([2.7, 0])  # not an integer, even though int() would truncate it
+    with pytest.raises(ValueError):
+        env.step(["2", 0])
 
 
 def test_step_after_horizon_raises():
@@ -305,7 +309,7 @@ def test_update_with_empty_buffer_is_a_no_op():
     assert env.beliefs[0] is before
     # still pays the update price
     assert rewards[0] == pytest.approx(
-        env.reward_components(0, UPDATE, 0.0)["estimate"] - 0.1
+        env.reward_components([UPDATE, NOTHING], [0.0, 0.0])[1][0] - 0.1
     )
 
 
@@ -375,11 +379,11 @@ def test_reward_components_hand_example():
     env = make_env()
     env.reset(seed=16)
     env._estimates[0] = env._source + np.array([GRID.diagonal / 2.0, 0.0])
-    parts = env.reward_components(0, UPDATE, 2.0)
-    assert parts["info"] == 2.0
-    assert parts["estimate"] == pytest.approx(0.5)
-    assert parts["action_cost"] == pytest.approx(0.1)
-    assert parts["info"] + parts["estimate"] - parts["action_cost"] == pytest.approx(2.4)
+    info, estimate, action_cost = env.reward_components([UPDATE, NOTHING], [2.0, 0.0])
+    assert info[0] == 2.0
+    assert estimate[0] == pytest.approx(0.5)
+    assert action_cost[0] == pytest.approx(0.1)
+    assert info[0] + estimate[0] - action_cost[0] == pytest.approx(2.4)
 
 
 def test_reward_weights_price_each_action():
@@ -391,14 +395,27 @@ def test_step_reward_is_component_sum():
     env = make_env()
     env.reset(seed=17)
     _, rewards, _ = env.step([NOTHING, MOVE])
-    parts0 = env.reward_components(0, NOTHING, 0.0)
-    parts1 = env.reward_components(1, MOVE, 0.0)
-    assert rewards[0] == pytest.approx(
-        parts0["info"] + parts0["estimate"] - parts0["action_cost"]
-    )
-    assert rewards[1] == pytest.approx(
-        parts1["info"] + parts1["estimate"] - parts1["action_cost"]
-    )
+    info, estimate, action_cost = env.reward_components([NOTHING, MOVE], [0.0, 0.0])
+    assert rewards[0] == pytest.approx(info[0] + estimate[0] - action_cost[0])
+    assert rewards[1] == pytest.approx(info[1] + estimate[1] - action_cost[1])
+
+
+@pytest.mark.parametrize(
+    "n_agents,grid", [(2, GRID), (3, GridSpec(-3.0, 5.0, 1.0, 7.0, 8, 6, 4, 3))]
+)
+def test_team_reward_equals_per_agent_oracle(n_agents, grid):
+    # the reward term depends on the estimates after the step and the info
+    # gained in it, so the oracle reads the env state the step left behind
+    env = make_env(n_agents=n_agents, grid=grid, horizon=80, source_xy=None)
+    rng = np.random.default_rng(n_agents)
+    env.reset(seed=19)
+    done = False
+    while not done:
+        actions = rng.integers(0, N_ACTIONS, size=n_agents)
+        prev_ig = env._igs.copy()
+        _, rewards, done = env.step(actions)
+        want = per_agent_rewards(env, actions, env._igs - prev_ig)
+        assert np.array_equal(rewards, want)
 
 
 def test_scripted_episode_shifts_from_information_to_exploitation():

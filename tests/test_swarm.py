@@ -1,6 +1,7 @@
 """Shared-belief search episodes: determinism, streams, logs, baselines."""
 import numpy as np
 import pytest
+from oracles import inline_reading
 
 from plumeseek.belief import (
     MeasurementRecord,
@@ -8,20 +9,20 @@ from plumeseek.belief import (
     posterior_update,
     uniform_posterior,
 )
-from plumeseek.field import BLOB, GridSpec, PlumeParams
+from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams
 from plumeseek.planner import CostModel, TIER_SNR_BRUTE, TIER_SNR_FFT, movement_cost
 from plumeseek.rl.env import HybridEnv, HybridEnvConfig
 from plumeseek.swarm import (
     POLICY_COST_ONLY,
     POLICY_INFO,
     POLICY_RANDOM,
-    AgentState,
     SimConfig,
     agent_streams,
     cost_only_policy,
     random_policy,
     read_episode_csv,
     run_episode,
+    sense,
     steps_to_ig,
 )
 
@@ -191,12 +192,11 @@ def test_info_policy_with_fft_matches_bruteforce_tier():
 
 def test_random_policy_is_uniform_over_cells():
     g = GridSpec(0.0, 2.0, 0.0, 2.0, 2, 2, 2, 2)
-    agent = AgentState(0, np.array([1.0, 1.0]))
     rng = np.random.default_rng(0)
     counts = {}
     n = 100_000
     for _ in range(n):
-        cell = random_policy(agent, rng, g)
+        cell = random_policy(rng, g)
         counts[cell] = counts.get(cell, 0) + 1
     assert len(counts) == 4
     for c in counts.values():
@@ -207,13 +207,13 @@ def test_cost_only_policy_prefers_cheap_cells():
     # two cells, distances 0 and 1, unit overhead and unit quadratic term:
     # weights 1 and 1/2, so probabilities 2/3 and 1/3
     g = GridSpec(0.0, 2.0, 0.0, 1.0, 2, 1, 2, 1)
-    agent = AgentState(0, np.array([0.5, 0.5]))
+    position = np.array([0.5, 0.5])
     cm = CostModel(overhead=1.0, quad_coeff=1.0)
     rng = np.random.default_rng(1)
     n = 30_000
     near = 0
     for _ in range(n):
-        if cost_only_policy(agent, cm, rng, g) == (0.5, 0.5):
+        if cost_only_policy(position, cm, rng, g) == (0.5, 0.5):
             near += 1
     assert abs(near / n - 2 / 3) < 0.01
 
@@ -228,7 +228,7 @@ def test_cost_only_policy_equals_movement_cost_oracle():
         want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(50):
             want = g.meas_cell_center(int(want_rng.choice(w.size, p=w / w.sum())))
-            assert cost_only_policy(AgentState(0, pos), cm, got_rng, g) == want
+            assert cost_only_policy(pos, cm, got_rng, g) == want
 
 
 def test_episode_and_rl_env_draw_the_same_world():
@@ -244,3 +244,20 @@ def test_episode_and_rl_env_draw_the_same_world():
     assert tuple(env.source) == log.source_xy
     assert [(r.x, r.y) for r in log.records] == [tuple(p) for p in env.positions]
     assert np.array_equal(env.prior.log_probs, log.prior.log_probs)
+
+
+@pytest.mark.parametrize("plume", [
+    PlumeParams(kind=BLOB, strength=1.0, length_scale=1.0, noise_sigma=0.4),
+    PlumeParams(kind=ADVECTED, wind=(1.5, -0.3), sigma0=0.7, spread_rate=0.2, noise_sigma=0.1),
+])
+def test_sense_equals_inline_reading_oracle(plume):
+    # the same stream drawn through sense and through the old inline formula
+    rng = np.random.default_rng(4)
+    positions = rng.uniform(0.0, 8.0, size=(40, 2))
+    source = np.array([3.25, 5.5])
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for t, pos in enumerate(positions):
+        got = sense(pos, source, plume, got_rng, t, t % 3)
+        want = inline_reading(pos, source, plume, want_rng, t, t % 3)
+        assert got == want  # every field, compared exactly
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
