@@ -111,11 +111,16 @@ def gaussian_loglik(m, f, sigma: float):
 
     m and f broadcast against each other. This is the one measurement model:
     the filter's updates and the planner's hypothetical updates both use it.
+    The residual and the density are each allocated once and updated in
+    place, in the order of max(-0.5 * resid * resid - log(sigma sqrt(2 pi)),
+    LOGLIK_FLOOR) with resid = (m - f) / sigma.
     """
-    resid = (m - f) / sigma
-    return np.maximum(
-        -0.5 * resid * resid - np.log(sigma * np.sqrt(2.0 * np.pi)), LOGLIK_FLOOR
-    )
+    resid = np.asarray(np.subtract(m, f))
+    resid /= sigma
+    ll = np.asarray(-0.5 * resid)
+    ll *= resid
+    ll -= np.log(sigma * np.sqrt(2.0 * np.pi))
+    return np.maximum(ll, LOGLIK_FLOOR, out=ll)
 
 
 def log_likelihood(m: float, loc, source_cell, params: PlumeParams) -> float:

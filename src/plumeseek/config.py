@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .field import GridSpec, PlumeParams
+from .field import GridSpec, PlumeParams, is_integer
 from .planner import TIER_EXACT, CostModel, QuadratureSpec
 from .rl.env import HybridEnvConfig, RewardWeights
 from .rl.train import TrainConfig
@@ -178,7 +178,7 @@ def parse_config(raw: dict) -> RunConfig:
         if (
             not isinstance(seeds, list)
             or not seeds
-            or any(int(s) != s or s < 0 for s in seeds)
+            or any(not is_integer(s) or s < 0 for s in seeds)
         ):
             raise ConfigError("seeds must be a non-empty list of nonnegative integers")
 

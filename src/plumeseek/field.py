@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -22,6 +23,15 @@ _PITCH_RTOL = 1e-9
 
 class KernelGridMismatch(ValueError):
     """Raised when a kernel's offset lattice cannot serve the requested grids."""
+
+
+def is_integer(value) -> bool:
+    """True for an integer value that is not a bool.
+
+    The check behind every integer setting: a float such as 16.0 and JSON's
+    true/false are rejected, NumPy integers are accepted.
+    """
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -50,7 +60,7 @@ class GridSpec:
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("grid extent must be positive in both axes")
         for n in (self.a_cells, self.b_cells, self.i_cells, self.j_cells):
-            if int(n) != n or n < 1:
+            if not is_integer(n) or n < 1:
                 raise ValueError("cell counts must be positive integers")
 
     # -- pitches ------------------------------------------------------------
@@ -165,23 +175,46 @@ class PlumeParams:
 
 
 def _concentration_at_offset(dx, dy, params: PlumeParams):
-    """Mean concentration for displacement (sensor - source). Vectorized."""
+    """Mean concentration for displacement (sensor - source). Vectorized.
+
+    Each broadcast-size intermediate is allocated once and then updated in
+    place. Every step keeps the closed form's operands and grouping (a
+    product only swaps its two factors, which is exact), so the result is
+    the same to the last bit as the plain expression.
+    """
     dx = np.asarray(dx, dtype=float)
     dy = np.asarray(dy, dtype=float)
     if params.kind == BLOB:
-        r2 = dx * dx + dy * dy
-        return params.strength * np.exp(-r2 / (2.0 * params.length_scale**2))
+        # strength * exp(-(dx^2 + dy^2) / (2 length_scale^2))
+        r2 = np.asarray(dx * dx + dy * dy)  # asarray: a 0-d array, not a scalar, for points
+        np.negative(r2, out=r2)
+        r2 /= 2.0 * params.length_scale**2
+        np.exp(r2, out=r2)
+        r2 *= params.strength
+        return r2
     # Advected: rotate into the wind frame; downwind component must be > 0.
+    # width = sigma0 + spread_rate * max(down, 0)
+    # f = strength * (sigma0 / width) * exp(-cross^2 / (2 width width)), 0 upwind
     wx, wy = params.wind
     wnorm = float(np.hypot(wx, wy))
     ux, uy = wx / wnorm, wy / wnorm
-    down = dx * ux + dy * uy
-    cross = -dx * uy + dy * ux
-    width = params.sigma0 + params.spread_rate * np.maximum(down, 0.0)
-    shape = params.strength * (params.sigma0 / width) * np.exp(
-        -(cross * cross) / (2.0 * width * width)
-    )
-    return np.where(down > 0.0, shape, 0.0)
+    down = np.asarray(dx * ux + dy * uy)
+    cross = np.asarray(-dx * uy + dy * ux)
+    upwind = ~(down > 0.0)
+    width = np.maximum(down, 0.0, out=down)
+    width *= params.spread_rate
+    width += params.sigma0
+    cross *= cross
+    np.negative(cross, out=cross)
+    den = 2.0 * width
+    den *= width
+    cross /= den
+    np.exp(cross, out=cross)
+    shape = np.divide(params.sigma0, width, out=width)
+    shape *= params.strength
+    shape *= cross
+    np.copyto(shape, 0.0, where=upwind)
+    return shape
 
 
 def concentration(loc, source, params: PlumeParams):
@@ -240,8 +273,10 @@ class OffsetKernel:
     x offset tx * pitch_x + shift_x (same per axis in y), where
     tx = stride_meas_x * ix - stride_src_x * is for measurement column ix and
     source column is. Strides record how each grid embeds into the common
-    fine lattice. spectrum is rfft2 of values zero-padded to fft_shape, the
-    size of the linear convolution with a posterior on this grid; it is
+    fine lattice. fft_shape (sx, sy) is the zero-padded size of the linear
+    convolution with a posterior on this grid. spectrum is the transposed
+    spectrum of values at that size, rfft2(values, s=fft_shape).T, a
+    contiguous (sy // 2 + 1, sx) array (see transposed_rfft2); it is
     computed once here so score maps do not redo it.
     """
 
@@ -277,6 +312,21 @@ def next_fast_len(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+def transposed_rfft2(a: np.ndarray, fft_shape: tuple[int, int]) -> np.ndarray:
+    """rfft2(a, s=fft_shape).T as a contiguous (sy // 2 + 1, sx) complex array.
+
+    The same 1-D transforms as rfft2, in a cache-friendly order: the real
+    transform runs over a's own rows only, its result is copied transposed
+    into a zero-padded work array, and the complex transform over the
+    padded x axis runs in place along that array's contiguous last axis.
+    """
+    sx, sy = fft_shape
+    rows = np.fft.rfft(a, sy, axis=1)
+    spec = np.zeros((sy // 2 + 1, sx), dtype=complex)
+    spec[:, : a.shape[0]] = rows.T
+    return np.fft.fft(spec, axis=1, out=spec)
 
 
 def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
@@ -320,6 +370,6 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
         stride_meas_y=py,
         stride_src_y=qy,
         grid=grid,
-        spectrum=np.fft.rfft2(values, s=fft_shape),
+        spectrum=transposed_rfft2(values, fft_shape),
         fft_shape=fft_shape,
     )

@@ -9,7 +9,6 @@ measurement cells x source cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -22,7 +21,9 @@ from .field import (
     PlumeParams,
     concentration,
     concentration_at_sources,
+    is_integer,
     squared_snr_kernel,
+    transposed_rfft2,
 )
 
 TIER_EXACT = "exact"
@@ -53,7 +54,7 @@ class QuadratureSpec:
     n_nodes: int = 16
 
     def __post_init__(self):
-        if not isinstance(self.n_nodes, Integral) or self.n_nodes < 1:
+        if not is_integer(self.n_nodes) or self.n_nodes < 1:
             raise ValueError("quadrature n_nodes must be an integer >= 1")
 
 
@@ -178,10 +179,13 @@ def snr_score_map_fft(
 
     The posterior is embedded on the kernel's fine offset lattice, linearly
     convolved with the tabulated kernel under zero padding (no wraparound),
-    and sampled back at the measurement centers. The kernel's spectrum is
-    the one cached on it. The inverse runs in irfft2's own order, the
-    complex transform over axis 0 first, so the real transform over axis 1
-    is done only for the rows a measurement center samples.
+    and sampled back at the measurement centers. The transforms are rfft2
+    and irfft2's own 1-D transforms, held transposed as the kernel's cached
+    spectrum is: the real transform runs over the embedded posterior's rows
+    only, the complex forward and inverse transforms run in place along
+    the contiguous x axis of one (sy // 2 + 1, sx) work array, and the
+    inverse real transform runs only for the x offsets a measurement center
+    samples, on a contiguous copy of those columns.
     """
     if grid is None:
         grid = kernel.grid
@@ -191,14 +195,15 @@ def snr_score_map_fft(
     px, py = kernel.stride_meas_x, kernel.stride_meas_y
     up = np.zeros((qx * (grid.i_cells - 1) + 1, qy * (grid.j_cells - 1) + 1))
     up[::qx, ::qy] = post.probs()
-    sx, sy = kernel.fft_shape
-    spec = np.fft.rfft2(up, s=(sx, sy))
+    spec = transposed_rfft2(up, kernel.fft_shape)
     spec *= kernel.spectrum
+    np.fft.ifft(spec, axis=1, out=spec)
     # score(im) lives at convolution index p*im - tx0 (tx0 = -q*(I-1))
     x0 = -kernel.tx0
     y0 = -kernel.ty0
-    rows = np.fft.ifft(spec, sx, axis=0)[x0 : x0 + px * (grid.a_cells - 1) + 1 : px]
-    vals = np.fft.irfft(rows, sy, axis=1)[:, y0 : y0 + py * (grid.b_cells - 1) + 1 : py]
+    cols = np.ascontiguousarray(spec[:, x0 : x0 + px * (grid.a_cells - 1) + 1 : px].T)
+    vals = np.fft.irfft(cols, kernel.fft_shape[1], axis=1)
+    vals = vals[:, y0 : y0 + py * (grid.b_cells - 1) + 1 : py]
     vals = np.maximum(vals, 0.0) / LOG_2  # FFT roundoff may graze below zero
     return ScoreMap(np.ascontiguousarray(vals), TIER_SNR_FFT, grid)
 

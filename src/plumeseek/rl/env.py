@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from ..belief import (
     map_estimate,
     posterior_update,
 )
-from ..field import GridSpec, PlumeParams
+from ..field import GridSpec, PlumeParams, is_integer
 from ..swarm import sense, world_setup
 
 OBS_SIZE = 17
@@ -103,7 +102,7 @@ class HybridEnvConfig:
     def __post_init__(self):
         for name in ("n_agents", "horizon", "buffer_capacity"):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
         if not all(0.0 < v < np.inf for v in (self.a_max, self.v_max, self.dt, self.w_max)):
             raise ValueError("a_max, v_max, dt and w_max must be finite and > 0")
@@ -117,6 +116,12 @@ class HybridEnv:
     def __init__(self, cfg: HybridEnvConfig):
         self.cfg = cfg
         self._done = True
+        # observation scales, fixed by cfg
+        g = cfg.grid
+        self._origin = np.array([g.x_min, g.y_min])
+        self._span = np.array([g.x_max - g.x_min, g.y_max - g.y_min])
+        self._wind_obs = np.clip(np.asarray(cfg.plume.wind) / cfg.w_max, -1.0, 1.0)
+        self._max_ig = np.log2(g.n_src_cells)
 
     @property
     def prior(self) -> SourcePosterior:
@@ -240,7 +245,7 @@ class HybridEnv:
             raise EpisodeDone("episode is over; call reset()")
         checked = []
         for a in actions:
-            if not isinstance(a, Integral) or not 0 <= a < N_ACTIONS:
+            if not is_integer(a) or not 0 <= a < N_ACTIONS:
                 raise ValueError(f"action {a!r} is not an integer in [0, {N_ACTIONS})")
             checked.append(int(a))
         actions = checked
@@ -276,18 +281,14 @@ class HybridEnv:
 
     def _observe(self) -> np.ndarray:
         cfg = self.cfg
-        g = cfg.grid
         obs = np.zeros((cfg.n_agents, OBS_SIZE))
-        span = np.array([g.x_max - g.x_min, g.y_max - g.y_min])
-        origin = np.array([g.x_min, g.y_min])
-        max_ig = np.log2(g.n_src_cells)
-        obs[:, OBS_POS] = (self._pos - origin) / span
+        obs[:, OBS_POS] = (self._pos - self._origin) / self._span
         obs[:, OBS_VEL] = self._vel / cfg.v_max
-        obs[:, OBS_WIND] = np.clip(np.asarray(cfg.plume.wind) / cfg.w_max, -1.0, 1.0)
+        obs[:, OBS_WIND] = self._wind_obs
         obs[:, OBS_LAST_M] = np.clip(self._last_m, 0.0, 1.0)
-        obs[:, OBS_ESTIMATE] = (self._estimates - origin) / span
-        if max_ig > 0:
-            obs[:, OBS_IG] = np.clip(self._igs / max_ig, 0.0, 1.0)
+        obs[:, OBS_ESTIMATE] = (self._estimates - self._origin) / self._span
+        if self._max_ig > 0:
+            obs[:, OBS_IG] = np.clip(self._igs / self._max_ig, 0.0, 1.0)
         obs[:, OBS_MOVED_FLAG] = self._moved_since_measure
         obs[:, OBS_REPEAT_FLAG] = self._repeat_count > 4
         acted = self._last_action >= 0  # -1 before the first step: no one-hot

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
+from ..field import is_integer
 from .env import Action, HybridEnv, HybridEnvConfig, N_ACTIONS
 from .qnet import Batch, QNet, ReplayBuffer, Transition, epsilon, td_train_step
 
@@ -54,10 +54,10 @@ class TrainConfig:
             ("target_sync", 1),
         ):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < low:
+            if not is_integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
         if not isinstance(self.hidden, (tuple, list)) or not all(
-            isinstance(n, Integral) and n >= 1 for n in self.hidden
+            is_integer(n) and n >= 1 for n in self.hidden
         ):
             raise ValueError("hidden must be a list of integer layer widths >= 1")
         for name in ("gamma", "eps_start", "eps_end"):

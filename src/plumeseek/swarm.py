@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .belief import (
     posterior_update,
     uniform_posterior,
 )
-from .field import GridSpec, PlumeParams, concentration, squared_snr_kernel
+from .field import GridSpec, PlumeParams, concentration, is_integer, squared_snr_kernel
 from .planner import (
     TIER_SNR_FFT,
     TIERS,
@@ -64,9 +63,9 @@ class SimConfig:
             raise ValueError(f"unknown motion policy {self.policy!r}")
         if self.tier not in TIERS:
             raise ValueError(f"planner tier {self.tier!r} is not one of {list(TIERS)}")
-        if not isinstance(self.n_agents, Integral) or self.n_agents < 1:
+        if not is_integer(self.n_agents) or self.n_agents < 1:
             raise ValueError("n_agents must be an integer >= 1")
-        if not isinstance(self.n_steps, Integral) or self.n_steps < 0:
+        if not is_integer(self.n_steps) or self.n_steps < 0:
             raise ValueError("n_steps must be an integer >= 0")
 
 

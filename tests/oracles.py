@@ -3,15 +3,17 @@
 Most mirror the per-agent code that a batched version replaced: the
 list-of-Transition replay ring, the 2-D TD step, the per-agent training
 loop with one Q-net, target and buffer per agent, the per-agent
-observation loop and the per-agent reward. The rest are direct sums and
-the inline reading formula that `swarm.sense` replaced. They share no
-arithmetic with the code under test, so a change there that moves a bit
-shows up against them.
+observation loop and the per-agent reward. The rest are direct sums, the
+inline reading formula that `swarm.sense` replaced, and the plume and
+likelihood closed forms written as plain expressions, one fresh array per
+operation, for the in-place versions in `field` and `belief`. They share
+no arithmetic with the code under test, so a change there that moves a
+bit shows up against them.
 """
 import numpy as np
 
-from plumeseek.belief import LOG_2, MeasurementRecord
-from plumeseek.field import concentration
+from plumeseek.belief import LOG_2, LOGLIK_FLOOR, MeasurementRecord
+from plumeseek.field import BLOB, concentration
 from plumeseek.rl.env import OBS_LAST_ACTION, OBS_SIZE, Action, HybridEnv, N_ACTIONS
 from plumeseek.rl.qnet import Batch, QNet, Transition, epsilon
 from plumeseek.rl.train import MODE_INDIVIDUAL, greedy_action
@@ -177,3 +179,34 @@ def snr_score_bruteforce(post, candidate, params):
     f = f.ravel()
     score = post.probs().ravel() @ (f * f) / (2.0 * params.noise_sigma**2)
     return float(score / LOG_2)
+
+
+def plain_concentration(loc, source, params):
+    """Mean concentration at loc for a source at source, as plain closed forms."""
+    offset = np.asarray(loc, dtype=float) - np.asarray(source, dtype=float)
+    dx, dy = offset[..., 0], offset[..., 1]
+    if params.kind == BLOB:
+        r2 = dx * dx + dy * dy
+        return params.strength * np.exp(-r2 / (2.0 * params.length_scale**2))
+    wx, wy = params.wind
+    wnorm = float(np.hypot(wx, wy))
+    ux, uy = wx / wnorm, wy / wnorm
+    down = dx * ux + dy * uy
+    cross = -dx * uy + dy * ux
+    width = params.sigma0 + params.spread_rate * np.maximum(down, 0.0)
+    shape = params.strength * (params.sigma0 / width) * np.exp(
+        -(cross * cross) / (2.0 * width * width)
+    )
+    return np.where(down > 0.0, shape, 0.0)
+
+
+def plain_gaussian_loglik(m, f, sigma):
+    """Floored Gaussian log-density as one plain expression."""
+    resid = (m - f) / sigma
+    return np.maximum(-0.5 * resid * resid - np.log(sigma * np.sqrt(2.0 * np.pi)), LOGLIK_FLOOR)
+
+
+def plain_loglik_grid(record, grid, params):
+    """Log-likelihood of one record against every source-cell center, (I, J)."""
+    f = plain_concentration(np.array([record.x, record.y]), grid.src_centers(), params)
+    return plain_gaussian_loglik(record.value, f, params.noise_sigma)

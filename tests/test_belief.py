@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import plain_gaussian_loglik, plain_loglik_grid
 from scipy.stats import norm
 
 from plumeseek.belief import (
@@ -13,9 +14,11 @@ from plumeseek.belief import (
     MeasurementRecord,
     SourcePosterior,
     UnsupportedReference,
+    gaussian_loglik,
     hpd_region,
     info_gain_bits,
     log_likelihood,
+    loglik_grid,
     logsumexp,
     map_estimate,
     posterior_from_weights,
@@ -88,6 +91,53 @@ def test_log_likelihood_matches_gaussian_density():
         f = float(concentration(loc, src, p))
         want = norm.logpdf(m, loc=f, scale=p.noise_sigma)
         assert log_likelihood(m, loc, src, p) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 12, 6),
+        GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6),  # measurement:source pitch 1:2
+    ],
+)
+@pytest.mark.parametrize(
+    "params",
+    [
+        blob(strength=1.3, length_scale=1.7, noise_sigma=0.4),
+        blob(strength=0.0),
+        PlumeParams(
+            kind=ADVECTED,
+            strength=1.7,
+            wind=(1.0, 0.3),
+            sigma0=0.8,
+            spread_rate=0.25,
+            noise_sigma=0.3,
+        ),
+        PlumeParams(kind=ADVECTED, strength=0.0, wind=(0.0, -2.0)),
+    ],
+)
+def test_loglik_grid_equals_plain_formula_oracle(g, params):
+    # the in-place likelihood must give the plain closed forms' bits, on and
+    # off the lattice, outside the world, and where readings hit the floor
+    rng = np.random.default_rng(21)
+    on_lattice = [g.meas_cell_center(int(c)) for c in rng.integers(g.n_meas_cells, size=4)]
+    off_lattice = [tuple(rng.uniform(0.0, 12.0, 2)) for _ in range(4)]
+    outside = [(-3.0, 20.0), (40.0, -0.5)]
+    values = [0.0, 0.37, -1.2, 30.0]
+    for k, (x, y) in enumerate(on_lattice + off_lattice + outside):
+        rec = MeasurementRecord(float(x), float(y), values[k % len(values)])
+        got = loglik_grid(rec, g, params)
+        assert got.shape == (g.i_cells, g.j_cells)
+        assert np.array_equal(got, plain_loglik_grid(rec, g, params))
+
+
+def test_gaussian_loglik_equals_plain_formula_on_scalars_and_broadcasts():
+    rng = np.random.default_rng(8)
+    m = rng.normal(0.0, 3.0, (5, 1))
+    f = rng.uniform(0.0, 2.0, (1, 7))
+    for args in ((m, f, 0.4), (m, f, 0.01), (1.25, 0.5, 0.3), (40.0, f, 0.5)):
+        assert np.array_equal(gaussian_loglik(*args), plain_gaussian_loglik(*args))
+    assert float(gaussian_loglik(1.25, 0.5, 0.3)) == float(plain_gaussian_loglik(1.25, 0.5, 0.3))
 
 
 # -- posterior updates ----------------------------------------------------------

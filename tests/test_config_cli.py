@@ -249,7 +249,7 @@ def test_sim_and_rl_validation():
 
 def test_seed_validation():
     assert parse_config({"seeds": [5, 0, 7]}).seeds == (5, 0, 7)
-    for bad in ([], [-1], [1.5], "seeds"):
+    for bad in ([], [-1], [1.5], [1.0], [True], "seeds"):
         with pytest.raises(ConfigError, match="seeds"):
             parse_config({"seeds": bad})
 
@@ -316,6 +316,13 @@ BAD_VALUES = [
     ("rl", "reward", {"w_info": float("nan")}),
     ("rl", "reward", {"w_est": float("inf")}),
     ("rl", "reward", {"action_costs": [0.0, 0.2, float("nan"), 0.1, 0.3]}),
+    ("sim", "n_agents", True),
+    ("grid", "a_cells", 16.0),
+    ("grid", "j_cells", True),
+    ("planner", "quad_nodes", True),
+    ("rl", "hidden", [True]),
+    ("rl", "batch_size", True),
+    ("rl", "horizon", True),
 ]
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import plain_concentration
 
 from plumeseek.field import (
     ADVECTED,
@@ -79,6 +80,10 @@ def test_grid_rejects_bad_extent_and_counts():
         GridSpec(0.0, 1.0, 1.0, 0.0, 2, 2, 2, 2)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 0.0, 1.0, 0, 2, 2, 2)
+    for bad in (2.0, True, "2"):
+        with pytest.raises(ValueError):
+            GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2, 2, bad)
+    assert GridSpec(0.0, 1.0, 0.0, 1.0, np.int64(2), 2, 2, 2).a_cells == 2
 
 
 def test_grid_flat_index_out_of_range():
@@ -244,6 +249,29 @@ def test_concentration_at_sources_equals_point_array_oracle(g, params):
         want = concentration(np.asarray(loc), g.src_centers(), params)
         got = concentration_at_sources(loc, g, params)
         assert np.array_equal(got, want)
+        assert np.array_equal(got, plain_concentration(np.asarray(loc), g.src_centers(), params))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        blob(strength=1.3, length_scale=1.7),
+        blob(strength=0.0),
+        advected(wind=(1.0, 0.3), sigma0=0.8, spread_rate=0.25, strength=1.7),
+        advected(wind=(-0.5, 2.0), spread_rate=0.0, strength=0.3),
+    ],
+)
+def test_concentration_equals_plain_formula_oracle(params):
+    # the in-place closed forms give the plain expressions' bits for point
+    # arrays, broadcast pairs and single points (upwind and abeam included)
+    rng = np.random.default_rng(4)
+    locs = rng.uniform(-6.0, 6.0, (9, 1, 2))
+    srcs = rng.uniform(-6.0, 6.0, (1, 5, 2))
+    assert np.array_equal(concentration(locs, srcs, params), plain_concentration(locs, srcs, params))
+    for loc, src in (((1.5, -0.25), (0.0, 0.0)), ((0.0, 3.0), (0.0, 0.0)), ((-2.0, 1.0), (1.0, 1.0))):
+        got = concentration(loc, src, params)
+        assert np.shape(got) == ()
+        assert float(got) == float(plain_concentration(loc, src, params))
 
 
 # -- footprint summary --------------------------------------------------------
@@ -314,6 +342,20 @@ def test_kernel_offset_coordinates_match_strides():
     t = k.stride_meas_x * 0 - k.stride_src_x * 0
     offset = t * k.pitch_x + k.shift_x
     assert offset == pytest.approx(g.meas_x_centers()[0] - g.src_x_centers()[0])
+
+
+@pytest.mark.parametrize(
+    "g,params",
+    [
+        (GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 6, 12), blob(length_scale=1.7, noise_sigma=0.4)),
+        (GridSpec(0.0, 15.0, 0.0, 9.0, 5, 9, 15, 3), advected(wind=(1.0, 0.3))),
+    ],
+)
+def test_kernel_spectrum_is_transposed_rfft2(g, params):
+    k = squared_snr_kernel(params, g)
+    want = np.fft.rfft2(k.values, s=k.fft_shape).T
+    assert k.spectrum.dtype == np.complex128 and k.spectrum.flags.c_contiguous
+    assert np.array_equal(k.spectrum, want)
 
 
 def test_kernel_zero_strength_is_all_zero():

@@ -1,5 +1,6 @@
 """Scoring tiers, the FFT score map, and cost-benefit selection."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from plumeseek.belief import (
     posterior_update,
     uniform_posterior,
 )
+from plumeseek.config import load_config
 from plumeseek.field import (
     ADVECTED,
     BLOB,
@@ -43,6 +45,7 @@ from plumeseek.planner import (
 )
 
 LOG2 = math.log(2.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def grid(n=8, world=None):
@@ -167,14 +170,25 @@ def test_fft_map_matches_bruteforce(a, b, i, j):
 
 
 def test_fft_map_with_cached_spectrum_equals_full_irfft2():
-    # the score map the kernel's cached spectrum and the row-cropped inverse
-    # give must be the uncached full-size irfft2 convolution, bit for bit
-    g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)  # measurement:source pitch 1:2
+    # the score map from the kernel's cached transposed spectrum and the
+    # transposed, column-cropped inverse must be the uncached full-size
+    # irfft2 convolution, bit for bit
+    full_scale = load_config(CONFIGS / "full_scale_advected.json")
+    blob_p = blob(length_scale=2.5, noise_sigma=0.5)
+    adv_p = PlumeParams(
+        kind=ADVECTED, wind=(1.0, 0.4), sigma0=1.2, spread_rate=0.3, noise_sigma=0.5
+    )
+    cases = [
+        (GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6), blob_p),  # measurement:source 1:2
+        (GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6), adv_p),
+        (GridSpec(0.0, 16.0, 0.0, 12.0, 8, 6, 16, 12), blob_p),  # measurement:source 2:1
+        (GridSpec(0.0, 16.0, 0.0, 12.0, 8, 6, 16, 12), adv_p),
+        (GridSpec(0.0, 9.0, 0.0, 7.0, 9, 7, 9, 7), adv_p),  # odd counts
+        (GridSpec(0.0, 15.0, 0.0, 9.0, 5, 9, 15, 3), blob_p),  # odd counts, 3:1 and 1:3
+        (full_scale.grid, full_scale.plume),
+    ]
     rng = np.random.default_rng(5)
-    for params in (
-        blob(length_scale=2.5, noise_sigma=0.5),
-        PlumeParams(kind=ADVECTED, wind=(1.0, 0.4), sigma0=1.2, spread_rate=0.3, noise_sigma=0.5),
-    ):
+    for g, params in cases:
         kernel = squared_snr_kernel(params, g)
         post = posterior_from_weights(g, rng.random(g.n_src_cells) + 1e-3)
         qx, qy = kernel.stride_src_x, kernel.stride_src_y

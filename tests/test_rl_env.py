@@ -100,6 +100,8 @@ def test_step_validates_actions():
         env.step([2.7, 0])  # not an integer, even though int() would truncate it
     with pytest.raises(ValueError):
         env.step(["2", 0])
+    with pytest.raises(ValueError):
+        env.step([True, 0])  # a bool is not an action index
 
 
 def test_step_after_horizon_raises():
