@@ -12,7 +12,6 @@ from .belief import (
     UnsupportedReference,
     hpd_region,
     info_gain_bits,
-    log_likelihood,
     map_estimate,
     posterior_from_weights,
     posterior_update,

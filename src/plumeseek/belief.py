@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# `concentration` is not called here; perfbench's tracer wraps it under this name.
 from .field import GridSpec, PlumeParams, concentration, concentration_at_sources
 
 LOG_2 = float(np.log(2.0))
@@ -121,12 +122,6 @@ def gaussian_loglik(m, f, sigma: float):
     ll *= resid
     ll -= np.log(sigma * np.sqrt(2.0 * np.pi))
     return np.maximum(ll, LOGLIK_FLOOR, out=ll)
-
-
-def log_likelihood(m: float, loc, source_cell, params: PlumeParams) -> float:
-    """Floored Gaussian log-density of reading m at loc given one source."""
-    f = concentration(loc, source_cell, params)
-    return float(gaussian_loglik(m, f, params.noise_sigma))
 
 
 def loglik_grid(record: MeasurementRecord, grid: GridSpec, params: PlumeParams) -> np.ndarray:

@@ -51,9 +51,11 @@ def _run_jobs(ns, cfg: RunConfig, job, kinds, summary_name: str, plot, what: str
 
     The output directory gets effective_config.json first, then
     {"runs": [one summary per job]} under summary_name in job order, then
-    plot(out_dir). With --threads > 1 the jobs run in worker processes;
-    the outputs do not depend on that.
+    plot(out_dir). With --threads > 1 the jobs run in min(threads, jobs)
+    worker processes; the outputs do not depend on that.
     """
+    if ns.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     out_dir = Path(ns.out)
     _refuse_nonempty(out_dir, ns.force)
     _echo_config(cfg)
@@ -62,8 +64,9 @@ def _run_jobs(ns, cfg: RunConfig, job, kinds, summary_name: str, plot, what: str
     _write_json(out_dir / "effective_config.json", cfg.effective_dict())
 
     jobs = [(cfg, kind, seed, str(out_dir)) for kind in kinds for seed in seeds]
-    if ns.threads > 1:
-        with ProcessPoolExecutor(max_workers=ns.threads) as pool:
+    workers = min(ns.threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(job, jobs))
     else:
         summaries = [job(args) for args in jobs]
@@ -201,12 +204,17 @@ def cmd_bench(ns) -> int:
     cfg = load_config(ns.config)
     out_dir = Path(ns.out)
     _refuse_nonempty(out_dir, ns.force)
+    try:
+        sizes = [int(s) for s in ns.sizes.split(",")]
+    except ValueError:
+        raise ConfigError(f"bench sizes must be integers, got {ns.sizes!r}") from None
+    if sizes[0] < 1 or sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
+        raise ConfigError("bench sizes must be strictly increasing integers >= 1")
+    if ns.repeats < 1:
+        raise ConfigError("--repeats must be >= 1")
     _echo_config(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    sizes = [int(s) for s in ns.sizes.split(",")]
-    if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
-        raise ConfigError("bench sizes must be strictly increasing")
     rng = np.random.default_rng(0)
     rows = []
     for side in sizes:

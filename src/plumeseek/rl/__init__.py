@@ -9,7 +9,7 @@ from .env import (
     OBS_SIZE,
     RewardWeights,
 )
-from .qnet import Batch, QNet, ReplayBuffer, Transition, epsilon, loss_and_grads, td_train_step
+from .qnet import Batch, QNet, ReplayBuffer, epsilon, loss_and_grads, td_train_step
 from .train import (
     MODE_COMMUNICATING,
     MODE_INDIVIDUAL,

@@ -13,15 +13,9 @@ from typing import NamedTuple
 import numpy as np
 
 
-class Transition(NamedTuple):
-    obs: np.ndarray
-    action: int
-    reward: float
-    next_obs: np.ndarray
-    done: bool
-
-
 class Batch(NamedTuple):
+    """Sampled rows by column; a team batch adds a leading agent axis."""
+
     obs: np.ndarray       # (B, obs_size)
     actions: np.ndarray   # (B,) int
     rewards: np.ndarray   # (B,)
@@ -189,11 +183,12 @@ def td_train_step(
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform sampling.
+    """Fixed-capacity ring of team steps with uniform sampling.
 
-    Transitions are stored column by column in arrays allocated on the first
-    push; row k holds the k-th transition until the ring wraps and the oldest
-    row is overwritten.
+    Row k holds one team step: obs and next_obs (n_agents, obs_size), one
+    action and one reward per agent, and one done flag. The columns are
+    allocated on the first push; the oldest row is overwritten once the ring
+    is full.
     """
 
     def __init__(self, capacity: int):
@@ -207,31 +202,34 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, t: Transition) -> None:
-        """Copy one transition into the ring, overwriting the oldest when full."""
+    def push(self, obs, actions, rewards, next_obs, done: bool) -> None:
+        """Copy one team step into the ring, overwriting the oldest when full."""
         if self._columns is None:
-            obs_size = np.shape(t.obs)
+            n_agents, obs_size = np.shape(obs)
             self._columns = Batch(
-                obs=np.empty((self.capacity, *obs_size)),
-                actions=np.empty(self.capacity, dtype=int),
-                rewards=np.empty(self.capacity),
-                next_obs=np.empty((self.capacity, *obs_size)),
+                obs=np.empty((self.capacity, n_agents, obs_size)),
+                actions=np.empty((self.capacity, n_agents), dtype=int),
+                rewards=np.empty((self.capacity, n_agents)),
+                next_obs=np.empty((self.capacity, n_agents, obs_size)),
                 dones=np.empty(self.capacity),
             )
         cols, k = self._columns, self._pos
-        cols.obs[k] = t.obs
-        cols.actions[k] = t.action
-        cols.rewards[k] = t.reward
-        cols.next_obs[k] = t.next_obs
-        cols.dones[k] = float(t.done)
+        cols.obs[k] = obs
+        cols.actions[k] = actions
+        cols.rewards[k] = rewards
+        cols.next_obs[k] = next_obs
+        cols.dones[k] = float(done)
         self._pos = (k + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
+    def sample(self, batch_size: int, rngs) -> Batch:
+        """A (n_agents, batch_size, ...) batch; rngs[i] draws agent i's rows."""
         if not self._size:
             raise ValueError("cannot sample from an empty buffer")
-        picks = rng.integers(0, self._size, size=batch_size)
-        return Batch(*(col[picks] for col in self._columns))
+        picks = np.array([rng.integers(0, self._size, size=batch_size) for rng in rngs])
+        agents = np.arange(len(rngs))[:, None]
+        *per_agent, dones = self._columns
+        return Batch(*(col[picks, agents] for col in per_agent), dones[picks])
 
 
 def epsilon(

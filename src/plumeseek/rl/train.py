@@ -1,23 +1,24 @@
 """DQN training loop over the hybrid control environment.
 
-Each agent trains its own network against its own target copy and replay
-buffer. The networks are held as one stacked team net (`QNet.stack`), so a
-train step runs one forward pass to act and one TD step for the whole team;
-each agent's slice computes exactly what its own net would. In individual
-mode the Communicate action is masked out: greedy selection never considers
-it and an exploratory draw of it lands on DoNothing, so no transition ever
-records it.
+Each agent trains its own network against its own target copy, on its own
+draws from one team replay ring. The networks are held as one stacked team
+net (`QNet.stack`), so a train step runs one forward pass to act, one push,
+one sample and one TD step for the whole team; each agent's slice computes
+exactly what its own net would. In individual mode the Communicate action
+is masked out: greedy selection never considers it and an exploratory draw
+of it lands on DoNothing, so no transition ever records it.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..field import is_integer
-from .env import Action, HybridEnv, HybridEnvConfig, N_ACTIONS
-from .qnet import Batch, QNet, ReplayBuffer, Transition, epsilon, td_train_step
+from .env import Action, HybridEnv, HybridEnvConfig, N_ACTIONS, OBS_SIZE
+from ..swarm import agent_streams
+from .qnet import QNet, ReplayBuffer, epsilon, td_train_step
 
 MODE_INDIVIDUAL = "individual"
 MODE_COMMUNICATING = "communicating"
@@ -56,6 +57,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not is_integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
+        if self.batch_size > self.replay_capacity:
+            raise ValueError("batch_size must not exceed replay_capacity")
         if not isinstance(self.hidden, (tuple, list)) or not all(
             is_integer(n) and n >= 1 for n in self.hidden
         ):
@@ -76,7 +79,6 @@ class TrainResult:
     curves: np.ndarray                 # (train_steps, n_agents) smoothed reward
     nets: list[QNet]                   # per-agent views into the trained team net
     n_episodes: int
-    transitions: list[list[Transition]] | None = field(default=None, repr=False)
 
 
 def greedy_action(q_row: np.ndarray, mode: str) -> int:
@@ -86,24 +88,17 @@ def greedy_action(q_row: np.ndarray, mode: str) -> int:
     return int(np.argmax(q_row))
 
 
-def train(cfg: TrainConfig, record_transitions: bool = False) -> TrainResult:
+def train(cfg: TrainConfig) -> TrainResult:
     """Run seeded DQN training and return per-agent smoothed reward curves."""
     n_agents = cfg.env.n_agents
-    ss = np.random.SeedSequence(cfg.seed)
-    children = ss.spawn(1 + 2 * n_agents)
-    episode_seeder = np.random.default_rng(children[0])
-    team = QNet.stack([
-        QNet((17, *cfg.hidden, N_ACTIONS), np.random.default_rng(children[1 + 2 * i]))
-        for i in range(n_agents)
-    ])
-    explore_rngs = [np.random.default_rng(children[2 + 2 * i]) for i in range(n_agents)]
+    episode_seeder, init_rngs, explore_rngs = agent_streams(cfg.seed, n_agents)
+    team = QNet.stack([QNet((OBS_SIZE, *cfg.hidden, N_ACTIONS), rng) for rng in init_rngs])
     team_target = team.clone()
-    buffers = [ReplayBuffer(cfg.replay_capacity) for _ in range(n_agents)]
+    replay = ReplayBuffer(cfg.replay_capacity)
 
     env = HybridEnv(cfg.env)
     curves = np.zeros((cfg.train_steps, n_agents))
     ema = np.zeros(n_agents)
-    logged = [[] for _ in range(n_agents)] if record_transitions else None
 
     step = 0
     n_episodes = 0
@@ -124,16 +119,9 @@ def train(cfg: TrainConfig, record_transitions: bool = False) -> TrainResult:
                     a = int(Action.DO_NOTHING)
                 actions.append(a)
             next_obs, rewards, done = env.step(actions)
-            samples = []
-            for i in range(n_agents):
-                t = Transition(obs[i], actions[i], float(rewards[i]), next_obs[i], done)
-                buffers[i].push(t)
-                if logged is not None:
-                    logged[i].append(t._replace(obs=obs[i].copy(), next_obs=next_obs[i].copy()))
-                if len(buffers[i]) >= cfg.batch_size:
-                    samples.append(buffers[i].sample(cfg.batch_size, explore_rngs[i]))
-            if samples:  # every buffer holds the same number of transitions
-                batch = Batch(*(np.array(column) for column in zip(*samples)))
+            replay.push(obs, actions, rewards, next_obs, done)
+            if len(replay) >= cfg.batch_size:
+                batch = replay.sample(cfg.batch_size, explore_rngs)
                 td_train_step(team, team_target, batch, cfg.gamma, cfg.learning_rate)
             if step == 0:
                 ema[:] = rewards
@@ -151,7 +139,6 @@ def train(cfg: TrainConfig, record_transitions: bool = False) -> TrainResult:
         curves=curves,
         nets=[team.agent(i) for i in range(n_agents)],
         n_episodes=n_episodes,
-        transitions=logged,
     )
 
 

@@ -10,13 +10,25 @@ operation, for the in-place versions in `field` and `belief`. They share
 no arithmetic with the code under test, so a change there that moves a
 bit shows up against them.
 """
+from typing import NamedTuple
+
 import numpy as np
 
 from plumeseek.belief import LOG_2, LOGLIK_FLOOR, MeasurementRecord
 from plumeseek.field import BLOB, concentration
 from plumeseek.rl.env import OBS_LAST_ACTION, OBS_SIZE, Action, HybridEnv, N_ACTIONS
-from plumeseek.rl.qnet import Batch, QNet, Transition, epsilon
+from plumeseek.rl.qnet import Batch, QNet, epsilon
 from plumeseek.rl.train import MODE_INDIVIDUAL, greedy_action
+
+
+class Transition(NamedTuple):
+    """One agent's replay row."""
+
+    obs: np.ndarray
+    action: int
+    reward: float
+    next_obs: np.ndarray
+    done: bool
 
 
 class ListReplayOracle:

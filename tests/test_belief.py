@@ -17,7 +17,6 @@ from plumeseek.belief import (
     gaussian_loglik,
     hpd_region,
     info_gain_bits,
-    log_likelihood,
     loglik_grid,
     logsumexp,
     map_estimate,
@@ -77,7 +76,7 @@ def test_posterior_from_weights_normalizes_and_allows_zeros():
 def test_log_likelihood_two_sigma_residual():
     # reading 2 sigma above the mean concentration of zero-distance source
     p = blob()
-    got = log_likelihood(3.0, (0.0, 0.0), (0.0, 0.0), p)
+    got = gaussian_loglik(3.0, concentration((0.0, 0.0), (0.0, 0.0), p), p.noise_sigma)
     assert got == pytest.approx(-2.0 - math.log(math.sqrt(2 * math.pi)), rel=1e-15)
 
 
@@ -90,7 +89,8 @@ def test_log_likelihood_matches_gaussian_density():
         m = rng.normal(0, 2)
         f = float(concentration(loc, src, p))
         want = norm.logpdf(m, loc=f, scale=p.noise_sigma)
-        assert log_likelihood(m, loc, src, p) == pytest.approx(want, rel=1e-12)
+        got = gaussian_loglik(m, concentration(loc, src, p), p.noise_sigma)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -323,6 +323,7 @@ BAD_VALUES = [
     ("rl", "hidden", [True]),
     ("rl", "batch_size", True),
     ("rl", "horizon", True),
+    ("rl", "batch_size", 10_001),  # above the default replay_capacity: never trains
 ]
 
 
@@ -412,6 +413,39 @@ def test_simulate_threads_match_serial(tmp_path):
     assert main(["simulate", "--config", cfg_path, "--out", str(pooled), "--threads", "2"]) == 0
     for rel in [p.relative_to(serial) for p in serial.rglob("*.csv")]:
         assert (serial / rel).read_bytes() == (pooled / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    cfg_path = write_config(tmp_path, TINY_SIM)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out), "--threads", threads]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_pool_never_has_more_workers_than_jobs(tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("plumeseek.cli.ProcessPoolExecutor", RecordingPool)
+    cfg_path = write_config(tmp_path, TINY_SIM)
+    args = ["simulate", "--config", cfg_path, "--policy", "random", "--threads", "64"]
+    assert main([*args, "--out", str(tmp_path / "two")]) == 0  # 2 seeds: 2 jobs
+    assert main([*args, "--out", str(tmp_path / "one"), "--seed", "0"]) == 0
+    assert sizes == [2]  # one job runs in-process, without a pool
 
 
 def test_simulate_seed_and_policy_overrides(tmp_path):
@@ -517,6 +551,20 @@ def test_bench_rejects_unsorted_sizes(tmp_path):
         ["bench", "--config", cfg_path, "--out", str(out), "--sizes", "8,4", "--repeats", "1"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--repeats", "0"), ("--repeats", "-1"), ("--sizes", "8,x"), ("--sizes", "0,8")]
+)
+def test_bench_rejects_bad_sizes_and_repeats(tmp_path, capsys, flag, value):
+    cfg_path = write_config(tmp_path, {})
+    out = tmp_path / "bench"
+    args = ["--sizes", "8", "--repeats", "1"]
+    args[args.index(flag) + 1] = value
+    code = main(["bench", "--config", cfg_path, "--out", str(out), *args])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (out / "bench.csv").exists()
 
 
 def test_plot_regenerates_svg_and_needs_data(tmp_path, capsys):

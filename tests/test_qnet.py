@@ -1,13 +1,12 @@
 """Q-network forward/backward math, TD updates, replay, schedules."""
 import numpy as np
 import pytest
-from oracles import ListReplayOracle, per_agent_td_step
+from oracles import ListReplayOracle, Transition, per_agent_td_step
 
 from plumeseek.rl.qnet import (
     Batch,
     QNet,
     ReplayBuffer,
-    Transition,
     epsilon,
     loss_and_grads,
     td_train_step,
@@ -263,62 +262,80 @@ def test_checkpoint_rejects_tampered_shapes(tmp_path):
 # -- replay buffer -----------------------------------------------------------------------
 
 
-def transition(tag):
-    return Transition(np.full(2, float(tag)), tag % 3, float(tag), np.zeros(2), False)
+def team_step(tag, n_agents=2):
+    """A tagged team step: agent i's obs row and reward are 10 * i + tag."""
+    own = 10.0 * np.arange(n_agents) + tag
+    obs = np.repeat(own[:, None], 2, axis=1)
+    return obs, [tag % 3] * n_agents, own, np.zeros((n_agents, 2)), False
+
+
+def streams(*seeds):
+    return [np.random.default_rng(s) for s in seeds]
 
 
 def test_replay_drops_oldest_beyond_capacity():
     buf = ReplayBuffer(capacity=4)
     for tag in range(7):
-        buf.push(transition(tag))
+        buf.push(*team_step(tag))
     assert len(buf) == 4
-    held = {int(r) for r in buf.sample(1000, np.random.default_rng(0)).rewards}
-    assert held == {3, 4, 5, 6}
+    rewards = buf.sample(1000, streams(0, 1)).rewards
+    for i in range(2):
+        held = {int(r) - 10 * i for r in rewards[i]}
+        assert held == {3, 4, 5, 6}
 
 
 def test_columnar_replay_equals_list_oracle_across_wraparound():
+    # one team ring against one list ring per agent
     data = np.random.default_rng(31)
-    buf, oracle = ReplayBuffer(capacity=7), ListReplayOracle(capacity=7)
-    rng_buf, rng_oracle = np.random.default_rng(5), np.random.default_rng(5)
+    n_agents = 3
+    buf = ReplayBuffer(capacity=7)
+    oracles = [ListReplayOracle(capacity=7) for _ in range(n_agents)]
+    rngs_buf, rngs_oracle = streams(5, 6, 7), streams(5, 6, 7)
     for step in range(25):  # wraps the ring three times
-        obs = data.normal(size=3)
-        action, reward, done = int(data.integers(5)), float(data.normal()), step % 4 == 0
-        t = Transition(obs, action, reward, data.normal(size=3), done)
-        buf.push(t)
-        oracle.push(Transition(obs.copy(), t.action, t.reward, t.next_obs.copy(), t.done))
+        obs, next_obs = data.normal(size=(n_agents, 3)), data.normal(size=(n_agents, 3))
+        actions = [int(a) for a in data.integers(5, size=n_agents)]
+        rewards, done = data.normal(size=n_agents), step % 4 == 0
+        buf.push(obs, actions, rewards, next_obs, done)
+        for i, oracle in enumerate(oracles):
+            oracle.push(
+                Transition(obs[i].copy(), actions[i], float(rewards[i]), next_obs[i].copy(), done)
+            )
         obs[:] = np.nan  # the buffer holds its own copy of what was pushed
-        assert len(buf) == len(oracle.items)
-        got, want = buf.sample(6, rng_buf), oracle.sample(6, rng_oracle)
-        for g, w in zip(got, want):
+        assert len(buf) == len(oracles[0].items)
+        got = buf.sample(6, rngs_buf)
+        want = [oracle.sample(6, rng) for oracle, rng in zip(oracles, rngs_oracle)]
+        for g, column in zip(got, zip(*want)):
+            w = np.stack(column)
             assert g.dtype == w.dtype and np.array_equal(g, w)
-    assert np.array_equal(rng_buf.random(4), rng_oracle.random(4))  # same draws consumed
+    for rng_buf, rng_oracle in zip(rngs_buf, rngs_oracle):
+        assert np.array_equal(rng_buf.random(4), rng_oracle.random(4))  # same draws consumed
 
 
 def test_replay_sample_shapes_and_contents():
     buf = ReplayBuffer(capacity=8)
     for tag in range(5):
-        buf.push(transition(tag))
-    batch = buf.sample(12, np.random.default_rng(0))  # replacement allows 12 > 5
-    assert batch.obs.shape == (12, 2)
-    assert batch.next_obs.shape == (12, 2)
-    assert batch.actions.shape == (12,) and batch.actions.dtype.kind == "i"
-    assert set(batch.rewards).issubset({0.0, 1.0, 2.0, 3.0, 4.0})
-    assert np.all(batch.obs[:, 0] == batch.rewards)  # rows stay aligned
+        buf.push(*team_step(tag))
+    batch = buf.sample(12, streams(0, 1))  # replacement allows 12 > 5
+    assert batch.obs.shape == (2, 12, 2)
+    assert batch.next_obs.shape == (2, 12, 2)
+    assert batch.actions.shape == (2, 12) and batch.actions.dtype.kind == "i"
+    assert batch.dones.shape == (2, 12)
+    assert set(batch.rewards[0]).issubset({0.0, 1.0, 2.0, 3.0, 4.0})
+    assert set(batch.rewards[1]).issubset({10.0, 11.0, 12.0, 13.0, 14.0})
+    assert np.all(batch.obs[..., 0] == batch.rewards)  # rows stay aligned
 
 
 def test_replay_sampling_is_uniform():
     buf = ReplayBuffer(capacity=100)
     for tag in range(100):
-        buf.push(transition(tag))
-    rng = np.random.default_rng(5)
-    counts = np.zeros(100)
+        buf.push(*team_step(tag))
     draws = 400_000
-    batch = buf.sample(draws, rng)
-    for r in batch.rewards:
-        counts[int(r)] += 1
-    freqs = counts / draws
-    # each item should land near 1/100; allow 10% relative slack
-    assert np.all(np.abs(freqs - 0.01) < 0.001)
+    batch = buf.sample(draws, streams(5, 6))
+    for i in range(2):
+        counts = np.bincount(batch.rewards[i].astype(int) - 10 * i, minlength=100)
+        freqs = counts / draws
+        # each item should land near 1/100; allow 10% relative slack
+        assert np.all(np.abs(freqs - 0.01) < 0.001)
 
 
 def test_replay_empty_and_bad_capacity():
@@ -326,7 +343,7 @@ def test_replay_empty_and_bad_capacity():
         ReplayBuffer(0)
     buf = ReplayBuffer(3)
     with pytest.raises(ValueError):
-        buf.sample(1, np.random.default_rng(0))
+        buf.sample(1, streams(0))
 
 
 # -- exploration schedule -----------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from oracles import per_agent_train
 
 from plumeseek.field import BLOB, GridSpec, PlumeParams
-from plumeseek.rl.env import Action, HybridEnvConfig
+from plumeseek.rl.env import Action, HybridEnv, HybridEnvConfig
 from plumeseek.rl.train import (
     MODE_COMMUNICATING,
     MODE_INDIVIDUAL,
@@ -37,6 +37,24 @@ def tiny_train_config(mode=MODE_COMMUNICATING, seed=0, train_steps=30, **env_ove
         target_sync=10,
         seed=seed,
     )
+
+
+def record_env_steps(monkeypatch):
+    """Log every HybridEnv.step call as (obs, actions, rewards, next_obs, done).
+
+    obs is what the agents saw when they chose the actions.
+    """
+    log = []
+    real_step = HybridEnv.step
+
+    def step(env, actions):
+        obs = env._observe()
+        next_obs, rewards, done = real_step(env, actions)
+        log.append((obs, list(actions), rewards.copy(), next_obs.copy(), done))
+        return next_obs, rewards, done
+
+    monkeypatch.setattr(HybridEnv, "step", step)
+    return log
 
 
 def test_train_config_validation():
@@ -86,40 +104,37 @@ def test_curves_shape_and_episode_count():
     assert result.n_episodes == 3
 
 
-def test_individual_mode_never_records_communicate():
-    result = train(
-        tiny_train_config(mode=MODE_INDIVIDUAL, train_steps=60), record_transitions=True
-    )
-    seen = {t.action for agent_log in result.transitions for t in agent_log}
+def test_individual_mode_never_records_communicate(monkeypatch):
+    log = record_env_steps(monkeypatch)
+    train(tiny_train_config(mode=MODE_INDIVIDUAL, train_steps=60))
+    seen = {a for _, actions, *_ in log for a in actions}
     assert int(Action.COMMUNICATE) not in seen
     assert seen <= {0, 1, 2, 3}
     assert len(seen) > 1  # exploration actually varied the actions
 
 
-def test_communicating_mode_does_record_communicate():
-    result = train(
-        tiny_train_config(mode=MODE_COMMUNICATING, train_steps=60), record_transitions=True
-    )
-    seen = {t.action for agent_log in result.transitions for t in agent_log}
+def test_communicating_mode_does_record_communicate(monkeypatch):
+    log = record_env_steps(monkeypatch)
+    train(tiny_train_config(mode=MODE_COMMUNICATING, train_steps=60))
+    seen = {a for _, actions, *_ in log for a in actions}
     assert int(Action.COMMUNICATE) in seen
 
 
-def test_transitions_are_per_agent_and_cover_all_steps():
+def test_transitions_are_per_agent_and_cover_all_steps(monkeypatch):
     steps = 40
-    result = train(tiny_train_config(train_steps=steps), record_transitions=True)
-    assert len(result.transitions) == 2
-    for agent_log in result.transitions:
-        assert len(agent_log) == steps
-        for t in agent_log:
-            assert t.obs.shape == (17,) and t.next_obs.shape == (17,)
+    log = record_env_steps(monkeypatch)
+    train(tiny_train_config(train_steps=steps))
+    assert len(log) == steps
+    for obs, actions, rewards, next_obs, _ in log:
+        assert len(actions) == 2 and rewards.shape == (2,)
+        assert obs.shape == (2, 17) and next_obs.shape == (2, 17)
 
 
-def test_smoothed_curve_starts_at_first_reward_and_tracks_ema():
+def test_smoothed_curve_starts_at_first_reward_and_tracks_ema(monkeypatch):
     cfg = tiny_train_config(train_steps=20)
-    result = train(cfg, record_transitions=True)
-    rewards = np.array(
-        [[t.reward for t in agent_log] for agent_log in result.transitions]
-    ).T  # (steps, agents)
+    log = record_env_steps(monkeypatch)
+    result = train(cfg)
+    rewards = np.array([r for _, _, r, _, _ in log])  # (steps, agents)
     ema = rewards[0].copy()
     assert np.allclose(result.curves[0], ema)
     for k in range(1, 20):
