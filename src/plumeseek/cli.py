@@ -271,30 +271,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON config file")
+    def add_io(p):
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
+
+    def add_runs(p):
+        add_io(p)
         p.add_argument("--threads", type=int, default=1, help="parallel worker count")
         p.add_argument(
             "--seed", type=int, action="append", help="override config seeds (repeatable)"
         )
 
     p_sim = sub.add_parser("simulate", help="run heuristic search episodes")
-    add_common(p_sim)
+    add_runs(p_sim)
     p_sim.add_argument(
         "--policy", choices=POLICIES, action="append", help="restrict motion policies"
     )
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_train = sub.add_parser("train", help="train the hybrid RL layer")
-    add_common(p_train)
+    add_runs(p_train)
     p_train.add_argument("--mode", choices=(*MODES, "both"), default="both")
     p_train.set_defaults(fn=cmd_train)
 
     p_bench = sub.add_parser("bench", help="time FFT vs brute-force score maps")
-    add_common(p_bench)
+    add_io(p_bench)
     p_bench.add_argument("--sizes", default=",".join(str(s) for s in BENCH_SIZES))
     p_bench.add_argument("--repeats", type=int, default=5)
     p_bench.set_defaults(fn=cmd_bench)

@@ -174,6 +174,13 @@ class PlumeParams:
                 raise ValueError("advected plume needs a nonzero wind vector")
 
 
+def _wind_unit(params: PlumeParams) -> tuple[float, float]:
+    """Unit vector (ux, uy) along an advected plume's wind."""
+    wx, wy = params.wind
+    wnorm = float(np.hypot(wx, wy))
+    return wx / wnorm, wy / wnorm
+
+
 def _concentration_at_offset(dx, dy, params: PlumeParams):
     """Mean concentration for displacement (sensor - source). Vectorized.
 
@@ -195,9 +202,7 @@ def _concentration_at_offset(dx, dy, params: PlumeParams):
     # Advected: rotate into the wind frame; downwind component must be > 0.
     # width = sigma0 + spread_rate * max(down, 0)
     # f = strength * (sigma0 / width) * exp(-cross^2 / (2 width width)), 0 upwind
-    wx, wy = params.wind
-    wnorm = float(np.hypot(wx, wy))
-    ux, uy = wx / wnorm, wy / wnorm
+    ux, uy = _wind_unit(params)
     down = np.asarray(dx * ux + dy * uy)
     cross = np.asarray(-dx * uy + dy * ux)
     upwind = ~(down > 0.0)
@@ -235,12 +240,26 @@ def concentration_at_sources(loc, grid: GridSpec, params: PlumeParams) -> np.nda
 
     Equal to concentration(loc, grid.src_centers(), params), bit for bit, but
     builds the displacements from the two center axes instead of an (I, J, 2)
-    array of points.
+    array of points. For the advected plume the closed form runs only on the
+    block of source rows holding a cell the sensor is downwind of; every other
+    row is upwind and reads the closed form's 0.0. Along a row the downwind
+    component dx*ux + dy*uy is monotone in the column, rounding included, so
+    its two end columns, computed with the closed form's own expression,
+    decide whether the row holds a downwind cell.
     """
     x, y = np.asarray(loc, dtype=float)
-    return _concentration_at_offset(
-        (x - grid.src_x_centers())[:, None], (y - grid.src_y_centers())[None, :], params
-    )
+    dx = (x - grid.src_x_centers())[:, None]
+    dy = (y - grid.src_y_centers())[None, :]
+    if params.kind == BLOB:
+        return _concentration_at_offset(dx, dy, params)
+    ux, uy = _wind_unit(params)
+    ends = dx * ux + dy[:, [0, -1]] * uy
+    rows = np.flatnonzero((ends > 0.0).any(axis=1))
+    out = np.zeros((grid.i_cells, grid.j_cells))
+    if rows.size:
+        lo, hi = rows[0], rows[-1] + 1
+        out[lo:hi] = _concentration_at_offset(dx[lo:hi], dy, params)
+    return out
 
 
 def snr_area_fraction(params: PlumeParams, grid: GridSpec, threshold: float = 1.0) -> float:
@@ -273,8 +292,10 @@ class OffsetKernel:
     x offset tx * pitch_x + shift_x (same per axis in y), where
     tx = stride_meas_x * ix - stride_src_x * is for measurement column ix and
     source column is. Strides record how each grid embeds into the common
-    fine lattice. fft_shape (sx, sy) is the zero-padded size of the linear
-    convolution with a posterior on this grid. spectrum is the transposed
+    fine lattice. fft_shape (sx, sy) is the smallest fast FFT size that
+    holds values; a circular convolution of that size with a posterior on
+    this grid wraps around only onto offsets no measurement center samples,
+    so score maps read it as the linear convolution. spectrum is the transposed
     spectrum of values at that size, rfft2(values, s=fft_shape).T, a
     contiguous (sy // 2 + 1, sx) array (see transposed_rfft2); it is
     computed once here so score maps do not redo it.
@@ -351,12 +372,12 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     off_y = ty * fine_dy + shift_y
     f = _concentration_at_offset(off_x[:, None], off_y[None, :], params)
     values = (f * f) / (2.0 * params.noise_sigma**2)
-    # the posterior embeds on the fine lattice with the source strides, so the
-    # full linear convolution has (len(tx) + q*(I-1)) x (len(ty) + q*(J-1)) cells
-    fft_shape = (
-        next_fast_len(len(tx) + qx * (grid.i_cells - 1)),
-        next_fast_len(len(ty) + qy * (grid.j_cells - 1)),
-    )
+    # The posterior embeds on the fine lattice with the source strides, and a
+    # score map reads only convolution indices q*(I-1) ... q*(I-1) + p*(A-1).
+    # A circular convolution of length N >= len(tx) = p*(A-1) + q*(I-1) + 1
+    # wraps only the linear convolution's tail, indices >= N, onto indices
+    # < q*(I-1), which no measurement center samples (same in y).
+    fft_shape = (next_fast_len(len(tx)), next_fast_len(len(ty)))
     return OffsetKernel(
         values=values,
         tx0=int(tx0),

@@ -177,15 +177,17 @@ def snr_score_map_fft(
 ) -> ScoreMap:
     """Squared-SNR score for every measurement cell via FFT cross-correlation.
 
-    The posterior is embedded on the kernel's fine offset lattice, linearly
-    convolved with the tabulated kernel under zero padding (no wraparound),
-    and sampled back at the measurement centers. The transforms are rfft2
-    and irfft2's own 1-D transforms, held transposed as the kernel's cached
-    spectrum is: the real transform runs over the embedded posterior's rows
-    only, the complex forward and inverse transforms run in place along
-    the contiguous x axis of one (sy // 2 + 1, sx) work array, and the
-    inverse real transform runs only for the x offsets a measurement center
-    samples, on a contiguous copy of those columns.
+    The posterior is embedded on the kernel's fine offset lattice, circularly
+    convolved with the tabulated kernel at the kernel's fft_shape, and
+    sampled back at the measurement centers; wraparound lands only on
+    offsets no measurement center samples, so the samples are the linear
+    convolution's. The transforms are rfft2 and irfft2's own 1-D transforms,
+    held transposed as the kernel's cached spectrum is: the real transform
+    runs over the embedded posterior's rows only, the complex forward and
+    inverse transforms run in place along the contiguous x axis of one
+    (sy // 2 + 1, sx) work array, and the inverse real transform runs only
+    for the x offsets a measurement center samples, on a contiguous copy of
+    those columns.
     """
     if grid is None:
         grid = kernel.grid

@@ -567,6 +567,19 @@ def test_bench_rejects_bad_sizes_and_repeats(tmp_path, capsys, flag, value):
     assert not (out / "bench.csv").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--threads", "0"), ("--seed", "7")])
+def test_bench_takes_no_run_flags(tmp_path, capsys, flag, value):
+    # bench runs one timing pass with no seeds and no workers, so the flags
+    # simulate and train take are usage errors here, not silently ignored
+    cfg_path = write_config(tmp_path, {})
+    out = tmp_path / "bench"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--config", cfg_path, "--out", str(out), "--sizes", "8", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_regenerates_svg_and_needs_data(tmp_path, capsys):
     cfg_path = write_config(tmp_path, TINY_SIM)
     out = tmp_path / "run"

@@ -240,12 +240,35 @@ def test_concentration_broadcasts_over_point_arrays():
         GridSpec(0.0, 8.0, 0.0, 8.0, 8, 8, 4, 4),  # source pitch twice the measurement pitch
     ],
 )
-@pytest.mark.parametrize("params", [blob(length_scale=1.7), advected(wind=(1.0, 0.3))])
+@pytest.mark.parametrize(
+    "params",
+    [
+        blob(length_scale=1.7),
+        advected(wind=(1.0, 0.3)),
+        # the eight compass directions, axis-aligned ones included
+        *(
+            advected(wind=w)
+            for w in [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+        ),
+    ],
+)
 def test_concentration_at_sources_equals_point_array_oracle(g, params):
     rng = np.random.default_rng(12)
     on_lattice = [g.meas_cell_center(int(c)) for c in rng.integers(g.n_meas_cells, size=4)]
     off_lattice = [tuple(rng.uniform(0.0, 8.0, 2)) for _ in range(4)]
-    for loc in on_lattice + off_lattice + [(-3.0, 20.0)]:
+    # on a source center: down == 0 there, which is upwind
+    on_source = [g.src_cell_center(int(c)) for c in (0, g.n_src_cells // 2 + 1)]
+    cx, cy = g.center
+    outside = [
+        (g.x_min - 3.0, cy),
+        (g.x_max + 3.0, cy),
+        (cx, g.y_min - 3.0),
+        (cx, g.y_max + 3.0),
+        (g.x_min - 3.0, g.y_max + 3.0),
+        (g.x_max + 3.0, g.y_min - 3.0),
+        (-3.0, 20.0),
+    ]
+    for loc in on_lattice + off_lattice + on_source + outside:
         want = concentration(np.asarray(loc), g.src_centers(), params)
         got = concentration_at_sources(loc, g, params)
         assert np.array_equal(got, want)

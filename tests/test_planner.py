@@ -169,16 +169,13 @@ def test_fft_map_matches_bruteforce(a, b, i, j):
         assert np.max(np.abs(fft.values - brute.values)) <= 1e-9 * scale
 
 
-def test_fft_map_with_cached_spectrum_equals_full_irfft2():
-    # the score map from the kernel's cached transposed spectrum and the
-    # transposed, column-cropped inverse must be the uncached full-size
-    # irfft2 convolution, bit for bit
+def _fft_oracle_cases():
     full_scale = load_config(CONFIGS / "full_scale_advected.json")
     blob_p = blob(length_scale=2.5, noise_sigma=0.5)
     adv_p = PlumeParams(
         kind=ADVECTED, wind=(1.0, 0.4), sigma0=1.2, spread_rate=0.3, noise_sigma=0.5
     )
-    cases = [
+    return [
         (GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6), blob_p),  # measurement:source 1:2
         (GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6), adv_p),
         (GridSpec(0.0, 16.0, 0.0, 12.0, 8, 6, 16, 12), blob_p),  # measurement:source 2:1
@@ -187,26 +184,80 @@ def test_fft_map_with_cached_spectrum_equals_full_irfft2():
         (GridSpec(0.0, 15.0, 0.0, 9.0, 5, 9, 15, 3), blob_p),  # odd counts, 3:1 and 1:3
         (full_scale.grid, full_scale.plume),
     ]
+
+
+def _irfft2_map(post, kernel, fft_shape):
+    """Score map from a plain rfft2/irfft2 convolution at fft_shape."""
+    g = post.grid
+    qx, qy = kernel.stride_src_x, kernel.stride_src_y
+    px, py = kernel.stride_meas_x, kernel.stride_meas_y
+    up = np.zeros((qx * (g.i_cells - 1) + 1, qy * (g.j_cells - 1) + 1))
+    up[::qx, ::qy] = post.probs()
+    conv = np.fft.irfft2(
+        np.fft.rfft2(up, s=fft_shape) * np.fft.rfft2(kernel.values, s=fft_shape), s=fft_shape
+    )
+    x0, y0 = -kernel.tx0, -kernel.ty0
+    want = conv[x0 : x0 + px * (g.a_cells - 1) + 1 : px, y0 : y0 + py * (g.b_cells - 1) + 1 : py]
+    return np.maximum(want, 0.0) / LOG2
+
+
+def test_fft_map_with_cached_spectrum_equals_full_irfft2():
+    # the score map from the kernel's cached transposed spectrum and the
+    # transposed, column-cropped inverse must be the uncached irfft2
+    # convolution at the smallest fast size that holds the kernel, bit for bit
     rng = np.random.default_rng(5)
-    for g, params in cases:
+    for g, params in _fft_oracle_cases():
+        kernel = squared_snr_kernel(params, g)
+        post = posterior_from_weights(g, rng.random(g.n_src_cells) + 1e-3)
+        kx, ky = kernel.values.shape
+        fft_shape = (next_fast_len(kx, real=True), next_fast_len(ky, real=True))
+        assert kernel.fft_shape == fft_shape
+        want = _irfft2_map(post, kernel, fft_shape)
+        assert np.array_equal(snr_score_map_fft(post, kernel).values, want)
+
+
+def test_alias_free_fft_equals_linear_convolution():
+    # the circular convolution at fft_shape wraps only onto offsets no
+    # measurement center samples, so the map is the full-length (linear,
+    # wraparound-free) convolution's up to FFT roundoff
+    rng = np.random.default_rng(5)
+    for g, params in _fft_oracle_cases():
         kernel = squared_snr_kernel(params, g)
         post = posterior_from_weights(g, rng.random(g.n_src_cells) + 1e-3)
         qx, qy = kernel.stride_src_x, kernel.stride_src_y
-        px, py = kernel.stride_meas_x, kernel.stride_meas_y
-        up = np.zeros((qx * (g.i_cells - 1) + 1, qy * (g.j_cells - 1) + 1))
-        up[::qx, ::qy] = post.probs()
-        kv = kernel.values
-        sx = next_fast_len(up.shape[0] + kv.shape[0] - 1, real=True)
-        sy = next_fast_len(up.shape[1] + kv.shape[1] - 1, real=True)
-        conv = np.fft.irfft2(
-            np.fft.rfft2(up, s=(sx, sy)) * np.fft.rfft2(kv, s=(sx, sy)), s=(sx, sy)
+        kx, ky = kernel.values.shape
+        linear_shape = (
+            next_fast_len(kx + qx * (g.i_cells - 1), real=True),
+            next_fast_len(ky + qy * (g.j_cells - 1), real=True),
         )
-        x0, y0 = -kernel.tx0, -kernel.ty0
-        want = conv[
-            x0 : x0 + px * (g.a_cells - 1) + 1 : px, y0 : y0 + py * (g.b_cells - 1) + 1 : py
-        ]
-        want = np.maximum(want, 0.0) / LOG2
-        assert np.array_equal(snr_score_map_fft(post, kernel).values, want)
+        want = _irfft2_map(post, kernel, linear_shape)
+        got = snr_score_map_fft(post, kernel).values
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * want.max())
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6),  # measurement:source 1:2
+        GridSpec(0.0, 16.0, 0.0, 12.0, 8, 6, 16, 12),  # measurement:source 2:1
+        GridSpec(0.0, 9.0, 0.0, 7.0, 9, 7, 9, 7),  # odd counts
+        GridSpec(0.0, 15.0, 0.0, 9.0, 5, 9, 15, 3),  # odd counts, 3:1 and 1:3
+    ],
+)
+def test_alias_free_fft_with_heavy_tails_and_corner_mass_matches_bruteforce(g):
+    # a kernel far wider than the world keeps its tails large at every
+    # offset, and mass in the corner cells puts the widest offsets into
+    # play, so any wraparound onto a sampled offset would show
+    params = blob(length_scale=500.0, noise_sigma=0.5)
+    kernel = squared_snr_kernel(params, g)
+    corners = [0, g.j_cells - 1, (g.i_cells - 1) * g.j_cells, g.n_src_cells - 1]
+    for weights in [*([c] for c in corners), corners]:
+        w = np.zeros(g.n_src_cells)
+        w[weights] = 1.0
+        post = posterior_from_weights(g, w)
+        got = snr_score_map_fft(post, kernel).values
+        want = snr_score_map_bruteforce(post, params, g).values
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * want.max())
 
 
 def test_fft_map_on_point_mass_reproduces_kernel_slice():
