@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, check_tier_budget, load_config
+from .config import ConfigError, RunConfig, check_seeds, check_tier_budget, load_config
 from .field import GridSpec, squared_snr_kernel
 from .planner import snr_score_map_bruteforce, snr_score_map_fft
 from .rl.train import MODES, curves_to_csv, read_curves_csv, train
-from .swarm import POLICIES, read_episode_csv, run_episode
+from .swarm import POLICIES, ig_by_step, read_episode_csv, run_episode
 from .svgplot import PALETTE, Series, line_chart, write_svg
 
 POLICY_COLORS = {"info": "#1f77b4", "cost-only": "#ff7f0e", "random": "#2ca02c"}
@@ -52,18 +52,23 @@ def _run_jobs(ns, cfg: RunConfig, job, kinds, summary_name: str, plot, what: str
     The output directory gets effective_config.json first, then
     {"runs": [one summary per job]} under summary_name in job order, then
     plot(out_dir). With --threads > 1 the jobs run in min(threads, jobs)
-    worker processes; the outputs do not depend on that.
+    worker processes; the outputs do not depend on that. Bad --seed values and
+    a kind and seed listed twice (one file, two runs) fail before any write.
     """
     if ns.threads < 1:
         raise ConfigError("--threads must be >= 1")
+    seeds = check_seeds(ns.seed) if ns.seed else cfg.seeds
+    runs = [(kind, seed) for kind in kinds for seed in seeds]
+    for k, (kind, seed) in enumerate(runs):
+        if (kind, seed) in runs[:k]:
+            raise ConfigError(f"{kind} seed {seed} is listed twice; both runs would write one file")
     out_dir = Path(ns.out)
     _refuse_nonempty(out_dir, ns.force)
     _echo_config(cfg)
-    seeds = tuple(ns.seed) if ns.seed else cfg.seeds
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "effective_config.json", cfg.effective_dict())
 
-    jobs = [(cfg, kind, seed, str(out_dir)) for kind in kinds for seed in seeds]
+    jobs = [(cfg, kind, seed, str(out_dir)) for kind, seed in runs]
     workers = min(ns.threads, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -86,33 +91,35 @@ def _simulate_job(args):
     return log.summary()
 
 
-def _ig_curves_svg(out_dir: Path) -> bool:
+def _write_chart(path: Path, series, **labels) -> str | None:
+    """Write series as a line chart to path and return its name; None, and no file, if none."""
+    if not series:
+        return None
+    write_svg(path, line_chart(series, **labels))
+    return path.name
+
+
+def _ig_curves_svg(out_dir: Path) -> str | None:
     series = []
     for k, policy in enumerate(POLICIES):
         for path in sorted((out_dir / policy).glob("episode_*.csv")):
             recs = read_episode_csv(path)
-            by_step: dict[int, float] = {}
-            for r in recs:
-                by_step[r.step] = r.ig_bits
-            steps = sorted(by_step)
+            ig = ig_by_step(recs, recs[-1].step + 1 if recs else 0)
             series.append(
                 Series(
                     label=f"{policy} {path.stem.split('_')[-1]}",
-                    xs=steps,
-                    ys=[by_step[s] for s in steps],
+                    xs=list(range(ig.size)),
+                    ys=ig.tolist(),
                     color=POLICY_COLORS.get(policy, PALETTE[k % len(PALETTE)]),
                 )
             )
-    if not series:
-        return False
-    svg = line_chart(
+    return _write_chart(
+        out_dir / "ig_curves.svg",
         series,
         title="Shared information gain",
         x_label="step",
         y_label="bits",
     )
-    write_svg(out_dir / "ig_curves.svg", svg)
-    return True
 
 
 def cmd_simulate(ns) -> int:
@@ -147,7 +154,7 @@ def _train_job(args):
     }
 
 
-def _reward_curves_svg(out_dir: Path) -> bool:
+def _reward_curves_svg(out_dir: Path) -> str | None:
     series = []
     for path in sorted(out_dir.glob("curves_*.csv")):
         curves = read_curves_csv(path)
@@ -164,16 +171,13 @@ def _reward_curves_svg(out_dir: Path) -> bool:
                 color=MODE_COLORS.get(mode, PALETTE[len(series) % len(PALETTE)]),
             )
         )
-    if not series:
-        return False
-    svg = line_chart(
+    return _write_chart(
+        out_dir / "reward_curves.svg",
         series,
         title="Smoothed reward (agent mean)",
         x_label="training step",
         y_label="reward",
     )
-    write_svg(out_dir / "reward_curves.svg", svg)
-    return True
 
 
 def cmd_train(ns) -> int:
@@ -251,15 +255,9 @@ def cmd_plot(ns) -> int:
     out_dir = Path(ns.out)
     if not out_dir.is_dir():
         raise ConfigError(f"not a directory: {out_dir}")
-    made_ig = _ig_curves_svg(out_dir)
-    made_reward = _reward_curves_svg(out_dir)
-    if not (made_ig or made_reward):
+    names = [name for name in (_ig_curves_svg(out_dir), _reward_curves_svg(out_dir)) if name]
+    if not names:
         raise ConfigError(f"no episode or curves CSVs found under {out_dir}")
-    names = [
-        name
-        for made, name in ((made_ig, "ig_curves.svg"), (made_reward, "reward_curves.svg"))
-        if made
-    ]
     print(f"regenerated {', '.join(names)} under {out_dir}")
     return 0
 

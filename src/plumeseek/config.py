@@ -64,8 +64,8 @@ def _section(name: str, given, keys) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
 
 
-def _source_xy(src):
-    """sim.source as a fixed (x, y), or None for a source sampled from the prior."""
+def _source_xy(src, grid: GridSpec):
+    """sim.source as a fixed (x, y) in the world, or None for a source sampled from the prior."""
     if not isinstance(src, dict) or src.get("placement") not in ("fixed", "sampled"):
         raise ConfigError("sim.source.placement must be 'fixed' or 'sampled'")
     sampled = src["placement"] == "sampled"
@@ -74,7 +74,18 @@ def _source_xy(src):
         return None
     if not ("x" in src and "y" in src):
         raise ConfigError("sim.source: fixed placement requires x and y")
-    return (float(src["x"]), float(src["y"]))
+    x, y = src["x"], src["y"]
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
+    if not (numbers and grid.x_min <= x <= grid.x_max and grid.y_min <= y <= grid.y_max):
+        raise ConfigError(f"sim.source: fixed ({x!r}, {y!r}) is not a point of the world")
+    return (float(x), float(y))
+
+
+def check_seeds(seeds) -> tuple[int, ...]:
+    """The config's seeds or the --seed values as a tuple, unless one is not an integer >= 0."""
+    if not isinstance(seeds, list) or not seeds or any(not is_integer(s) or s < 0 for s in seeds):
+        raise ConfigError(f"seeds must be a non-empty list of nonnegative integers, got {seeds!r}")
+    return tuple(int(s) for s in seeds)
 
 
 def _prior_weights(prior, grid: GridSpec):
@@ -170,19 +181,12 @@ def parse_config(raw: dict) -> RunConfig:
         for pol in policies:
             if pol not in POLICIES:
                 raise ConfigError(f"sim.policies: {pol!r} is not one of {list(POLICIES)}")
-        if "source" in sim:
-            sim["source_xy"] = _source_xy(sim.pop("source"))
-
         # a config without seeds runs the episode's default seed
-        seeds = raw.get("seeds", [SimConfig.seed])
-        if (
-            not isinstance(seeds, list)
-            or not seeds
-            or any(not is_integer(s) or s < 0 for s in seeds)
-        ):
-            raise ConfigError("seeds must be a non-empty list of nonnegative integers")
+        seeds = check_seeds(raw.get("seeds", [SimConfig.seed]))
 
         grid = GridSpec(**_section("grid", raw.get("grid", {}), _names(GridSpec)))
+        if "source" in sim:
+            sim["source_xy"] = _source_xy(sim.pop("source"), grid)
         if "prior" in raw:
             sim["prior_weights"] = _prior_weights(raw["prior"], grid)
         if "quad_nodes" in planner:
@@ -206,9 +210,7 @@ def parse_config(raw: dict) -> RunConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    return RunConfig(
-        sim=sim, policies=tuple(policies), train=train, seeds=tuple(int(s) for s in seeds)
-    )
+    return RunConfig(sim=sim, policies=tuple(policies), train=train, seeds=seeds)
 
 
 def load_config(path) -> RunConfig:

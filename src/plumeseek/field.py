@@ -292,13 +292,11 @@ class OffsetKernel:
     x offset tx * pitch_x + shift_x (same per axis in y), where
     tx = stride_meas_x * ix - stride_src_x * is for measurement column ix and
     source column is. Strides record how each grid embeds into the common
-    fine lattice. fft_shape (sx, sy) is the smallest fast FFT size that
-    holds values; a circular convolution of that size with a posterior on
-    this grid wraps around only onto offsets no measurement center samples,
-    so score maps read it as the linear convolution. spectrum is the transposed
-    spectrum of values at that size, rfft2(values, s=fft_shape).T, a
-    contiguous (sy // 2 + 1, sx) array (see transposed_rfft2); it is
-    computed once here so score maps do not redo it.
+    fine lattice. fft_shape (sx, sy) is the smallest alias-free fast FFT
+    size (see squared_snr_kernel), and spectrum is the transposed spectrum
+    of values at that size, rfft2(values, s=fft_shape).T, a contiguous
+    (sy // 2 + 1, sx) array (see transposed_rfft2), computed once so
+    correlate does not redo it.
     """
 
     values: np.ndarray
@@ -315,6 +313,29 @@ class OffsetKernel:
     grid: GridSpec = field(repr=False)
     spectrum: np.ndarray = field(repr=False, compare=False)
     fft_shape: tuple[int, int] = field(repr=False, compare=False)
+
+    def correlate(self, probs: np.ndarray) -> np.ndarray:
+        """Squared-SNR score in nats at every measurement cell, (a_cells, b_cells).
+
+        probs, the posterior on the source grid, is embedded on the fine
+        lattice, circularly convolved with values at fft_shape and sampled at
+        the measurement centers. The transforms are rfft2 and irfft2's own
+        1-D transforms, transposed as spectrum is, so the result is irfft2's
+        bit for bit; the last runs only for the columns the centers read.
+        """
+        g = self.grid
+        qx, qy = self.stride_src_x, self.stride_src_y
+        px, py = self.stride_meas_x, self.stride_meas_y
+        up = np.zeros((qx * (g.i_cells - 1) + 1, qy * (g.j_cells - 1) + 1))
+        up[::qx, ::qy] = probs
+        spec = transposed_rfft2(up, self.fft_shape)
+        spec *= self.spectrum
+        np.fft.ifft(spec, axis=1, out=spec)
+        # measurement column im reads convolution index p*im - tx0
+        x0, y0 = -self.tx0, -self.ty0
+        cols = np.ascontiguousarray(spec[:, x0 : x0 + px * (g.a_cells - 1) + 1 : px].T)
+        vals = np.fft.irfft(cols, self.fft_shape[1], axis=1)
+        return vals[:, y0 : y0 + py * (g.b_cells - 1) + 1 : py]
 
 
 def next_fast_len(n: int) -> int:
@@ -372,11 +393,11 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     off_y = ty * fine_dy + shift_y
     f = _concentration_at_offset(off_x[:, None], off_y[None, :], params)
     values = (f * f) / (2.0 * params.noise_sigma**2)
-    # The posterior embeds on the fine lattice with the source strides, and a
-    # score map reads only convolution indices q*(I-1) ... q*(I-1) + p*(A-1).
+    # correlate embeds the posterior on the fine lattice with the source
+    # strides and reads only convolution indices q*(I-1) ... q*(I-1) + p*(A-1).
     # A circular convolution of length N >= len(tx) = p*(A-1) + q*(I-1) + 1
     # wraps only the linear convolution's tail, indices >= N, onto indices
-    # < q*(I-1), which no measurement center samples (same in y).
+    # < q*(I-1), which no measurement center reads (same in y).
     fft_shape = (next_fast_len(len(tx)), next_fast_len(len(ty)))
     return OffsetKernel(
         values=values,

@@ -23,14 +23,13 @@ from .field import (
     concentration_at_sources,
     is_integer,
     squared_snr_kernel,
-    transposed_rfft2,
 )
 
 TIER_EXACT = "exact"
 TIER_EXPECTED = "expected-measurement"
 TIER_SNR_FFT = "snr-fft"
-TIER_SNR_BRUTE = "snr-brute"
-TIERS = (TIER_EXACT, TIER_EXPECTED, TIER_SNR_FFT, TIER_SNR_BRUTE)
+TIER_SNR_BRUTE = "snr-brute"  # tags snr_score_map_bruteforce's maps; not a run tier
+TIERS = (TIER_EXACT, TIER_EXPECTED, TIER_SNR_FFT)
 
 
 @dataclass(frozen=True)
@@ -175,39 +174,18 @@ def snr_score_map_bruteforce(
 def snr_score_map_fft(
     post: SourcePosterior, kernel: OffsetKernel, grid: GridSpec | None = None
 ) -> ScoreMap:
-    """Squared-SNR score for every measurement cell via FFT cross-correlation.
+    """Squared-SNR score in bits for every measurement cell via FFT cross-correlation.
 
-    The posterior is embedded on the kernel's fine offset lattice, circularly
-    convolved with the tabulated kernel at the kernel's fft_shape, and
-    sampled back at the measurement centers; wraparound lands only on
-    offsets no measurement center samples, so the samples are the linear
-    convolution's. The transforms are rfft2 and irfft2's own 1-D transforms,
-    held transposed as the kernel's cached spectrum is: the real transform
-    runs over the embedded posterior's rows only, the complex forward and
-    inverse transforms run in place along the contiguous x axis of one
-    (sy // 2 + 1, sx) work array, and the inverse real transform runs only
-    for the x offsets a measurement center samples, on a contiguous copy of
-    those columns.
+    OffsetKernel.correlate computes the map in nats (squared_snr_kernel says
+    why the FFT's wraparound never reaches it); this clamps the FFT roundoff
+    that grazes below zero and converts to bits.
     """
     if grid is None:
         grid = kernel.grid
     if kernel.grid != grid or post.grid != grid:
         raise KernelGridMismatch("kernel was tabulated for a different grid")
-    qx, qy = kernel.stride_src_x, kernel.stride_src_y
-    px, py = kernel.stride_meas_x, kernel.stride_meas_y
-    up = np.zeros((qx * (grid.i_cells - 1) + 1, qy * (grid.j_cells - 1) + 1))
-    up[::qx, ::qy] = post.probs()
-    spec = transposed_rfft2(up, kernel.fft_shape)
-    spec *= kernel.spectrum
-    np.fft.ifft(spec, axis=1, out=spec)
-    # score(im) lives at convolution index p*im - tx0 (tx0 = -q*(I-1))
-    x0 = -kernel.tx0
-    y0 = -kernel.ty0
-    cols = np.ascontiguousarray(spec[:, x0 : x0 + px * (grid.a_cells - 1) + 1 : px].T)
-    vals = np.fft.irfft(cols, kernel.fft_shape[1], axis=1)
-    vals = vals[:, y0 : y0 + py * (grid.b_cells - 1) + 1 : py]
-    vals = np.maximum(vals, 0.0) / LOG_2  # FFT roundoff may graze below zero
-    return ScoreMap(np.ascontiguousarray(vals), TIER_SNR_FFT, grid)
+    vals = np.maximum(kernel.correlate(post.probs()), 0.0) / LOG_2
+    return ScoreMap(vals, TIER_SNR_FFT, grid)
 
 
 def compute_score_map(
@@ -224,8 +202,6 @@ def compute_score_map(
         if kernel is None:
             kernel = squared_snr_kernel(params, grid)
         return snr_score_map_fft(post, kernel, grid)
-    if tier == TIER_SNR_BRUTE:
-        return snr_score_map_bruteforce(post, params, grid)
     if tier in (TIER_EXACT, TIER_EXPECTED):
         centers = grid.meas_centers().reshape(-1, 2)
         if reference is None:

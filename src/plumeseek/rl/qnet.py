@@ -77,13 +77,8 @@ class QNet:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Action values, shape (batch, n_actions), or (n_agents, batch, n_actions)."""
-        h = np.atleast_2d(np.asarray(x, dtype=float))
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if k < last:
-                h = np.maximum(h, 0.0)
-        return h
+        activations, _ = self._forward_cached(x)
+        return activations[-1]
 
     def _forward_cached(self, x: np.ndarray):
         """Forward pass keeping pre-activations for backprop."""

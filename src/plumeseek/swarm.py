@@ -84,6 +84,14 @@ class StepRecord:
     next_y: float
 
 
+def ig_by_step(records, n_steps: int) -> np.ndarray:
+    """Shared info gain after each step's update, one value per step, from step records."""
+    out = np.empty(n_steps)
+    for rec in records:
+        out[rec.step] = rec.ig_bits
+    return out
+
+
 @dataclass
 class EpisodeLog:
     seed: int
@@ -98,10 +106,7 @@ class EpisodeLog:
 
     def ig_series(self) -> np.ndarray:
         """Shared info gain after each step's update (one value per step)."""
-        out = np.empty(self.n_steps)
-        for rec in self.records:
-            out[rec.step] = rec.ig_bits
-        return out
+        return ig_by_step(self.records, self.n_steps)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plumeseek import swarm
 from plumeseek.cli import main
 from plumeseek.config import (
     ConfigError,
@@ -324,6 +326,10 @@ BAD_VALUES = [
     ("rl", "batch_size", True),
     ("rl", "horizon", True),
     ("rl", "batch_size", 10_001),  # above the default replay_capacity: never trains
+    ("planner", "tier", "snr-brute"),  # a score-map oracle, not a run tier
+    ("sim", "source", {"placement": "fixed", "x": float("nan"), "y": 1.0}),
+    ("sim", "source", {"placement": "fixed", "x": 1000.0, "y": 1.0}),  # world is 64 wide
+    ("sim", "source", {"placement": "fixed", "x": True, "y": 1.0}),
 ]
 
 
@@ -461,6 +467,49 @@ def test_simulate_seed_and_policy_overrides(tmp_path):
     assert (out / "random" / "episode_5.csv").is_file()
     assert not (out / "info").exists()
     assert not (out / "random" / "episode_0.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,seeds,flags",
+    [
+        ("simulate", [1, 1], []),
+        ("simulate", [0, 1], ["--seed", "3", "--seed", "3"]),
+        ("simulate", [0, 1], ["--policy", "random", "--policy", "random"]),
+        ("simulate", [1, 1], ["--threads", "2"]),
+        ("simulate", [0, 1], ["--seed", "-1"]),
+        ("train", [1, 1], []),
+    ],
+    ids=["config-seeds", "seed-flag", "policy-flag", "pooled", "negative-seed", "train"],
+)
+def test_repeated_or_negative_runs_exit_2_before_writing(
+    tmp_path, capsys, command, seeds, flags
+):
+    cfg_path = write_config(tmp_path, {**TINY_SIM, "seeds": seeds})
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg_path, "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_gross_outlier_fails_loudly_with_exit_3(tmp_path, capsys, monkeypatch):
+    # a reading ~38 sigma above every hypothesis' prediction floors the
+    # likelihood of every source cell: the model cannot explain it, so the
+    # run stops and names the reading instead of dropping it
+    cfg_path = write_config(tmp_path, TINY_SIM)
+    plume = load_config(cfg_path).plume
+    outlier = plume.strength + 38.0 * plume.noise_sigma  # strength is the peak prediction
+    real_sense = swarm.sense
+
+    def sense_with_outlier(position, source, plume, rng, step, agent_id):
+        rec = real_sense(position, source, plume, rng, step, agent_id)
+        return replace(rec, value=outlier) if (step, agent_id) == (1, 0) else rec
+
+    monkeypatch.setattr(swarm, "sense", sense_with_outlier)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out), "--seed", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure:")
+    assert f"measurement {outlier!r}" in err and "impossible" in err
 
 
 def test_simulate_refuses_nonempty_output(tmp_path, capsys):

@@ -29,7 +29,6 @@ from plumeseek.field import (
 from plumeseek.planner import (
     TIER_EXACT,
     TIER_EXPECTED,
-    TIER_SNR_BRUTE,
     TIER_SNR_FFT,
     CostModel,
     QuadratureSpec,
@@ -374,7 +373,7 @@ def test_compute_score_map_tiers_and_shapes():
     g = grid(4)
     params = blob(noise_sigma=0.5)
     post = posterior_from_weights(g, rng.random(16) + 0.1)
-    for tier in (TIER_EXACT, TIER_EXPECTED, TIER_SNR_FFT, TIER_SNR_BRUTE):
+    for tier in (TIER_EXACT, TIER_EXPECTED, TIER_SNR_FFT):
         smap = compute_score_map(post, params, g, tier, QuadratureSpec(8))
         assert smap.tier == tier
         assert smap.values.shape == (4, 4)

@@ -10,7 +10,7 @@ from plumeseek.belief import (
     uniform_posterior,
 )
 from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams
-from plumeseek.planner import CostModel, TIER_SNR_BRUTE, TIER_SNR_FFT, movement_cost
+from plumeseek.planner import CostModel, TIER_SNR_FFT, movement_cost, snr_score_map_bruteforce
 from plumeseek.rl.env import HybridEnv, HybridEnvConfig
 from plumeseek.swarm import (
     POLICY_COST_ONLY,
@@ -182,9 +182,13 @@ def test_steps_to_ig_thresholds():
     assert all(series[s] < mid for s in range(first))
 
 
-def test_info_policy_with_fft_matches_bruteforce_tier():
+def test_info_policy_with_fft_matches_bruteforce_tier(monkeypatch):
     a = run_episode(small_config(policy=POLICY_INFO, tier=TIER_SNR_FFT, seed=9))
-    b = run_episode(small_config(policy=POLICY_INFO, tier=TIER_SNR_BRUTE, seed=9))
+    monkeypatch.setattr(
+        "plumeseek.swarm.compute_score_map",
+        lambda post, params, grid, *rest: snr_score_map_bruteforce(post, params, grid),
+    )
+    b = run_episode(small_config(policy=POLICY_INFO, tier=TIER_SNR_FFT, seed=9))
     for ra, rb in zip(a.records, b.records):
         assert (ra.x, ra.y, ra.m) == (rb.x, rb.y, rb.m)
         assert (ra.next_x, ra.next_y) == (rb.next_x, rb.next_y)
