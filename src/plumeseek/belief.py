@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # `concentration` is not called here; perfbench's tracer wraps it under this name.
-from .field import GridSpec, PlumeParams, concentration, concentration_at_sources
+from .field import GridSpec, PlumeParams, check_number, concentration, concentration_at_sources
 
 LOG_2 = float(np.log(2.0))
 # Per-cell log-likelihood floor: keeps exp() finite while leaving a huge
@@ -187,8 +187,7 @@ def hpd_region(post: SourcePosterior, mass: float) -> set[int]:
     Cells enter in descending probability; equal probabilities enter in
     row-major order so the result is deterministic.
     """
-    if not 0.0 < mass <= 1.0:
-        raise ValueError("mass must be in (0, 1]")
+    check_number("mass", mass, 0.0, 1.0, above=True)
     p = post.probs().ravel()
     order = np.argsort(-p, kind="stable")
     csum = np.cumsum(p[order])

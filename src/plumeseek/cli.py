@@ -52,13 +52,16 @@ def _run_jobs(ns, cfg: RunConfig, job, kinds, summary_name: str, plot, what: str
     The output directory gets effective_config.json first, then
     {"runs": [one summary per job]} under summary_name in job order, then
     plot(out_dir). With --threads > 1 the jobs run in min(threads, jobs)
-    worker processes; the outputs do not depend on that. Bad --seed values and
-    a kind and seed listed twice (one file, two runs) fail before any write.
+    worker processes; the outputs do not depend on that. Bad --seed values, an
+    empty run list and a kind and seed listed twice (one file, two runs) fail
+    before any write.
     """
     if ns.threads < 1:
         raise ConfigError("--threads must be >= 1")
     seeds = check_seeds(ns.seed) if ns.seed else cfg.seeds
     runs = [(kind, seed) for kind in kinds for seed in seeds]
+    if not runs:
+        raise ConfigError(f"no {what} to run: the run list is empty")
     for k, (kind, seed) in enumerate(runs):
         if (kind, seed) in runs[:k]:
             raise ConfigError(f"{kind} seed {seed} is listed twice; both runs would write one file")

@@ -11,11 +11,10 @@ typos fail loudly. The fully resolved config can be re-serialized
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .field import GridSpec, PlumeParams, is_integer
+from .field import GridSpec, PlumeParams, check_number
 from .planner import TIER_EXACT, CostModel, QuadratureSpec
 from .rl.env import HybridEnvConfig, RewardWeights
 from .rl.train import TrainConfig
@@ -74,18 +73,19 @@ def _source_xy(src, grid: GridSpec):
         return None
     if not ("x" in src and "y" in src):
         raise ConfigError("sim.source: fixed placement requires x and y")
-    x, y = src["x"], src["y"]
-    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
-    if not (numbers and grid.x_min <= x <= grid.x_max and grid.y_min <= y <= grid.y_max):
-        raise ConfigError(f"sim.source: fixed ({x!r}, {y!r}) is not a point of the world")
+    x = check_number("sim.source.x", src["x"], grid.x_min, grid.x_max)
+    y = check_number("sim.source.y", src["y"], grid.y_min, grid.y_max)
     return (float(x), float(y))
 
 
 def check_seeds(seeds) -> tuple[int, ...]:
     """The config's seeds or the --seed values as a tuple, unless one is not an integer >= 0."""
-    if not isinstance(seeds, list) or not seeds or any(not is_integer(s) or s < 0 for s in seeds):
-        raise ConfigError(f"seeds must be a non-empty list of nonnegative integers, got {seeds!r}")
-    return tuple(int(s) for s in seeds)
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"seeds must be a non-empty list, got {seeds!r}")
+    try:
+        return tuple(int(check_number("seeds", s, low=0, integer=True)) for s in seeds)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _prior_weights(prior, grid: GridSpec):
@@ -99,8 +99,10 @@ def _prior_weights(prior, grid: GridSpec):
     values = prior.get("values")
     if not isinstance(values, list) or len(values) != grid.n_src_cells:
         raise ConfigError(f"prior.values must list {grid.n_src_cells} weights (row-major)")
-    if not all(0.0 <= v < math.inf for v in values) or not any(v > 0 for v in values):
-        raise ConfigError("prior.values must be finite, nonnegative and with positive mass")
+    for v in values:
+        check_number("prior.values", v, low=0.0)
+    if not any(v > 0 for v in values):
+        raise ConfigError("prior.values must have positive mass")
     return tuple(values)
 
 
@@ -178,6 +180,8 @@ def parse_config(raw: dict) -> RunConfig:
         reward = _section("rl.reward", rl.pop("reward", {}), _names(RewardWeights))
 
         policies = sim.pop("policies", POLICIES)
+        if not isinstance(policies, tuple):  # _section made a JSON list a tuple
+            raise ConfigError(f"sim.policies must be a list, got {policies!r}")
         for pol in policies:
             if pol not in POLICIES:
                 raise ConfigError(f"sim.policies: {pol!r} is not one of {list(POLICIES)}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -19,19 +19,30 @@ ADVECTED = "advected-plume"
 # must be a small rational or the offset lattice cannot cover all pairs.
 _MAX_PITCH_DENOMINATOR = 4096
 _PITCH_RTOL = 1e-9
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float: exact against huge ints
 
 
 class KernelGridMismatch(ValueError):
     """Raised when a kernel's offset lattice cannot serve the requested grids."""
 
 
-def is_integer(value) -> bool:
-    """True for an integer value that is not a bool.
+def check_number(name: str, value, low=-np.inf, high=np.inf, above=False, integer=False):
+    """value if it is a valid setting, else raise a ValueError that names the setting.
 
-    The check behind every integer setting: a float such as 16.0 and JSON's
-    true/false are rejected, NumPy integers are accepted.
+    The one rule behind every numeric setting: an Integral (integer=True) or
+    a Real, never a bool (JSON's true/false) or a string, finite, and in
+    [low, high], or in (low, high] when above is set. NumPy numbers pass.
     """
-    return isinstance(value, Integral) and not isinstance(value, bool)
+    if (
+        isinstance(value, Integral if integer else Real) and not isinstance(value, bool)
+        and abs(value) <= _FLOAT_MAX  # false for NaN, +-inf and ints too large for a float
+        and (low < value if above else low <= value) and value <= high
+    ):
+        return value
+    bounds = [f"{'>' if above else '>='} {low}"] if low > -np.inf else []
+    bounds += [f"<= {high}"] if high < np.inf else []
+    rule = " ".join(["an integer" if integer else "a finite number", " and ".join(bounds)])
+    raise ValueError(f"{name} must be {rule.rstrip()}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,13 +66,12 @@ class GridSpec:
     j_cells: int = 64
 
     def __post_init__(self):
-        if not np.all(np.isfinite((self.x_min, self.x_max, self.y_min, self.y_max))):
-            raise ValueError("grid extent must be finite")
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            check_number(name, getattr(self, name))
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("grid extent must be positive in both axes")
-        for n in (self.a_cells, self.b_cells, self.i_cells, self.j_cells):
-            if not is_integer(n) or n < 1:
-                raise ValueError("cell counts must be positive integers")
+        for name in ("a_cells", "b_cells", "i_cells", "j_cells"):
+            check_number(name, getattr(self, name), low=1, integer=True)
 
     # -- pitches ------------------------------------------------------------
 
@@ -80,6 +90,10 @@ class GridSpec:
     @property
     def src_dy(self) -> float:
         return (self.y_max - self.y_min) / self.j_cells
+
+    def lattice_strides(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Per axis, (p, q) with meas_pitch/src_pitch == p/q, else raise KernelGridMismatch."""
+        return _axis_strides(self.meas_dx, self.src_dx), _axis_strides(self.meas_dy, self.src_dy)
 
     @property
     def diagonal(self) -> float:
@@ -141,7 +155,8 @@ class PlumeParams:
     kind selects the model. The isotropic blob uses strength and
     length_scale only. The advected plume uses wind, sigma0 and
     spread_rate; its cross-wind width grows linearly with downwind
-    distance and there is no upwind signal at all.
+    distance and there is no upwind signal at all. Every field is checked
+    whatever the kind; kind adds only that an advected wind is nonzero.
     """
 
     kind: str = BLOB
@@ -155,23 +170,14 @@ class PlumeParams:
     def __post_init__(self):
         if self.kind not in (BLOB, ADVECTED):
             raise ValueError(f"unknown plume kind {self.kind!r}")
-        if not 0.0 <= self.strength < np.inf:
-            raise ValueError("strength must be finite and >= 0")
-        if not 0.0 < self.noise_sigma < np.inf:
-            raise ValueError("noise_sigma must be finite and > 0")
-        wx, wy = self.wind
-        object.__setattr__(self, "wind", (float(wx), float(wy)))
-        if self.kind == BLOB and not 0.0 < self.length_scale < np.inf:
-            raise ValueError("length_scale must be finite and > 0")
-        if self.kind == ADVECTED:
-            if not 0.0 < self.sigma0 < np.inf:
-                raise ValueError("sigma0 must be finite and > 0")
-            if not 0.0 <= self.spread_rate < np.inf:
-                raise ValueError("spread_rate must be finite and >= 0")
-            if not np.all(np.isfinite(self.wind)):
-                raise ValueError("wind must be finite")
-            if wx == 0.0 and wy == 0.0:
-                raise ValueError("advected plume needs a nonzero wind vector")
+        for name in ("strength", "spread_rate"):
+            check_number(name, getattr(self, name), low=0.0)
+        for name in ("length_scale", "sigma0", "noise_sigma"):
+            check_number(name, getattr(self, name), low=0.0, above=True)
+        wx, wy = (float(check_number("wind", w)) for w in self.wind)
+        object.__setattr__(self, "wind", (wx, wy))
+        if self.kind == ADVECTED and wx == 0.0 and wy == 0.0:
+            raise ValueError("advected plume needs a nonzero wind vector")
 
 
 def _wind_unit(params: PlumeParams) -> tuple[float, float]:
@@ -377,8 +383,7 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     The lattice spans all displacements (measurement center - source center),
     including sub-pitch shifts when the two grids differ in resolution.
     """
-    px, qx = _axis_strides(grid.meas_dx, grid.src_dx)
-    py, qy = _axis_strides(grid.meas_dy, grid.src_dy)
+    (px, qx), (py, qy) = grid.lattice_strides()
     fine_dx = grid.meas_dx / px
     fine_dy = grid.meas_dy / py
     # displacement = fine_pitch * t + (meas_pitch - src_pitch)/2 with

@@ -19,9 +19,9 @@ from .field import (
     KernelGridMismatch,
     OffsetKernel,
     PlumeParams,
+    check_number,
     concentration,
     concentration_at_sources,
-    is_integer,
     squared_snr_kernel,
 )
 
@@ -40,10 +40,8 @@ class CostModel:
     quad_coeff: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.overhead < np.inf:
-            raise ValueError("overhead must be finite and > 0 so cost ratios stay finite")
-        if not 0.0 <= self.quad_coeff < np.inf:
-            raise ValueError("quad_coeff must be finite and >= 0")
+        check_number("overhead", self.overhead, low=0.0, above=True)  # finite cost ratios
+        check_number("quad_coeff", self.quad_coeff, low=0.0)
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,7 @@ class QuadratureSpec:
     n_nodes: int = 16
 
     def __post_init__(self):
-        if not is_integer(self.n_nodes) or self.n_nodes < 1:
-            raise ValueError("quadrature n_nodes must be an integer >= 1")
+        check_number("quadrature n_nodes", self.n_nodes, low=1, integer=True)
 
 
 @dataclass(frozen=True)

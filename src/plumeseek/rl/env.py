@@ -21,7 +21,7 @@ from ..belief import (
     map_estimate,
     posterior_update,
 )
-from ..field import GridSpec, PlumeParams, is_integer
+from ..field import GridSpec, PlumeParams, check_number
 from ..swarm import sense, world_setup
 
 OBS_SIZE = 17
@@ -76,8 +76,10 @@ class RewardWeights:
     def __post_init__(self):
         if len(self.action_costs) != N_ACTIONS:
             raise ValueError(f"action_costs must list {N_ACTIONS} values")
-        if not np.all(np.isfinite([self.w_info, self.w_est, *self.action_costs])):
-            raise ValueError("w_info, w_est and every action cost must be finite")
+        for name in ("w_info", "w_est"):
+            check_number(name, getattr(self, name))
+        for cost in self.action_costs:
+            check_number("action_costs", cost)
 
     def action_cost(self, action: int) -> float:
         return self.action_costs[int(action)]
@@ -101,13 +103,10 @@ class HybridEnvConfig:
 
     def __post_init__(self):
         for name in ("n_agents", "horizon", "buffer_capacity"):
-            value = getattr(self, name)
-            if not is_integer(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
-        if not all(0.0 < v < np.inf for v in (self.a_max, self.v_max, self.dt, self.w_max)):
-            raise ValueError("a_max, v_max, dt and w_max must be finite and > 0")
-        if not 0.0 <= self.damping <= 1.0:
-            raise ValueError("damping must be in [0, 1]")
+            check_number(name, getattr(self, name), low=1, integer=True)
+        for name in ("a_max", "v_max", "dt", "w_max"):
+            check_number(name, getattr(self, name), low=0.0, above=True)
+        check_number("damping", self.damping, 0.0, 1.0)
 
 
 class HybridEnv:
@@ -243,12 +242,7 @@ class HybridEnv:
     def step(self, actions) -> tuple[np.ndarray, np.ndarray, bool]:
         if self._done:
             raise EpisodeDone("episode is over; call reset()")
-        checked = []
-        for a in actions:
-            if not is_integer(a) or not 0 <= a < N_ACTIONS:
-                raise ValueError(f"action {a!r} is not an integer in [0, {N_ACTIONS})")
-            checked.append(int(a))
-        actions = checked
+        actions = [int(check_number("action", a, 0, N_ACTIONS - 1, integer=True)) for a in actions]
         if len(actions) != self.cfg.n_agents:
             raise ValueError("one action per agent required")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..field import is_integer
+from ..field import check_number
 from .env import Action, HybridEnv, HybridEnvConfig, N_ACTIONS, OBS_SIZE
 from ..swarm import agent_streams
 from .qnet import QNet, ReplayBuffer, epsilon, td_train_step
@@ -53,23 +53,19 @@ class TrainConfig:
             ("batch_size", 1),
             ("replay_capacity", 1),
             ("target_sync", 1),
+            ("seed", 0),
         ):
-            value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}")
+            check_number(name, getattr(self, name), low, integer=True)
         if self.batch_size > self.replay_capacity:
             raise ValueError("batch_size must not exceed replay_capacity")
-        if not isinstance(self.hidden, (tuple, list)) or not all(
-            is_integer(n) and n >= 1 for n in self.hidden
-        ):
-            raise ValueError("hidden must be a list of integer layer widths >= 1")
+        if not isinstance(self.hidden, (tuple, list)):
+            raise ValueError("hidden must be a list of layer widths")
+        for width in self.hidden:
+            check_number("hidden", width, low=1, integer=True)
         for name in ("gamma", "eps_start", "eps_end"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be finite and > 0")
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
+            check_number(name, getattr(self, name), 0.0, 1.0)
+        check_number("learning_rate", self.learning_rate, low=0.0, above=True)
+        check_number("smoothing", self.smoothing, 0.0, 1.0, above=True)
 
 
 @dataclass

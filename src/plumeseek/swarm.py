@@ -22,7 +22,7 @@ from .belief import (
     posterior_update,
     uniform_posterior,
 )
-from .field import GridSpec, PlumeParams, concentration, is_integer, squared_snr_kernel
+from .field import GridSpec, PlumeParams, check_number, concentration, squared_snr_kernel
 from .planner import (
     TIER_SNR_FFT,
     TIERS,
@@ -63,10 +63,10 @@ class SimConfig:
             raise ValueError(f"unknown motion policy {self.policy!r}")
         if self.tier not in TIERS:
             raise ValueError(f"planner tier {self.tier!r} is not one of {list(TIERS)}")
-        if not is_integer(self.n_agents) or self.n_agents < 1:
-            raise ValueError("n_agents must be an integer >= 1")
-        if not is_integer(self.n_steps) or self.n_steps < 0:
-            raise ValueError("n_steps must be an integer >= 0")
+        for name, low in (("n_agents", 1), ("n_steps", 0), ("seed", 0)):
+            check_number(name, getattr(self, name), low, integer=True)
+        if self.tier == TIER_SNR_FFT:  # the offset lattice must serve the grid
+            self.grid.lattice_strides()
 
 
 @dataclass(frozen=True)

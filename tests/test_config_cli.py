@@ -75,6 +75,14 @@ def test_cli_and_training_import_without_scipy():
 
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (CONFIGS.parent / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "information gain:" in out and "next waypoint:" in out
+
+
 def test_empty_config_resolves_all_defaults():
     cfg = parse_config({})
     assert cfg.grid.a_cells == 64 and cfg.grid.n_src_cells == 64 * 64
@@ -202,6 +210,8 @@ def test_invalid_sections_are_reported_as_config_errors():
         parse_config({"plume": {"kind": "volcano"}})
     with pytest.raises(ConfigError):
         parse_config({"plume": {"kind": "advected-plume"}})  # calm wind
+    with pytest.raises(ConfigError, match="wind"):
+        parse_config({"plume": {"kind": "advected-plume", "wind": ["1", "0"]}})
     with pytest.raises(ConfigError, match="tier"):
         parse_config({"planner": {"tier": "psychic"}})
     with pytest.raises(ConfigError):
@@ -226,7 +236,7 @@ def test_prior_validation():
                 "prior": {"kind": "weights", "values": [1.0, 2.0]},
             }
         )
-    for bad in ([-1.0, 1.0, 1.0, 1.0], [float("nan"), 1.0, 1.0, 1.0]):
+    for bad in ([-1.0, 1.0, 1.0, 1.0], [float("nan"), 1.0, 1.0, 1.0], [True] * 4):
         with pytest.raises(ConfigError):
             parse_config(
                 {
@@ -239,6 +249,8 @@ def test_prior_validation():
 def test_sim_and_rl_validation():
     with pytest.raises(ConfigError, match="policies"):
         parse_config({"sim": {"policies": ["info", "psychic"]}})
+    with pytest.raises(ConfigError, match="sim.policies must be a list"):
+        parse_config({"sim": {"policies": "info"}})
     with pytest.raises(ConfigError, match="placement"):
         parse_config({"sim": {"source": {"placement": "orbital"}}})
     with pytest.raises(ConfigError, match="fixed"):
@@ -330,6 +342,14 @@ BAD_VALUES = [
     ("sim", "source", {"placement": "fixed", "x": float("nan"), "y": 1.0}),
     ("sim", "source", {"placement": "fixed", "x": 1000.0, "y": 1.0}),  # world is 64 wide
     ("sim", "source", {"placement": "fixed", "x": True, "y": 1.0}),
+    ("plume", "strength", True),
+    ("rl", "gamma", True),
+    ("cost", "overhead", True),
+    ("grid", "x_max", True),
+    ("plume", "wind", [float("nan"), 0.0]),  # unused by the default blob, still checked
+    ("plume", "wind", ["1", "0"]),
+    ("rl", "reward", {"action_costs": [True, 0, 0, 0, 0]}),
+    ("grid", "a_cells", 4097),  # pitch ratio 64/4097: the snr-fft kernel cannot serve it
 ]
 
 
@@ -341,6 +361,53 @@ def test_bad_value_in_any_section_exits_2(tmp_path, capsys, command, section, ke
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def _numeric_leaves(node, path=()):
+    """(path, value) of every number in a JSON-like tree, list entries included."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _numeric_leaves(child, (*path, key))
+    elif isinstance(node, list):
+        for k, child in enumerate(node):
+            yield from _numeric_leaves(child, (*path, k))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+
+
+def _replaced(tree, path, value):
+    out = json.loads(json.dumps(tree))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def test_every_numeric_setting_rejects_non_numbers():
+    # walks the whole effective schema, so a field added later is covered too
+    grid = {"x_max": 4.0, "y_max": 4.0, "a_cells": 4, "b_cells": 4, "i_cells": 2, "j_cells": 2}
+    echoed = parse_config(
+        {
+            "grid": grid,
+            "prior": {"kind": "weights", "values": [1.0, 0.0, 2.0, 1.0]},
+            "sim": {"source": {"placement": "fixed", "x": 2.5, "y": 1.5}},
+        }
+    ).effective_dict()
+    leaves = list(_numeric_leaves(echoed))
+    assert len(leaves) > 40
+    accepted = []
+    for path, value in leaves:
+        bad = [True, "1"]
+        if not isinstance(value, int):
+            bad += [float("nan"), float("inf"), float("-inf")]
+        for replacement in bad:
+            try:
+                parse_config(_replaced(echoed, path, replacement))
+            except ConfigError:
+                continue
+            accepted.append((path, replacement))
+    assert accepted == []
 
 
 @pytest.mark.parametrize(
@@ -470,21 +537,33 @@ def test_simulate_seed_and_policy_overrides(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command,seeds,flags",
+    "command,seeds,policies,flags",
     [
-        ("simulate", [1, 1], []),
-        ("simulate", [0, 1], ["--seed", "3", "--seed", "3"]),
-        ("simulate", [0, 1], ["--policy", "random", "--policy", "random"]),
-        ("simulate", [1, 1], ["--threads", "2"]),
-        ("simulate", [0, 1], ["--seed", "-1"]),
-        ("train", [1, 1], []),
+        ("simulate", [1, 1], None, []),
+        ("simulate", [0, 1], None, ["--seed", "3", "--seed", "3"]),
+        ("simulate", [0, 1], None, ["--policy", "random", "--policy", "random"]),
+        ("simulate", [1, 1], None, ["--threads", "2"]),
+        ("simulate", [0, 1], None, ["--seed", "-1"]),
+        ("train", [1, 1], None, []),
+        ("simulate", [0, 1], [], []),
+        ("simulate", [0, 1], "info", []),
     ],
-    ids=["config-seeds", "seed-flag", "policy-flag", "pooled", "negative-seed", "train"],
+    ids=[
+        "config-seeds",
+        "seed-flag",
+        "policy-flag",
+        "pooled",
+        "negative-seed",
+        "train",
+        "empty-policies",
+        "string-policies",
+    ],
 )
 def test_repeated_or_negative_runs_exit_2_before_writing(
-    tmp_path, capsys, command, seeds, flags
+    tmp_path, capsys, command, seeds, policies, flags
 ):
-    cfg_path = write_config(tmp_path, {**TINY_SIM, "seeds": seeds})
+    sim = TINY_SIM["sim"] if policies is None else {**TINY_SIM["sim"], "policies": policies}
+    cfg_path = write_config(tmp_path, {**TINY_SIM, "sim": sim, "seeds": seeds})
     out = tmp_path / "run"
     assert main([command, "--config", cfg_path, "--out", str(out), *flags]) == 2
     assert capsys.readouterr().err.startswith("error:")
