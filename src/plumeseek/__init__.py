@@ -42,6 +42,7 @@ from .swarm import (
     EpisodeLog,
     SimConfig,
     StepRecord,
+    World,
     cost_only_policy,
     random_policy,
     run_episode,

@@ -2,7 +2,7 @@
 
 A config file may specify any subset of the sections below; everything else
 falls back to the field defaults of the dataclass that the section builds
-(GridSpec, PlumeParams, CostModel, QuadratureSpec, SimConfig,
+(GridSpec, PlumeParams, CostModel, QuadratureSpec, World, SimConfig,
 HybridEnvConfig, RewardWeights, TrainConfig). Every section is built, and so
 validated, at load time. Unknown keys are rejected rather than ignored so
 typos fail loudly. The fully resolved config can be re-serialized
@@ -18,7 +18,7 @@ from .field import GridSpec, PlumeParams, check_number
 from .planner import TIER_EXACT, CostModel, QuadratureSpec
 from .rl.env import HybridEnvConfig, RewardWeights
 from .rl.train import TrainConfig
-from .swarm import POLICIES, SimConfig
+from .swarm import POLICIES, SimConfig, World
 
 # exact-tier expected-IG scoring is quartic in grid size; refuse silly runs
 EXACT_TIER_MAX_MEAS_CELLS = 64 * 64
@@ -33,7 +33,7 @@ _TOP_LEVEL_KEYS = ("grid", "plume", "cost", "planner", "prior", "sim", "rl", "se
 _PLANNER_KEYS = ("tier", "quad_nodes")
 _SIM_KEYS = ("n_agents", "n_steps", "policies", "source")
 # HybridEnvConfig fields that other sections set, and TrainConfig fields each job sets
-_ENV_FROM_OTHER_SECTIONS = ("grid", "plume", "reward", "source_xy", "prior_weights")
+_ENV_FROM_OTHER_SECTIONS = ("world", "reward")
 _TRAIN_PER_JOB = ("env", "mode", "seed")
 
 
@@ -63,8 +63,8 @@ def _section(name: str, given, keys) -> dict:
     return {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
 
 
-def _source_xy(src, grid: GridSpec):
-    """sim.source as a fixed (x, y) in the world, or None for a source sampled from the prior."""
+def _source_xy(src):
+    """sim.source as a fixed (x, y), or None for a source sampled from the prior."""
     if not isinstance(src, dict) or src.get("placement") not in ("fixed", "sampled"):
         raise ConfigError("sim.source.placement must be 'fixed' or 'sampled'")
     sampled = src["placement"] == "sampled"
@@ -73,9 +73,7 @@ def _source_xy(src, grid: GridSpec):
         return None
     if not ("x" in src and "y" in src):
         raise ConfigError("sim.source: fixed placement requires x and y")
-    x = check_number("sim.source.x", src["x"], grid.x_min, grid.x_max)
-    y = check_number("sim.source.y", src["y"], grid.y_min, grid.y_max)
-    return (float(x), float(y))
+    return (src["x"], src["y"])
 
 
 def check_seeds(seeds) -> tuple[int, ...]:
@@ -88,7 +86,7 @@ def check_seeds(seeds) -> tuple[int, ...]:
         raise ConfigError(str(exc)) from exc
 
 
-def _prior_weights(prior, grid: GridSpec):
+def _prior_weights(prior):
     """The prior section as row-major weights, or None for a uniform prior."""
     if not isinstance(prior, dict) or prior.get("kind") not in ("uniform", "weights"):
         raise ConfigError("prior.kind must be 'uniform' or 'weights'")
@@ -97,12 +95,8 @@ def _prior_weights(prior, grid: GridSpec):
     if uniform:
         return None
     values = prior.get("values")
-    if not isinstance(values, list) or len(values) != grid.n_src_cells:
-        raise ConfigError(f"prior.values must list {grid.n_src_cells} weights (row-major)")
-    for v in values:
-        check_number("prior.values", v, low=0.0)
-    if not any(v > 0 for v in values):
-        raise ConfigError("prior.values must have positive mass")
+    if not isinstance(values, list):
+        raise ConfigError("prior.values must be a list of weights (row-major)")
     return tuple(values)
 
 
@@ -120,14 +114,14 @@ class RunConfig:
 
     @property
     def grid(self) -> GridSpec:
-        return self.sim.grid
+        return self.sim.world.grid
 
     @property
     def plume(self) -> PlumeParams:
-        return self.sim.plume
+        return self.sim.world.plume
 
     def prior_weights(self):
-        return self.sim.prior_weights
+        return self.sim.world.prior_weights
 
     def sim_config(self, seed: int, policy: str) -> SimConfig:
         return replace(self.sim, seed=seed, policy=policy)
@@ -137,18 +131,18 @@ class RunConfig:
 
     def effective_dict(self) -> dict:
         """JSON-ready dict with every default made explicit."""
-        sim, env = self.sim, self.train.env
-        if sim.source_xy is None:
+        sim, env, world = self.sim, self.train.env, self.sim.world
+        if world.source_xy is None:
             source = {"placement": "sampled"}
         else:
-            source = {"placement": "fixed", "x": sim.source_xy[0], "y": sim.source_xy[1]}
-        if sim.prior_weights is None:
+            source = {"placement": "fixed", "x": world.source_xy[0], "y": world.source_xy[1]}
+        if world.prior_weights is None:
             prior = {"kind": "uniform"}
         else:
-            prior = {"kind": "weights", "values": sim.prior_weights}
+            prior = {"kind": "weights", "values": world.prior_weights}
         out = {
-            "grid": _values(sim.grid),
-            "plume": _values(sim.plume),
+            "grid": _values(world.grid),
+            "plume": _values(world.plume),
             "cost": _values(sim.cost),
             "planner": {"tier": sim.tier, "quad_nodes": sim.quad.n_nodes},
             "prior": prior,
@@ -188,26 +182,23 @@ def parse_config(raw: dict) -> RunConfig:
         # a config without seeds runs the episode's default seed
         seeds = check_seeds(raw.get("seeds", [SimConfig.seed]))
 
-        grid = GridSpec(**_section("grid", raw.get("grid", {}), _names(GridSpec)))
-        if "source" in sim:
-            sim["source_xy"] = _source_xy(sim.pop("source"), grid)
-        if "prior" in raw:
-            sim["prior_weights"] = _prior_weights(raw["prior"], grid)
+        world = World(
+            grid=GridSpec(**_section("grid", raw.get("grid", {}), _names(GridSpec))),
+            plume=PlumeParams(**_section("plume", raw.get("plume", {}), _names(PlumeParams))),
+            source_xy=_source_xy(sim.pop("source", {"placement": "sampled"})),
+            prior_weights=_prior_weights(raw.get("prior", {"kind": "uniform"})),
+        )
         if "quad_nodes" in planner:
             sim["quad"] = QuadratureSpec(planner.pop("quad_nodes"))
         sim = SimConfig(
-            grid=grid,
-            plume=PlumeParams(**_section("plume", raw.get("plume", {}), _names(PlumeParams))),
+            world=world,
             cost=CostModel(**_section("cost", raw.get("cost", {}), _names(CostModel))),
             **planner,
             **sim,
         )
         env = HybridEnvConfig(
-            grid=grid,
-            plume=sim.plume,
+            world=world,
             reward=RewardWeights(**reward),
-            source_xy=sim.source_xy,
-            prior_weights=sim.prior_weights,
             **{k: v for k, v in rl.items() if k in _ENV_KEYS},
         )
         train = TrainConfig(env=env, **{k: v for k, v in rl.items() if k not in _ENV_KEYS})

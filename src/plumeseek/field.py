@@ -174,6 +174,8 @@ class PlumeParams:
             check_number(name, getattr(self, name), low=0.0)
         for name in ("length_scale", "sigma0", "noise_sigma"):
             check_number(name, getattr(self, name), low=0.0, above=True)
+        if not isinstance(self.wind, (tuple, list, np.ndarray)) or len(self.wind) != 2:
+            raise ValueError(f"wind must be a pair of numbers (x, y), got {self.wind!r}")
         wx, wy = (float(check_number("wind", w)) for w in self.wind)
         object.__setattr__(self, "wind", (wx, wy))
         if self.kind == ADVECTED and wx == 0.0 and wy == 0.0:

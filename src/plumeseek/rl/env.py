@@ -21,8 +21,8 @@ from ..belief import (
     map_estimate,
     posterior_update,
 )
-from ..field import GridSpec, PlumeParams, check_number
-from ..swarm import sense, world_setup
+from ..field import check_number
+from ..swarm import World, sense
 
 OBS_SIZE = 17
 
@@ -74,8 +74,9 @@ class RewardWeights:
     action_costs: tuple[float, ...] = (0.0, 0.2, 0.1, 0.1, 0.3)
 
     def __post_init__(self):
-        if len(self.action_costs) != N_ACTIONS:
-            raise ValueError(f"action_costs must list {N_ACTIONS} values")
+        costs = self.action_costs
+        if not isinstance(costs, (tuple, list, np.ndarray)) or len(costs) != N_ACTIONS:
+            raise ValueError(f"action_costs must list {N_ACTIONS} values, got {costs!r}")
         for name in ("w_info", "w_est"):
             check_number(name, getattr(self, name))
         for cost in self.action_costs:
@@ -87,8 +88,7 @@ class RewardWeights:
 
 @dataclass(frozen=True)
 class HybridEnvConfig:
-    grid: GridSpec
-    plume: PlumeParams
+    world: World
     n_agents: int = 3
     horizon: int = 200
     a_max: float = 0.5        # fixed acceleration magnitude for Move
@@ -98,8 +98,6 @@ class HybridEnvConfig:
     w_max: float = 1.0        # wind normalization scale for observations
     buffer_capacity: int = 4  # unfolded readings kept per agent
     reward: RewardWeights = field(default_factory=RewardWeights)
-    source_xy: tuple[float, float] | None = None
-    prior_weights: tuple | None = None
 
     def __post_init__(self):
         for name in ("n_agents", "horizon", "buffer_capacity"):
@@ -115,11 +113,12 @@ class HybridEnv:
     def __init__(self, cfg: HybridEnvConfig):
         self.cfg = cfg
         self._done = True
+        self._grid = g = cfg.world.grid
+        self._plume = cfg.world.plume
         # observation scales, fixed by cfg
-        g = cfg.grid
         self._origin = np.array([g.x_min, g.y_min])
         self._span = np.array([g.x_max - g.x_min, g.y_max - g.y_min])
-        self._wind_obs = np.clip(np.asarray(cfg.plume.wind) / cfg.w_max, -1.0, 1.0)
+        self._wind_obs = np.clip(np.asarray(self._plume.wind) / cfg.w_max, -1.0, 1.0)
         self._max_ig = np.log2(g.n_src_cells)
 
     @property
@@ -152,9 +151,7 @@ class HybridEnv:
         children = ss.spawn(1 + cfg.n_agents)
         world = np.random.default_rng(children[0])
         self._meas_rngs = [np.random.default_rng(c) for c in children[1:]]
-        self._prior, self._source, self._pos = world_setup(
-            cfg.grid, cfg.prior_weights, cfg.source_xy, world, cfg.n_agents
-        )
+        self._prior, self._source, self._pos = cfg.world.setup(world, cfg.n_agents)
         self._vel = np.zeros((cfg.n_agents, 2))
         self._beliefs = [self._prior] * cfg.n_agents
         self._buffers = [deque(maxlen=cfg.buffer_capacity) for _ in range(cfg.n_agents)]
@@ -190,7 +187,7 @@ class HybridEnv:
         pos = self._pos[i] + v * cfg.dt
         # walls are sticky: clamp and zero the offending velocity component
         for axis, (lo, hi) in enumerate(
-            ((cfg.grid.x_min, cfg.grid.x_max), (cfg.grid.y_min, cfg.grid.y_max))
+            ((self._grid.x_min, self._grid.x_max), (self._grid.y_min, self._grid.y_max))
         ):
             if pos[axis] < lo:
                 pos[axis] = lo
@@ -203,7 +200,7 @@ class HybridEnv:
         self._moved_since_measure[i] = True
 
     def _do_measure(self, i: int) -> None:
-        rec = sense(self._pos[i], self._source, self.cfg.plume, self._meas_rngs[i], self.t, i)
+        rec = sense(self._pos[i], self._source, self._plume, self._meas_rngs[i], self.t, i)
         self._buffers[i].append(rec)  # a full buffer drops its oldest reading
         self._latest[i] = (self._next_meas_id, rec)
         self._next_meas_id += 1
@@ -217,7 +214,7 @@ class HybridEnv:
     def _do_update(self, i: int) -> None:
         if not self._buffers[i]:
             return
-        self._beliefs[i] = posterior_update(self._beliefs[i], self._buffers[i], self.cfg.plume)
+        self._beliefs[i] = posterior_update(self._beliefs[i], self._buffers[i], self._plume)
         self._buffers[i].clear()
         self._refresh_belief_stats(i)
 
@@ -231,7 +228,7 @@ class HybridEnv:
                 fresh.append(rec)
                 self._consumed[i, j] = mid
         if fresh:
-            self._beliefs[i] = posterior_update(self._beliefs[i], fresh, self.cfg.plume)
+            self._beliefs[i] = posterior_update(self._beliefs[i], fresh, self._plume)
             self._refresh_belief_stats(i)
 
     # indexed by Action: do-nothing, move, measure, update, communicate
@@ -269,7 +266,7 @@ class HybridEnv:
         err = np.hypot(*(self._estimates - self._source).T)
         return (
             w.w_info * np.asarray(delta_ig_bits, dtype=float),
-            w.w_est * (1.0 - err / self.cfg.grid.diagonal),
+            w.w_est * (1.0 - err / self._grid.diagonal),
             np.array([w.action_cost(a) for a in actions]),
         )
 

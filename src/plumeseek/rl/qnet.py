@@ -12,6 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..field import check_number
+
 
 class Batch(NamedTuple):
     """Sampled rows by column; a team batch adds a leading agent axis."""
@@ -187,9 +189,7 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+        self.capacity = check_number("capacity", capacity, low=1, integer=True)
         self._columns: Batch | None = None
         self._size = 0
         self._pos = 0

@@ -43,19 +43,64 @@ EPISODE_CSV_COLUMNS = ("step", "agent_id", "x", "y", "m", "ig_bits", "cost")
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Everything one heuristic episode needs, including its RNG seed."""
+class World:
+    """The searched world both episode engines share, and the one check on its source and prior.
+
+    source_xy None samples the source from the prior; prior_weights None is
+    uniform, else one weight per source cell, row-major. Errors name the
+    config keys that set these fields (sim.source, prior.values).
+    """
 
     grid: GridSpec
     plume: PlumeParams
+    source_xy: tuple[float, float] | None = None
+    prior_weights: tuple | None = None
+
+    def __post_init__(self):
+        g = self.grid
+        if self.source_xy is not None:
+            x, y = self.source_xy
+            x = float(check_number("sim.source.x", x, g.x_min, g.x_max))
+            y = float(check_number("sim.source.y", y, g.y_min, g.y_max))
+            object.__setattr__(self, "source_xy", (x, y))
+        if self.prior_weights is not None:
+            if len(self.prior_weights) != g.n_src_cells:
+                raise ValueError(f"prior.values must list {g.n_src_cells} weights (row-major)")
+            if not any([check_number("prior.values", w, low=0.0) for w in self.prior_weights]):
+                raise ValueError("prior.values must have positive mass")
+
+    def setup(self, world_rng: np.random.Generator, n_agents: int):
+        """(prior, source, start positions) of one episode, drawn from the world stream.
+
+        A fixed source is used as given, else the center of a cell drawn from
+        the prior; start positions are uniform over the world, drawn after it.
+        """
+        grid = self.grid
+        if self.prior_weights is None:
+            prior = uniform_posterior(grid)
+        else:
+            prior = posterior_from_weights(grid, np.asarray(self.prior_weights, dtype=float))
+        source = self.source_xy
+        if source is None:
+            flat = int(world_rng.choice(grid.n_src_cells, p=prior.probs().ravel()))
+            source = grid.src_cell_center(flat)
+        positions = world_rng.uniform(
+            low=(grid.x_min, grid.y_min), high=(grid.x_max, grid.y_max), size=(n_agents, 2)
+        )
+        return prior, np.asarray(source), positions
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Everything one heuristic episode needs, including its RNG seed."""
+
+    world: World
     cost: CostModel
     n_agents: int = 5
     n_steps: int = 100
     policy: str = POLICY_INFO
     tier: str = TIER_SNR_FFT
     quad: QuadratureSpec = QuadratureSpec()
-    source_xy: tuple[float, float] | None = None  # None: sample from the prior
-    prior_weights: tuple | None = None            # None: uniform
     seed: int = 0
 
     def __post_init__(self):
@@ -66,7 +111,7 @@ class SimConfig:
         for name, low in (("n_agents", 1), ("n_steps", 0), ("seed", 0)):
             check_number(name, getattr(self, name), low, integer=True)
         if self.tier == TIER_SNR_FFT:  # the offset lattice must serve the grid
-            self.grid.lattice_strides()
+            self.world.grid.lattice_strides()
 
 
 @dataclass(frozen=True)
@@ -170,28 +215,6 @@ def cost_only_policy(position, cm: CostModel, rng: np.random.Generator, grid: Gr
     return grid.meas_cell_center(flat)
 
 
-def world_setup(grid: GridSpec, prior_weights, source_xy, world_rng, n_agents: int):
-    """(prior, source, start positions) of one episode, drawn from the world stream.
-
-    prior_weights None means a uniform prior. A fixed source_xy is used as
-    given; otherwise the source is the center of a cell drawn from the prior.
-    Start positions are uniform over the world and drawn after the source.
-    """
-    if prior_weights is None:
-        prior = uniform_posterior(grid)
-    else:
-        prior = posterior_from_weights(grid, np.asarray(prior_weights, dtype=float))
-    if source_xy is not None:
-        source = np.asarray(source_xy, dtype=float)
-    else:
-        flat = int(world_rng.choice(grid.n_src_cells, p=prior.probs().ravel()))
-        source = np.asarray(grid.src_cell_center(flat))
-    positions = world_rng.uniform(
-        low=(grid.x_min, grid.y_min), high=(grid.x_max, grid.y_max), size=(n_agents, 2)
-    )
-    return prior, source, positions
-
-
 def sense(
     position, source, plume: PlumeParams, rng: np.random.Generator, step: int, agent_id: int
 ) -> MeasurementRecord:
@@ -213,13 +236,12 @@ def sense(
 def run_episode(cfg: SimConfig) -> EpisodeLog:
     """Run one seeded episode and return its full log."""
     world_rng, meas_rngs, policy_rngs = agent_streams(cfg.seed, cfg.n_agents)
-    prior, source, positions = world_setup(
-        cfg.grid, cfg.prior_weights, cfg.source_xy, world_rng, cfg.n_agents
-    )
+    prior, source, positions = cfg.world.setup(world_rng, cfg.n_agents)
+    grid, plume = cfg.world.grid, cfg.world.plume
     belief = prior
     kernel = None
     if cfg.policy == POLICY_INFO and cfg.tier == TIER_SNR_FFT:
-        kernel = squared_snr_kernel(cfg.plume, cfg.grid)
+        kernel = squared_snr_kernel(plume, grid)
 
     log = EpisodeLog(
         seed=cfg.seed,
@@ -233,25 +255,23 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
     for step in range(cfg.n_steps):
         # measure, in agent-id order, each on its own noise stream
         readings = [
-            sense(positions[i], source, cfg.plume, meas_rngs[i], step, i)
+            sense(positions[i], source, plume, meas_rngs[i], step, i)
             for i in range(cfg.n_agents)
         ]
         # broadcast: every reading reaches every agent before one shared update
-        belief = posterior_update(belief, readings, cfg.plume)
+        belief = posterior_update(belief, readings, plume)
         ig = info_gain_bits(belief, prior)
 
         scores = None
         if cfg.policy == POLICY_INFO:
-            scores = compute_score_map(
-                belief, cfg.plume, cfg.grid, cfg.tier, cfg.quad, prior, kernel
-            )
+            scores = compute_score_map(belief, plume, grid, cfg.tier, cfg.quad, prior, kernel)
         for i, position in enumerate(positions):
             if cfg.policy == POLICY_INFO:
                 target = select_next(scores, cfg.cost, position)
             elif cfg.policy == POLICY_COST_ONLY:
-                target = cost_only_policy(position, cfg.cost, policy_rngs[i], cfg.grid)
+                target = cost_only_policy(position, cfg.cost, policy_rngs[i], grid)
             else:
-                target = random_policy(policy_rngs[i], cfg.grid)
+                target = random_policy(policy_rngs[i], grid)
             paid = float(movement_cost(cfg.cost, position, np.asarray(target)))
             log.records.append(
                 StepRecord(

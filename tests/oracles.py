@@ -141,7 +141,7 @@ def per_agent_train(cfg):
 def per_agent_observe(env):
     """HybridEnv observations built one agent at a time."""
     cfg = env.cfg
-    g = cfg.grid
+    g = cfg.world.grid
     obs = np.zeros((cfg.n_agents, OBS_SIZE))
     span = np.array([g.x_max - g.x_min, g.y_max - g.y_min])
     origin = np.array([g.x_min, g.y_min])
@@ -149,7 +149,7 @@ def per_agent_observe(env):
     for i in range(cfg.n_agents):
         obs[i, 0:2] = (env._pos[i] - origin) / span
         obs[i, 2:4] = env._vel[i] / cfg.v_max
-        obs[i, 4:6] = np.clip(np.asarray(cfg.plume.wind) / cfg.w_max, -1.0, 1.0)
+        obs[i, 4:6] = np.clip(np.asarray(cfg.world.plume.wind) / cfg.w_max, -1.0, 1.0)
         obs[i, 6] = np.clip(env._last_m[i], 0.0, 1.0)
         obs[i, 7:9] = (env._estimates[i] - origin) / span
         obs[i, 9] = np.clip(env._igs[i] / max_ig, 0.0, 1.0) if max_ig > 0 else 0.0
@@ -167,7 +167,7 @@ def per_agent_rewards(env, actions, delta_ig_bits):
     for i, a in enumerate(actions):
         err = float(np.hypot(*(env._estimates[i] - env._source)))
         info = w.w_info * delta_ig_bits[i]
-        estimate = w.w_est * (1.0 - err / env.cfg.grid.diagonal)
+        estimate = w.w_est * (1.0 - err / env.cfg.world.grid.diagonal)
         out[i] = info + estimate - w.action_costs[int(a)]
     return out
 

@@ -272,7 +272,8 @@ def test_config_builds_working_sub_configs():
     cfg = parse_config(json.loads(json.dumps(TINY_RL)))
     sim = cfg.sim_config(seed=3, policy="random")
     assert sim.seed == 3 and sim.policy == "random"
-    assert sim.source_xy == (2.5, 2.5)
+    assert cfg.sim.world is cfg.train.env.world  # one world, checked once, for both engines
+    assert sim.world.source_xy == (2.5, 2.5)
     env = cfg.train.env
     assert env.n_agents == 2 and env.horizon == 8
     assert env.reward.action_cost(1) == 0.2
@@ -290,10 +291,10 @@ def test_bundled_config_round_trips_and_builds_jobs(path):
     seed = cfg.seeds[0]
     for policy in cfg.policies:
         sim = cfg.sim_config(seed, policy)
-        assert (sim.policy, sim.seed, sim.grid) == (policy, seed, cfg.grid)
+        assert (sim.policy, sim.seed, sim.world.grid) == (policy, seed, cfg.grid)
     for mode in MODES:
         tc = cfg.train_config(seed, mode)
-        assert (tc.mode, tc.seed, tc.env.grid) == (mode, seed, cfg.grid)
+        assert (tc.mode, tc.seed, tc.env.world.grid) == (mode, seed, cfg.grid)
 
 
 # every entry: (section, key, value) that must fail at load time
@@ -350,6 +351,9 @@ BAD_VALUES = [
     ("plume", "wind", ["1", "0"]),
     ("rl", "reward", {"action_costs": [True, 0, 0, 0, 0]}),
     ("grid", "a_cells", 4097),  # pitch ratio 64/4097: the snr-fft kernel cannot serve it
+    ("plume", "wind", [1, 0, 0]),
+    ("plume", "wind", 1.0),
+    ("rl", "reward", {"action_costs": 0.5}),
 ]
 
 
@@ -361,6 +365,19 @@ def test_bad_value_in_any_section_exits_2(tmp_path, capsys, command, section, ke
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload,key",
+    [
+        ({"plume": {"wind": [1, 0, 0]}}, "wind"),
+        ({"plume": {"wind": 1.0}}, "wind"),
+        ({"rl": {"reward": {"action_costs": 0.5}}}, "action_costs"),
+    ],
+)
+def test_wrong_shape_error_names_the_setting(payload, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(payload)
 
 
 def _numeric_leaves(node, path=()):

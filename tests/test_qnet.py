@@ -339,8 +339,9 @@ def test_replay_sampling_is_uniform():
 
 
 def test_replay_empty_and_bad_capacity():
-    with pytest.raises(ValueError):
-        ReplayBuffer(0)
+    for bad in (0, True, 2.5):
+        with pytest.raises(ValueError, match="capacity"):
+            ReplayBuffer(bad)
     buf = ReplayBuffer(3)
     with pytest.raises(ValueError):
         buf.sample(1, streams(0))

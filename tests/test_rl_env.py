@@ -23,6 +23,7 @@ from plumeseek.rl.env import (
     OBS_WIND,
     RewardWeights,
 )
+from plumeseek.swarm import World
 
 GRID = GridSpec(0.0, 4.0, 0.0, 4.0, 4, 4, 4, 4)
 PLUME = PlumeParams(kind=BLOB, strength=1.0, length_scale=1.0, noise_sigma=0.5)
@@ -31,7 +32,8 @@ PLUME = PlumeParams(kind=BLOB, strength=1.0, length_scale=1.0, noise_sigma=0.5)
 def make_env(**overrides):
     kwargs = dict(grid=GRID, plume=PLUME, n_agents=2, horizon=50, source_xy=(2.5, 2.5))
     kwargs.update(overrides)
-    return HybridEnv(HybridEnvConfig(**kwargs))
+    world = World(**{k: kwargs.pop(k) for k in World.__dataclass_fields__ if k in kwargs})
+    return HybridEnv(HybridEnvConfig(world=world, **kwargs))
 
 
 def meas_rng(seed, n_agents, agent):

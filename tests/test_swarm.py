@@ -17,6 +17,7 @@ from plumeseek.swarm import (
     POLICY_INFO,
     POLICY_RANDOM,
     SimConfig,
+    World,
     agent_streams,
     cost_only_policy,
     random_policy,
@@ -38,7 +39,8 @@ def small_config(policy=POLICY_RANDOM, seed=0, **overrides):
         seed=seed,
     )
     kwargs.update(overrides)
-    return SimConfig(**kwargs)
+    world = World(**{k: kwargs.pop(k) for k in World.__dataclass_fields__ if k in kwargs})
+    return SimConfig(world=world, **kwargs)
 
 
 def test_sim_config_validation():
@@ -90,14 +92,14 @@ def test_all_agents_share_one_belief():
     # replicate the loop manually to observe the agents mid-episode
     log = run_episode(cfg)
     # final posterior equals replaying all logged readings in order
-    post = uniform_posterior(cfg.grid)
+    post = uniform_posterior(cfg.world.grid)
     for step in range(cfg.n_steps):
         batch = [
             MeasurementRecord(x=r.x, y=r.y, value=r.m, step=r.step, agent_id=r.agent_id)
             for r in log.records
             if r.step == step
         ]
-        post = posterior_update(post, batch, cfg.plume)
+        post = posterior_update(post, batch, cfg.world.plume)
     assert np.allclose(post.log_probs, log.final_posterior.log_probs, atol=1e-12, rtol=0)
 
 
@@ -107,7 +109,7 @@ def test_logged_ig_matches_replay_from_csv(tmp_path):
     path = tmp_path / "episode.csv"
     log.to_csv(path)
     recs = read_episode_csv(path)
-    prior = uniform_posterior(cfg.grid)
+    prior = uniform_posterior(cfg.world.grid)
     post = prior
     by_step = {}
     for step in range(cfg.n_steps):
@@ -116,7 +118,7 @@ def test_logged_ig_matches_replay_from_csv(tmp_path):
             for r in recs
             if r.step == step
         ]
-        post = posterior_update(post, batch, cfg.plume)
+        post = posterior_update(post, batch, cfg.world.plume)
         by_step[step] = info_gain_bits(post, prior)
     for rec in recs:
         assert rec.ig_bits == pytest.approx(by_step[rec.step], abs=1e-9)
@@ -147,7 +149,7 @@ def test_fixed_source_is_respected_and_sampled_source_comes_from_prior():
     weights[10] = 1.0
     cfg2 = small_config(prior_weights=tuple(weights))
     log = run_episode(cfg2)
-    assert log.source_xy == cfg2.grid.src_cell_center(10)
+    assert log.source_xy == cfg2.world.grid.src_cell_center(10)
 
 
 def test_silent_world_yields_no_information():
@@ -235,15 +237,37 @@ def test_cost_only_policy_equals_movement_cost_oracle():
             assert cost_only_policy(pos, cm, got_rng, g) == want
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"source_xy": (1000.0, 1.0)},  # 992 units outside the 8-wide world
+        {"source_xy": (float("nan"), 1.0)},
+        {"source_xy": (True, 1.0)},
+        {"source_xy": ("1", 2)},
+        {"prior_weights": (1.0,) * 63},
+        {"prior_weights": (1.0,) * 63 + (-1.0,)},  # after positive mass: every entry is checked
+        {"prior_weights": (1.0,) * 63 + (float("nan"),)},
+        {"prior_weights": (True,) * 64},
+        {"prior_weights": (0.0,) * 64},
+    ],
+)
+def test_world_rejects_bad_source_and_prior_in_both_engines(bad):
+    grid, plume = GridSpec(0.0, 8.0, 0.0, 8.0, 8, 8, 8, 8), PlumeParams()
+    with pytest.raises(ValueError):
+        World(grid, plume, **bad)
+    with pytest.raises(ValueError):
+        run_episode(small_config(**bad))
+    with pytest.raises(ValueError):
+        HybridEnv(HybridEnvConfig(world=World(grid, plume, **bad))).reset(seed=0)
+
+
 def test_episode_and_rl_env_draw_the_same_world():
     # the world stream is child 0 of the seed in both layouts, and both draw
-    # the source and then the start positions from it in one shared helper
+    # the source and then the start positions from it through World.setup
     weights = tuple(np.arange(1.0, 65.0))
     cfg = small_config(n_agents=3, n_steps=1, seed=21, prior_weights=weights)
     log = run_episode(cfg)
-    env = HybridEnv(
-        HybridEnvConfig(grid=cfg.grid, plume=cfg.plume, n_agents=3, prior_weights=cfg.prior_weights)
-    )
+    env = HybridEnv(HybridEnvConfig(world=cfg.world, n_agents=3))
     env.reset(seed=21)
     assert tuple(env.source) == log.source_xy
     assert [(r.x, r.y) for r in log.records] == [tuple(p) for p in env.positions]

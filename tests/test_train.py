@@ -16,6 +16,7 @@ from plumeseek.rl.train import (
     read_curves_csv,
     train,
 )
+from plumeseek.swarm import World
 
 
 def tiny_train_config(mode=MODE_COMMUNICATING, seed=0, train_steps=30, **env_overrides):
@@ -27,8 +28,9 @@ def tiny_train_config(mode=MODE_COMMUNICATING, seed=0, train_steps=30, **env_ove
         source_xy=(2.5, 2.5),
     )
     env_kwargs.update(env_overrides)
+    world = World(**{k: env_kwargs.pop(k) for k in World.__dataclass_fields__ if k in env_kwargs})
     return TrainConfig(
-        env=HybridEnvConfig(**env_kwargs),
+        env=HybridEnvConfig(world=world, **env_kwargs),
         mode=mode,
         train_steps=train_steps,
         hidden=(8,),
