@@ -1,8 +1,8 @@
 """Per-agent control environment layered on the grid Bayes filter.
 
-Agents no longer follow the planner directly; a discrete action chooses
-between idling, moving toward the current best estimate, sensing, folding
-buffered readings into the belief, or pulling peers' freshest readings.
+A discrete action chooses between idling, moving toward the agent's MAP
+estimate of the source, sensing, folding its own unfolded readings into its
+belief, or pulling its peers' newest readings.
 Beliefs are per agent here, unlike the fully shared heuristic episodes, so
 communication is a real choice with a real price.
 """
@@ -82,9 +82,6 @@ class RewardWeights:
         for cost in self.action_costs:
             check_number("action_costs", cost)
 
-    def action_cost(self, action: int) -> float:
-        return self.action_costs[int(action)]
-
 
 @dataclass(frozen=True)
 class HybridEnvConfig:
@@ -96,7 +93,7 @@ class HybridEnvConfig:
     v_max: float = 1.0
     dt: float = 1.0
     w_max: float = 1.0        # wind normalization scale for observations
-    buffer_capacity: int = 4  # unfolded readings kept per agent
+    buffer_capacity: int = 4  # newest readings kept per agent
     reward: RewardWeights = field(default_factory=RewardWeights)
 
     def __post_init__(self):
@@ -120,6 +117,7 @@ class HybridEnv:
         self._span = np.array([g.x_max - g.x_min, g.y_max - g.y_min])
         self._wind_obs = np.clip(np.asarray(self._plume.wind) / cfg.w_max, -1.0, 1.0)
         self._max_ig = np.log2(g.n_src_cells)
+        self._costs = np.asarray(cfg.reward.action_costs, dtype=float)
 
     @property
     def prior(self) -> SourcePosterior:
@@ -147,19 +145,17 @@ class HybridEnv:
 
     def reset(self, seed: int = 0) -> np.ndarray:
         cfg = self.cfg
-        ss = np.random.SeedSequence(seed)
-        children = ss.spawn(1 + cfg.n_agents)
+        seed = check_number("seed", seed, low=0, integer=True)
+        children = np.random.SeedSequence(seed).spawn(1 + cfg.n_agents)
         world = np.random.default_rng(children[0])
         self._meas_rngs = [np.random.default_rng(c) for c in children[1:]]
         self._prior, self._source, self._pos = cfg.world.setup(world, cfg.n_agents)
         self._vel = np.zeros((cfg.n_agents, 2))
         self._beliefs = [self._prior] * cfg.n_agents
-        self._buffers = [deque(maxlen=cfg.buffer_capacity) for _ in range(cfg.n_agents)]
-        self._latest: list[tuple[int, MeasurementRecord] | None] = [None] * cfg.n_agents
-        self._next_meas_id = 1
-        # consumed[i, j]: id of agent j's newest reading already folded into i
-        self._consumed = np.zeros((cfg.n_agents, cfg.n_agents), dtype=int)
-        self._last_m = np.zeros(cfg.n_agents)
+        # readings[i]: agent i's newest readings, oldest first, named by (agent_id, step);
+        # seen[i, j]: the step of agent j's newest reading that i folded or passed over
+        self._readings = [deque(maxlen=cfg.buffer_capacity) for _ in range(cfg.n_agents)]
+        self._seen = np.full((cfg.n_agents, cfg.n_agents), -1, dtype=int)
         self._last_action = np.full(cfg.n_agents, -1, dtype=int)
         self._repeat_count = np.zeros(cfg.n_agents, dtype=int)
         self._moved_since_measure = np.zeros(cfg.n_agents, dtype=bool)
@@ -201,35 +197,26 @@ class HybridEnv:
 
     def _do_measure(self, i: int) -> None:
         rec = sense(self._pos[i], self._source, self._plume, self._meas_rngs[i], self.t, i)
-        self._buffers[i].append(rec)  # a full buffer drops its oldest reading
-        self._latest[i] = (self._next_meas_id, rec)
-        self._next_meas_id += 1
-        self._last_m[i] = rec.value
+        self._readings[i].append(rec)
         self._moved_since_measure[i] = False
 
-    def _refresh_belief_stats(self, i: int) -> None:
+    def _fold(self, i: int, readings: list[MeasurementRecord]) -> None:
+        """Mark readings seen by agent i and fold them in; with none, the belief stays put."""
+        if not readings:
+            return
+        for rec in readings:
+            self._seen[i, rec.agent_id] = rec.step
+        self._beliefs[i] = posterior_update(self._beliefs[i], readings, self._plume)
         self._igs[i] = info_gain_bits(self._beliefs[i], self._prior)
         self._estimates[i] = map_estimate(self._beliefs[i])[1]
 
     def _do_update(self, i: int) -> None:
-        if not self._buffers[i]:
-            return
-        self._beliefs[i] = posterior_update(self._beliefs[i], self._buffers[i], self._plume)
-        self._buffers[i].clear()
-        self._refresh_belief_stats(i)
+        self._fold(i, [r for r in self._readings[i] if r.step > self._seen[i, i]])
 
     def _do_communicate(self, i: int) -> None:
-        fresh = []
-        for j in range(self.cfg.n_agents):
-            if j == i or self._latest[j] is None:
-                continue
-            mid, rec = self._latest[j]
-            if mid > self._consumed[i, j]:  # each reading is evidence once
-                fresh.append(rec)
-                self._consumed[i, j] = mid
-        if fresh:
-            self._beliefs[i] = posterior_update(self._beliefs[i], fresh, self._plume)
-            self._refresh_belief_stats(i)
+        # each peer's newest reading only, each reading evidence once
+        newest = [r[-1] for j, r in enumerate(self._readings) if j != i and r]
+        self._fold(i, [r for r in newest if r.step > self._seen[i, r.agent_id]])
 
     # indexed by Action: do-nothing, move, measure, update, communicate
     _HANDLERS = (_do_nothing, _do_move, _do_measure, _do_update, _do_communicate)
@@ -246,10 +233,7 @@ class HybridEnv:
         prev_ig = self._igs.copy()
         for i, a in enumerate(actions):  # effects resolve in agent-id order
             self._HANDLERS[a](self, i)
-            if a == self._last_action[i]:
-                self._repeat_count[i] += 1
-            else:
-                self._repeat_count[i] = 1
+            self._repeat_count[i] = self._repeat_count[i] + 1 if a == self._last_action[i] else 1
             self._last_action[i] = a
 
         info, estimate, action_cost = self.reward_components(actions, self._igs - prev_ig)
@@ -267,7 +251,7 @@ class HybridEnv:
         return (
             w.w_info * np.asarray(delta_ig_bits, dtype=float),
             w.w_est * (1.0 - err / self._grid.diagonal),
-            np.array([w.action_cost(a) for a in actions]),
+            self._costs[actions],
         )
 
     def _observe(self) -> np.ndarray:
@@ -276,7 +260,7 @@ class HybridEnv:
         obs[:, OBS_POS] = (self._pos - self._origin) / self._span
         obs[:, OBS_VEL] = self._vel / cfg.v_max
         obs[:, OBS_WIND] = self._wind_obs
-        obs[:, OBS_LAST_M] = np.clip(self._last_m, 0.0, 1.0)
+        obs[:, OBS_LAST_M] = np.clip([r[-1].value if r else 0.0 for r in self._readings], 0.0, 1.0)
         obs[:, OBS_ESTIMATE] = (self._estimates - self._origin) / self._span
         if self._max_ig > 0:
             obs[:, OBS_IG] = np.clip(self._igs / self._max_ig, 0.0, 1.0)

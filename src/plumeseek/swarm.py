@@ -57,16 +57,18 @@ class World:
     prior_weights: tuple | None = None
 
     def __post_init__(self):
-        g = self.grid
-        if self.source_xy is not None:
-            x, y = self.source_xy
-            x = float(check_number("sim.source.x", x, g.x_min, g.x_max))
-            y = float(check_number("sim.source.y", y, g.y_min, g.y_max))
+        g, source = self.grid, self.source_xy
+        if source is not None:
+            if not isinstance(source, (tuple, list, np.ndarray)) or len(source) != 2:
+                raise ValueError(f"sim.source must be a pair (x, y), got {source!r}")
+            x = float(check_number("sim.source.x", source[0], g.x_min, g.x_max))
+            y = float(check_number("sim.source.y", source[1], g.y_min, g.y_max))
             object.__setattr__(self, "source_xy", (x, y))
-        if self.prior_weights is not None:
-            if len(self.prior_weights) != g.n_src_cells:
+        prior = self.prior_weights
+        if prior is not None:
+            if not isinstance(prior, (tuple, list, np.ndarray)) or len(prior) != g.n_src_cells:
                 raise ValueError(f"prior.values must list {g.n_src_cells} weights (row-major)")
-            if not any([check_number("prior.values", w, low=0.0) for w in self.prior_weights]):
+            if not any([check_number("prior.values", w, low=0.0) for w in prior]):
                 raise ValueError("prior.values must have positive mass")
 
     def setup(self, world_rng: np.random.Generator, n_agents: int):

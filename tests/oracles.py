@@ -3,18 +3,27 @@
 Most mirror the per-agent code that a batched version replaced: the
 list-of-Transition replay ring, the 2-D TD step, the per-agent training
 loop with one Q-net, target and buffer per agent, the per-agent
-observation loop and the per-agent reward. The rest are direct sums, the
+observation loop and the per-agent reward. The buffer ledger keeps
+`HybridEnv`'s readings as it first did, in three structures. The rest are direct sums, the
 inline reading formula that `swarm.sense` replaced, and the plume and
 likelihood closed forms written as plain expressions, one fresh array per
 operation, for the in-place versions in `field` and `belief`. They share
 no arithmetic with the code under test, so a change there that moves a
 bit shows up against them.
 """
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
 
-from plumeseek.belief import LOG_2, LOGLIK_FLOOR, MeasurementRecord
+from plumeseek.belief import (
+    LOG_2,
+    LOGLIK_FLOOR,
+    MeasurementRecord,
+    info_gain_bits,
+    map_estimate,
+    posterior_update,
+)
 from plumeseek.field import BLOB, concentration
 from plumeseek.rl.env import OBS_LAST_ACTION, OBS_SIZE, Action, HybridEnv, N_ACTIONS
 from plumeseek.rl.qnet import Batch, QNet, epsilon
@@ -150,7 +159,7 @@ def per_agent_observe(env):
         obs[i, 0:2] = (env._pos[i] - origin) / span
         obs[i, 2:4] = env._vel[i] / cfg.v_max
         obs[i, 4:6] = np.clip(np.asarray(cfg.world.plume.wind) / cfg.w_max, -1.0, 1.0)
-        obs[i, 6] = np.clip(env._last_m[i], 0.0, 1.0)
+        obs[i, 6] = np.clip(env._readings[i][-1].value if env._readings[i] else 0.0, 0.0, 1.0)
         obs[i, 7:9] = (env._estimates[i] - origin) / span
         obs[i, 9] = np.clip(env._igs[i] / max_ig, 0.0, 1.0) if max_ig > 0 else 0.0
         obs[i, 10] = float(env._moved_since_measure[i])
@@ -170,6 +179,75 @@ def per_agent_rewards(env, actions, delta_ig_bits):
         estimate = w.w_est * (1.0 - err / env.cfg.world.grid.diagonal)
         out[i] = info + estimate - w.action_costs[int(a)]
     return out
+
+
+class BufferLedgerOracle:
+    """HybridEnv's reading bookkeeping as it was first written, run beside an env.
+
+    Per agent: a deque of unfolded readings that update clears, the
+    (id, record) of the newest reading under a global id counter, and an
+    n x n matrix of the newest reading id each agent consumed from each peer.
+    It takes each new record from the env and folds with posterior_update
+    itself. Call step(env, actions) after each env.step(actions).
+    """
+
+    def __init__(self, env):
+        n, cap = env.cfg.n_agents, env.cfg.buffer_capacity
+        self.prior, self.plume = env.prior, env.cfg.world.plume
+        self.beliefs = [env.prior] * n
+        self.buffers = [deque(maxlen=cap) for _ in range(n)]
+        self.latest = [None] * n
+        self.next_id = 1
+        self.consumed = np.zeros((n, n), dtype=int)
+        self.last_m = np.zeros(n)
+        self.igs = np.zeros(n)
+        self.estimates = np.tile(map_estimate(env.prior)[1], (n, 1))
+        self.rewards = None
+
+    def _fold(self, i, records):
+        self.beliefs[i] = posterior_update(self.beliefs[i], records, self.plume)
+        self.igs[i] = info_gain_bits(self.beliefs[i], self.prior)
+        self.estimates[i] = map_estimate(self.beliefs[i])[1]
+
+    def step(self, env, actions):
+        prev_ig = self.igs.copy()
+        for i, a in enumerate(actions):
+            if a == Action.MEASURE:
+                rec = env._readings[i][-1]
+                assert (rec.agent_id, rec.step) == (i, env.t - 1)
+                self.buffers[i].append(rec)
+                self.latest[i] = (self.next_id, rec)
+                self.next_id += 1
+                self.last_m[i] = rec.value
+            elif a == Action.UPDATE and self.buffers[i]:
+                self._fold(i, list(self.buffers[i]))
+                self.buffers[i].clear()
+            elif a == Action.COMMUNICATE:
+                fresh = []
+                for j, latest in enumerate(self.latest):
+                    if j != i and latest is not None and latest[0] > self.consumed[i, j]:
+                        fresh.append(latest[1])
+                        self.consumed[i, j] = latest[0]
+                if fresh:
+                    self._fold(i, fresh)
+        w, diag = env.cfg.reward, env.cfg.world.grid.diagonal
+        self.rewards = np.empty(len(actions))
+        for i, a in enumerate(actions):
+            err = float(np.hypot(*(self.estimates[i] - env._source)))
+            estimate = w.w_est * (1.0 - err / diag)
+            self.rewards[i] = w.w_info * (self.igs[i] - prev_ig[i]) + estimate - w.action_costs[a]
+
+    def observe(self, env):
+        """env's observation: the ledger's last reading, estimate and IG, the rest per agent."""
+        g = env.cfg.world.grid
+        obs = per_agent_observe(env)
+        max_ig = np.log2(g.n_src_cells)
+        for i in range(env.cfg.n_agents):
+            obs[i, 6] = np.clip(self.last_m[i], 0.0, 1.0)
+            obs[i, 7] = (self.estimates[i, 0] - g.x_min) / (g.x_max - g.x_min)
+            obs[i, 8] = (self.estimates[i, 1] - g.y_min) / (g.y_max - g.y_min)
+            obs[i, 9] = np.clip(self.igs[i] / max_ig, 0.0, 1.0) if max_ig > 0 else 0.0
+        return obs
 
 
 def inline_reading(position, source, plume, rng, step, agent_id):

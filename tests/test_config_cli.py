@@ -276,7 +276,7 @@ def test_config_builds_working_sub_configs():
     assert sim.world.source_xy == (2.5, 2.5)
     env = cfg.train.env
     assert env.n_agents == 2 and env.horizon == 8
-    assert env.reward.action_cost(1) == 0.2
+    assert env.reward.action_costs[1] == 0.2
     tc = cfg.train_config(seed=1, mode="individual")
     assert tc.hidden == (8,) and tc.seed == 1
 

@@ -1,7 +1,7 @@
 """Discrete-control environment: actions, observations, rewards, streams."""
 import numpy as np
 import pytest
-from oracles import per_agent_observe, per_agent_rewards
+from oracles import BufferLedgerOracle, per_agent_observe, per_agent_rewards
 
 from plumeseek.belief import MeasurementRecord, posterior_update
 from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams
@@ -65,6 +65,10 @@ def test_env_config_validation():
         make_env(damping=1.5)
     with pytest.raises(ValueError):
         make_env(buffer_capacity=0)
+    env = make_env()
+    for seed in (True, 2.5, "3", -1):  # a bool, a float, a string and a negative
+        with pytest.raises(ValueError, match="seed"):
+            env.reset(seed=seed)
 
 
 def test_action_enum_is_stable():
@@ -392,7 +396,7 @@ def test_reward_components_hand_example():
 
 def test_reward_weights_price_each_action():
     w = RewardWeights(action_costs=(0.0, 0.2, 0.1, 0.1, 0.3))
-    assert [w.action_cost(a) for a in Action] == [0.0, 0.2, 0.1, 0.1, 0.3]
+    assert [w.action_costs[a] for a in Action] == [0.0, 0.2, 0.1, 0.1, 0.3]
 
 
 def test_step_reward_is_component_sum():
@@ -444,3 +448,100 @@ def test_scripted_episode_shifts_from_information_to_exploitation():
     assert ig_before > 2.0  # learned most of the four available bits
     assert errors[-1] <= errors[0]
     assert np.mean(deltas[-5:]) < np.mean(deltas[:5])
+
+
+# -- reading ledger ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "seed,n_agents,capacity,grid",
+    [
+        (0, 1, 1, GRID),
+        (1, 2, 3, GRID),
+        (2, 3, 2, GridSpec(-3.0, 5.0, 1.0, 7.0, 8, 6, 4, 3)),
+        (3, 4, 1, GRID),
+        (4, 4, 3, GridSpec(-3.0, 5.0, 1.0, 7.0, 8, 6, 4, 3)),
+        (5, 3, 1, GRID),
+    ],
+)
+def test_reading_ledger_matches_buffer_ledger_oracle(seed, n_agents, capacity, grid):
+    # the oracle keeps the readings in a buffer cleared on update, an (id, record)
+    # latest reading and an id-consumed matrix, and folds them itself
+    env = make_env(
+        n_agents=n_agents, buffer_capacity=capacity, grid=grid, horizon=48, source_xy=None
+    )
+    env.reset(seed=seed)
+    oracle = BufferLedgerOracle(env)
+    # measure, update and communicate weigh most, so buffers fill and overflow
+    p = np.array([0.1, 0.1, 0.35, 0.2, 0.25])
+    rng = np.random.default_rng(100 + seed)
+    done = False
+    while not done:
+        actions = rng.choice(N_ACTIONS, size=n_agents, p=p)
+        obs, rewards, done = env.step(actions)
+        oracle.step(env, actions)
+        for got, want in zip(env.beliefs, oracle.beliefs):
+            assert np.array_equal(got.log_probs, want.log_probs)
+        assert np.array_equal(obs, oracle.observe(env))
+        assert np.array_equal(rewards, oracle.rewards)
+    assert oracle.next_id > n_agents  # readings were taken, so the ledgers were exercised
+
+
+def test_communicate_pulls_only_the_peers_newest_reading():
+    env = make_env()
+    env.reset(seed=20)
+    pos = env.positions[1].copy()
+    env.step([NOTHING, MEASURE])
+    env.step([NOTHING, MEASURE])
+    env.step([COMM, NOTHING])
+    from plumeseek.field import concentration
+
+    f = float(concentration(pos, env.source, PLUME))
+    rng = meas_rng(20, 2, 1)
+    ms = [f + PLUME.noise_sigma * float(rng.standard_normal()) for _ in range(2)]
+    newest = MeasurementRecord(x=pos[0], y=pos[1], value=ms[1], step=1, agent_id=1)
+    want = posterior_update(env.prior, [newest], PLUME)
+    assert np.array_equal(env.beliefs[0].log_probs, want.log_probs)
+    # the older reading was passed over: a second communicate folds nothing
+    pulled = env.beliefs[0]
+    env.step([COMM, NOTHING])
+    assert env.beliefs[0] is pulled
+
+
+def test_reading_dropped_from_a_full_buffer_is_never_folded():
+    env = make_env(buffer_capacity=1)
+    env.reset(seed=21)
+    pos = env.positions[0].copy()
+    env.step([MEASURE, NOTHING])  # step 0
+    env.step([UPDATE, NOTHING])
+    env.step([MEASURE, NOTHING])  # step 2: dropped when step 3's reading arrives
+    env.step([MEASURE, NOTHING])  # step 3
+    env.step([UPDATE, NOTHING])
+    from plumeseek.field import concentration
+
+    f = float(concentration(pos, env.source, PLUME))
+    rng = meas_rng(21, 2, 0)
+    m0, _, m3 = (f + PLUME.noise_sigma * float(rng.standard_normal()) for _ in range(3))
+    r0, r3 = (
+        MeasurementRecord(x=pos[0], y=pos[1], value=m, step=t, agent_id=0)
+        for m, t in ((m0, 0), (m3, 3))
+    )
+    want = posterior_update(posterior_update(env.prior, [r0], PLUME), [r3], PLUME)
+    assert np.array_equal(env.beliefs[0].log_probs, want.log_probs)
+    folded = env.beliefs[0]
+    for _ in range(3):
+        env.step([UPDATE, NOTHING])
+        assert env.beliefs[0] is folded
+
+
+def test_readings_stay_bounded_by_buffer_capacity():
+    env = make_env(n_agents=3, buffer_capacity=2, horizon=40)
+    env.reset(seed=22)
+    done = False
+    while not done:
+        _, _, done = env.step([MEASURE] * 3)
+        assert all(len(r) <= 2 for r in env._readings)
+    # each agent holds exactly its two newest readings
+    assert [[(r.agent_id, r.step) for r in rs] for rs in env._readings] == [
+        [(i, 38), (i, 39)] for i in range(3)
+    ]

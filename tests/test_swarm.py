@@ -249,15 +249,20 @@ def test_cost_only_policy_equals_movement_cost_oracle():
         {"prior_weights": (1.0,) * 63 + (float("nan"),)},
         {"prior_weights": (True,) * 64},
         {"prior_weights": (0.0,) * 64},
+        {"source_xy": (1.0,)},  # wrong shapes: the error still names the setting
+        {"source_xy": (1.0, 2.0, 3.0)},
+        {"source_xy": 1.0},
+        {"prior_weights": 1.0},
     ],
 )
 def test_world_rejects_bad_source_and_prior_in_both_engines(bad):
     grid, plume = GridSpec(0.0, 8.0, 0.0, 8.0, 8, 8, 8, 8), PlumeParams()
-    with pytest.raises(ValueError):
+    setting = "sim.source" if "source_xy" in bad else "prior.values"
+    with pytest.raises(ValueError, match=setting):
         World(grid, plume, **bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=setting):
         run_episode(small_config(**bad))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=setting):
         HybridEnv(HybridEnvConfig(world=World(grid, plume, **bad))).reset(seed=0)
 
 
