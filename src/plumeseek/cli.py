@@ -34,9 +34,11 @@ def _echo_config(cfg: RunConfig) -> None:
 
 
 def _refuse_nonempty(out_dir: Path, force: bool) -> None:
-    if force:
-        return
-    if out_dir.exists() and any(out_dir.iterdir()):
+    """Refuse an --out that is or lies under a non-directory, and a non-empty one unless forced."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output path {existing} is not a directory")
+    if not force and out_dir.exists() and any(out_dir.iterdir()):
         raise ConfigError(
             f"output directory {out_dir} is not empty; pass --force to overwrite"
         )

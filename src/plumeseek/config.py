@@ -213,7 +213,9 @@ def load_config(path) -> RunConfig:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text())
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
     return parse_config(raw)

@@ -114,6 +114,7 @@ class HybridEnv:
         self._plume = cfg.world.plume
         # observation scales, fixed by cfg
         self._origin = np.array([g.x_min, g.y_min])
+        self._corner = np.array([g.x_max, g.y_max])
         self._span = np.array([g.x_max - g.x_min, g.y_max - g.y_min])
         self._wind_obs = np.clip(np.asarray(self._plume.wind) / cfg.w_max, -1.0, 1.0)
         self._max_ig = np.log2(g.n_src_cells)
@@ -182,16 +183,9 @@ class HybridEnv:
             v *= cfg.v_max / speed
         pos = self._pos[i] + v * cfg.dt
         # walls are sticky: clamp and zero the offending velocity component
-        for axis, (lo, hi) in enumerate(
-            ((self._grid.x_min, self._grid.x_max), (self._grid.y_min, self._grid.y_max))
-        ):
-            if pos[axis] < lo:
-                pos[axis] = lo
-                v[axis] = 0.0
-            elif pos[axis] > hi:
-                pos[axis] = hi
-                v[axis] = 0.0
-        self._pos[i] = pos
+        clamped = np.clip(pos, self._origin, self._corner)
+        v[clamped != pos] = 0.0
+        self._pos[i] = clamped
         self._vel[i] = v
         self._moved_since_measure[i] = True
 

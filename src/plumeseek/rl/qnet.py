@@ -35,11 +35,10 @@ class QNet:
     agent's slice of a team computes exactly what its own net would.
     """
 
-    def __init__(self, sizes=(17, 64, 64, 5), rng: np.random.Generator | None = None):
+    def __init__(self, sizes, rng: np.random.Generator):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.sizes = tuple(int(s) for s in sizes)
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +39,6 @@ POLICY_INFO = "info"
 POLICY_COST_ONLY = "cost-only"
 POLICY_RANDOM = "random"
 POLICIES = (POLICY_INFO, POLICY_COST_ONLY, POLICY_RANDOM)
-
-EPISODE_CSV_COLUMNS = ("step", "agent_id", "x", "y", "m", "ig_bits", "cost")
 
 
 @dataclass(frozen=True)
@@ -116,9 +115,13 @@ class SimConfig:
             self.world.grid.lattice_strides()
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One agent's slice of one step: where it measured and what came of it."""
+class StepRecord(NamedTuple):
+    """One agent's slice of one step, and one row of the episode CSV, in this order.
+
+    (x, y) is where the agent measured and m what it read; ig_bits is the
+    shared info gain after the step's update, and cost what the agent paid to
+    move to its next target, which is its (x, y) at the next step.
+    """
 
     step: int
     agent_id: int
@@ -127,8 +130,6 @@ class StepRecord:
     m: float
     ig_bits: float
     cost: float
-    next_x: float
-    next_y: float
 
 
 def ig_by_step(records, n_steps: int) -> np.ndarray:
@@ -156,21 +157,11 @@ class EpisodeLog:
         return ig_by_step(self.records, self.n_steps)
 
     def to_csv(self, path) -> None:
+        """Write the records under a StepRecord._fields header; floats as repr, so exact."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(EPISODE_CSV_COLUMNS)
-            for r in self.records:
-                writer.writerow(
-                    [
-                        r.step,
-                        r.agent_id,
-                        repr(r.x),
-                        repr(r.y),
-                        repr(r.m),
-                        repr(r.ig_bits),
-                        repr(r.cost),
-                    ]
-                )
+            writer.writerow(StepRecord._fields)
+            writer.writerows(self.records)
 
     def summary(self, ig_thresholds=(10.0,)) -> dict:
         out = {
@@ -275,19 +266,8 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
             else:
                 target = random_policy(policy_rngs[i], grid)
             paid = float(movement_cost(cfg.cost, position, np.asarray(target)))
-            log.records.append(
-                StepRecord(
-                    step=step,
-                    agent_id=i,
-                    x=float(position[0]),
-                    y=float(position[1]),
-                    m=readings[i].value,
-                    ig_bits=ig,
-                    cost=paid,
-                    next_x=float(target[0]),
-                    next_y=float(target[1]),
-                )
-            )
+            x, y = float(position[0]), float(position[1])
+            log.records.append(StepRecord(step, i, x, y, readings[i].value, ig, paid))
             log.cumulative_cost += paid
             positions[i] = target
 
@@ -304,21 +284,15 @@ def steps_to_ig(log: EpisodeLog, threshold_bits: float) -> int | None:
 
 
 def read_episode_csv(path) -> list[StepRecord]:
-    """Parse an episode CSV back into step records (next_* not stored)."""
-    out = []
+    """The step records an episode CSV was written from, equal to the log's own.
+
+    Raises ValueError naming the file if its header is not StepRecord._fields.
+    """
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                StepRecord(
-                    step=int(row["step"]),
-                    agent_id=int(row["agent_id"]),
-                    x=float(row["x"]),
-                    y=float(row["y"]),
-                    m=float(row["m"]),
-                    ig_bits=float(row["ig_bits"]),
-                    cost=float(row["cost"]),
-                    next_x=float("nan"),
-                    next_y=float("nan"),
-                )
+        rows = csv.reader(fh)
+        header = tuple(next(rows, ()))
+        if header != StepRecord._fields:
+            raise ValueError(
+                f"{path}: episode CSV header {list(header)} is not {list(StepRecord._fields)}"
             )
-    return out
+        return [StepRecord(int(s), int(a), *map(float, rest)) for s, a, *rest in rows]

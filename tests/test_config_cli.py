@@ -448,6 +448,10 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(bad)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"sim": {"policies": ["caf\u00e9"]}}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match="latin1.json: not UTF-8 text"):
+        load_config(latin1)
 
 
 def test_tier_budget_gate():
@@ -624,6 +628,11 @@ def test_simulate_invalid_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", missing, "--out", str(tmp_path / "o")]) == 2
     bad = write_config(tmp_path, {"planner": {"tier": "psychic"}}, name="bad.json")
     assert main(["simulate", "--config", bad, "--out", str(tmp_path / "o2")]) == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"sim": {"n_agents": 2}} \xe9')
+    assert main(["simulate", "--config", str(latin1), "--out", str(tmp_path / "o3")]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "o3").exists()
 
 
 def test_simulate_exact_tier_budget_respected(tmp_path):
@@ -635,11 +644,28 @@ def test_simulate_exact_tier_budget_respected(tmp_path):
 
 
 def test_simulate_runtime_failure_exits_3(tmp_path, capsys):
+    # --out itself is fine; a file where a policy's directory must go inside
+    # it is found only when the run writes there
     cfg_path = write_config(tmp_path, TINY_SIM)
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "info").write_text("a file where a directory must go")
+    assert main(["simulate", "--config", cfg_path, "--out", str(out), "--force"]) == 3
+    assert "runtime failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "bench"])
+@pytest.mark.parametrize("under", [False, True])
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_out_that_is_or_lies_under_a_file_exits_2(tmp_path, capsys, command, under, force):
+    cfg_path = write_config(tmp_path, TINY_RL if command == "train" else TINY_SIM)
     blocker = tmp_path / "blocker"
     blocker.write_text("a file where a directory must go")
-    assert main(["simulate", "--config", cfg_path, "--out", str(blocker)]) == 3
-    assert "runtime failure" in capsys.readouterr().err
+    out = blocker / "run" if under else blocker
+    extra = ["--sizes", "8", "--repeats", "1"] if command == "bench" else []
+    assert main([command, "--config", cfg_path, "--out", str(out), *force, *extra]) == 2
+    assert f"output path {blocker} is not a directory" in capsys.readouterr().err
+    assert blocker.read_text() == "a file where a directory must go"
 
 
 # -- CLI: train --------------------------------------------------------------------------

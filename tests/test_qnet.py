@@ -60,7 +60,14 @@ def test_init_is_seeded_and_biases_start_at_zero():
 
 def test_qnet_rejects_too_few_layers():
     with pytest.raises(ValueError):
-        QNet((5,))
+        QNet((5,), np.random.default_rng(0))
+
+
+def test_qnet_has_no_default_sizes_or_seed():
+    with pytest.raises(TypeError):
+        QNet()
+    with pytest.raises(TypeError):
+        QNet((3, 4, 2))
 
 
 # -- gradients ---------------------------------------------------------------------
@@ -216,7 +223,7 @@ def test_team_agent_views_save_the_single_net_checkpoint(tmp_path):
         team.agent(i).save(tmp_path / f"view{i}.json")
         assert (tmp_path / f"own{i}.json").read_bytes() == (tmp_path / f"view{i}.json").read_bytes()
     with pytest.raises(ValueError):
-        QNet.stack([nets[0], QNet((4, 5, 3))])
+        QNet.stack([nets[0], QNet((4, 5, 3), np.random.default_rng(52))])
 
 
 # -- clone / sync / checkpoints ---------------------------------------------------------

@@ -17,6 +17,7 @@ from plumeseek.swarm import (
     POLICY_INFO,
     POLICY_RANDOM,
     SimConfig,
+    StepRecord,
     World,
     agent_streams,
     cost_only_policy,
@@ -74,9 +75,9 @@ def test_adding_agents_does_not_perturb_existing_streams():
     small_recs = {(r.step, r.agent_id): r for r in small.records}
     big_recs = {(r.step, r.agent_id): r for r in big.records}
     for key, rec in small_recs.items():
-        twin = big_recs[key]
-        assert (twin.x, twin.y, twin.m) == (rec.x, rec.y, rec.m)
-        assert (twin.next_x, twin.next_y) == (rec.next_x, rec.next_y)
+        # ig_bits is the team's shared gain; x, y, m and cost (the price of the
+        # move to the next target, the last step's included) are the agent's own
+        assert big_recs[key]._replace(ig_bits=rec.ig_bits) == rec
 
 
 def test_world_stream_sets_source_before_positions():
@@ -125,15 +126,22 @@ def test_logged_ig_matches_replay_from_csv(tmp_path):
 
 
 def test_csv_round_trip_preserves_values(tmp_path):
-    log = run_episode(small_config(seed=7))
+    for policy in (POLICY_INFO, POLICY_COST_ONLY, POLICY_RANDOM):
+        log = run_episode(small_config(policy=policy, seed=7))
+        path = tmp_path / f"{policy}.csv"
+        log.to_csv(path)
+        assert path.read_text().splitlines()[0] == ",".join(StepRecord._fields)
+        assert read_episode_csv(path) == log.records
+
+
+@pytest.mark.parametrize(
+    "header", ["", "step,agent_id,x,y,m,ig_bits", "step,agent_id,x,y,m,ig_bits,cost,next_x"]
+)
+def test_csv_with_another_header_is_refused(tmp_path, header):
     path = tmp_path / "episode.csv"
-    log.to_csv(path)
-    recs = read_episode_csv(path)
-    assert len(recs) == len(log.records)
-    for got, want in zip(recs, log.records):
-        assert (got.step, got.agent_id) == (want.step, want.agent_id)
-        assert got.x == want.x and got.y == want.y and got.m == want.m
-        assert got.ig_bits == want.ig_bits and got.cost == want.cost
+    path.write_text(header + "\n" if header else "")
+    with pytest.raises(ValueError, match="episode.csv: episode CSV header"):
+        read_episode_csv(path)
 
 
 def test_cumulative_cost_sums_record_costs():
@@ -191,9 +199,7 @@ def test_info_policy_with_fft_matches_bruteforce_tier(monkeypatch):
         lambda post, params, grid, *rest: snr_score_map_bruteforce(post, params, grid),
     )
     b = run_episode(small_config(policy=POLICY_INFO, tier=TIER_SNR_FFT, seed=9))
-    for ra, rb in zip(a.records, b.records):
-        assert (ra.x, ra.y, ra.m) == (rb.x, rb.y, rb.m)
-        assert (ra.next_x, ra.next_y) == (rb.next_x, rb.next_y)
+    assert a.records == b.records
 
 
 def test_random_policy_is_uniform_over_cells():
