@@ -12,6 +12,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .config import ConfigError, RunConfig, check_seeds, check_tier_budget, load
 from .field import GridSpec, squared_snr_kernel
 from .planner import snr_score_map_bruteforce, snr_score_map_fft
 from .rl.train import MODES, curves_to_csv, read_curves_csv, train
-from .swarm import POLICIES, ig_by_step, read_episode_csv, run_episode
-from .svgplot import PALETTE, Series, line_chart, write_svg
+from .swarm import POLICIES, ig_by_step, read_episode_csv, run_episode, write_rows
+from .svgplot import PALETTE, Series, line_chart
 
 POLICY_COLORS = {"info": "#1f77b4", "cost-only": "#ff7f0e", "random": "#2ca02c"}
 MODE_COLORS = {"individual": "#d62728", "communicating": "#1f77b4"}
@@ -100,7 +101,7 @@ def _write_chart(path: Path, series, **labels) -> str | None:
     """Write series as a line chart to path and return its name; None, and no file, if none."""
     if not series:
         return None
-    write_svg(path, line_chart(series, **labels))
+    path.write_text(line_chart(series, **labels))
     return path.name
 
 
@@ -143,7 +144,7 @@ def _train_job(args):
     curves_to_csv(result, out / f"curves_{mode}_{seed}.csv")
     for j, net in enumerate(result.nets):
         net.save(out / f"qnet_{mode}_{seed}_agent{j}.json")
-    mean_curve = result.curves.mean(axis=1) if result.curves.size else np.zeros(0)
+    mean_curve = result.curves.mean(axis=1)
     quarter = max(1, len(mean_curve) // 4)
     return {
         "mode": mode,
@@ -193,6 +194,14 @@ def cmd_train(ns) -> int:
     )
 
 
+class BenchRow(NamedTuple):
+    """One row of bench.csv: a grid side and the median FFT and brute-force score-map times."""
+
+    size: int
+    fft_ms: float
+    brute_ms: float
+
+
 def bench_grid(side: int, world: float = 64.0) -> GridSpec:
     return GridSpec(0.0, world, 0.0, world, side, side, side, side)
 
@@ -234,13 +243,10 @@ def cmd_bench(ns) -> int:
         brute_ms = _time_call(
             lambda: snr_score_map_bruteforce(post, cfg.plume, grid), ns.repeats
         )
-        rows.append((side, fft_ms, brute_ms))
+        rows.append(BenchRow(side, fft_ms, brute_ms))
         print(f"{side:>4}x{side:<4} fft {fft_ms:10.3f} ms   brute {brute_ms:10.3f} ms")
 
-    with open(out_dir / "bench.csv", "w") as fh:
-        fh.write("size,fft_ms,brute_ms\n")
-        for side, fft_ms, brute_ms in rows:
-            fh.write(f"{side},{repr(fft_ms)},{repr(brute_ms)}\n")
+    write_rows(out_dir / "bench.csv", rows, BenchRow)
 
     if len(rows) >= 2:
         (s0, fft0, brute0), (s1, fft1, brute1) = rows[-2], rows[-1]
@@ -260,7 +266,10 @@ def cmd_plot(ns) -> int:
     out_dir = Path(ns.out)
     if not out_dir.is_dir():
         raise ConfigError(f"not a directory: {out_dir}")
-    names = [name for name in (_ig_curves_svg(out_dir), _reward_curves_svg(out_dir)) if name]
+    try:
+        names = [name for name in (_ig_curves_svg(out_dir), _reward_curves_svg(out_dir)) if name]
+    except ValueError as exc:  # a CSV under --out that is not the table its name says
+        raise ConfigError(str(exc)) from None
     if not names:
         raise ConfigError(f"no episode or curves CSVs found under {out_dir}")
     print(f"regenerated {', '.join(names)} under {out_dir}")

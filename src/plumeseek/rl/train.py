@@ -10,21 +10,27 @@ of it lands on DoNothing, so no transition ever records it.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..field import check_number
 from .env import Action, HybridEnv, HybridEnvConfig, N_ACTIONS, OBS_SIZE
-from ..swarm import agent_streams
+from ..swarm import agent_streams, read_rows, write_rows
 from .qnet import QNet, ReplayBuffer, epsilon, td_train_step
 
 MODE_INDIVIDUAL = "individual"
 MODE_COMMUNICATING = "communicating"
 MODES = (MODE_INDIVIDUAL, MODE_COMMUNICATING)
 
-CURVES_CSV_COLUMNS = ("step", "agent_id", "smoothed_reward")
+
+class CurveRow(NamedTuple):
+    """One row of a curves CSV: one agent's smoothed reward after one training step."""
+
+    step: int
+    agent_id: int
+    smoothed_reward: float
 
 
 @dataclass(frozen=True)
@@ -139,25 +145,13 @@ def train(cfg: TrainConfig) -> TrainResult:
 
 
 def curves_to_csv(result: TrainResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVES_CSV_COLUMNS)
-        for step in range(result.curves.shape[0]):
-            for agent in range(result.curves.shape[1]):
-                writer.writerow([step, agent, repr(float(result.curves[step, agent]))])
+    """Write the reward curves as a CurveRow table, step-major."""
+    rows = (CurveRow(step, agent, float(v)) for (step, agent), v in np.ndenumerate(result.curves))
+    write_rows(path, rows, CurveRow)
 
 
 def read_curves_csv(path) -> np.ndarray:
-    """Load a curves CSV back into an (n_steps, n_agents) array."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append((int(row["step"]), int(row["agent_id"]), float(row["smoothed_reward"])))
-    if not rows:
-        return np.zeros((0, 0))
-    n_steps = max(r[0] for r in rows) + 1
-    n_agents = max(r[1] for r in rows) + 1
-    out = np.zeros((n_steps, n_agents))
-    for s, a, v in rows:
-        out[s, a] = v
-    return out
+    """Load a curves CSV back into an (n_steps, n_agents) array; (0, 0) if it has no rows."""
+    rows = read_rows(path, CurveRow)
+    shape = (rows[-1].step + 1, rows[-1].agent_id + 1) if rows else (0, 0)
+    return np.array([row.smoothed_reward for row in rows]).reshape(shape)

@@ -25,8 +25,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
@@ -117,8 +115,3 @@ def line_chart(
         parts.append(f'<text x="{lx + 28}" y="{ly}">{s.label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_svg(path, svg: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(svg)

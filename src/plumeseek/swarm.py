@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -132,6 +132,60 @@ class StepRecord(NamedTuple):
     cost: float
 
 
+def write_rows(path, rows, row_type) -> None:
+    """Write rows as a CSV table under the header row_type._fields.
+
+    The csv module writes floats as repr, so every value reads back exactly.
+    This and read_rows are the program's only CSV writer and reader.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(row_type._fields)
+        writer.writerows(rows)
+
+
+def read_rows(path, row_type) -> list:
+    """The rows of a step table that write_rows wrote, each field parsed to its annotated type.
+
+    A step table's row type starts with step and agent_id, and its rows are
+    steps 0, 1, ... in order with agents 0..n-1 in order in each. Raises
+    ValueError naming the file for another header, a row that is not one
+    value of each field's type (naming its line), or rows out of that order.
+    """
+    fields, hints = row_type._fields, get_type_hints(row_type)
+    kinds = [hints[name] for name in fields]
+    rows, n_agents = [], 0  # the team size, known once step 1 starts
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = tuple(next(reader, ()))
+        if header != fields:
+            raise ValueError(f"{path}: CSV header {list(header)} is not {list(fields)}")
+        for cells in reader:
+            if len(cells) != len(kinds):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: {len(cells)} values, not {len(kinds)}"
+                )
+            try:
+                row = row_type._make([kind(cell) for kind, cell in zip(kinds, cells)])
+            except ValueError:
+                names = ", ".join(kind.__name__ for kind in kinds)
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: {cells} is not one each of {names}"
+                ) from None
+            if not n_agents and row.step == 1:
+                n_agents = len(rows)
+            expected = divmod(len(rows), n_agents) if n_agents else (0, len(rows))
+            if (row.step, row.agent_id) != expected:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: step {row.step} agent {row.agent_id} "
+                    "is out of order"
+                )
+            rows.append(row)
+    if n_agents and len(rows) % n_agents:
+        raise ValueError(f"{path}: the last step lists {len(rows) % n_agents} of {n_agents} agents")
+    return rows
+
+
 def ig_by_step(records, n_steps: int) -> np.ndarray:
     """Shared info gain after each step's update, one value per step, from step records."""
     out = np.empty(n_steps)
@@ -157,11 +211,8 @@ class EpisodeLog:
         return ig_by_step(self.records, self.n_steps)
 
     def to_csv(self, path) -> None:
-        """Write the records under a StepRecord._fields header; floats as repr, so exact."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(StepRecord._fields)
-            writer.writerows(self.records)
+        """Write the records as a StepRecord table; read_episode_csv reads it back exactly."""
+        write_rows(path, self.records, StepRecord)
 
     def summary(self, ig_thresholds=(10.0,)) -> dict:
         out = {
@@ -286,13 +337,6 @@ def steps_to_ig(log: EpisodeLog, threshold_bits: float) -> int | None:
 def read_episode_csv(path) -> list[StepRecord]:
     """The step records an episode CSV was written from, equal to the log's own.
 
-    Raises ValueError naming the file if its header is not StepRecord._fields.
+    Raises read_rows' ValueError, naming the file, for anything but a StepRecord table.
     """
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        header = tuple(next(rows, ()))
-        if header != StepRecord._fields:
-            raise ValueError(
-                f"{path}: episode CSV header {list(header)} is not {list(StepRecord._fields)}"
-            )
-        return [StepRecord(int(s), int(a), *map(float, rest)) for s, a, *rest in rows]
+    return read_rows(path, StepRecord)

@@ -763,3 +763,36 @@ def test_plot_regenerates_svg_and_needs_data(tmp_path, capsys):
     empty.mkdir()
     assert main(["plot", "--out", str(empty)]) == 2
     assert main(["plot", "--out", str(tmp_path / "missing")]) == 2
+
+
+EPISODE_HEADER = ",".join(swarm.StepRecord._fields)
+EPISODE_ROW = "0.5,0.5,0.1,0.0,1.0"  # x, y, m, ig_bits, cost after step and agent_id
+
+
+@pytest.mark.parametrize(
+    "name,text,error",
+    [
+        ("info/episode_0.csv", "step,agent,x\n0,0,0.5\n", "CSV header"),
+        ("info/episode_0.csv", f"{EPISODE_HEADER}\n0,0,0.5\n", "line 2: 3 values, not 7"),
+        (
+            "info/episode_0.csv",
+            f"{EPISODE_HEADER}\n0,0,{EPISODE_ROW}\n2,0,{EPISODE_ROW}\n",
+            "line 3: step 2 agent 0 is out of order",
+        ),
+        ("curves_communicating_0.csv", "step,agent,smoothed_reward\n0,0,1.0\n", "CSV header"),
+        (
+            "curves_communicating_0.csv",
+            "step,agent_id,smoothed_reward\n0,0\n",
+            "line 2: 2 values, not 3",
+        ),
+    ],
+    ids=["episode-header", "episode-short-row", "episode-missing-step", "curves-header",
+         "curves-short-row"],
+)
+def test_plot_refuses_a_foreign_table_with_exit_2(tmp_path, capsys, name, text, error):
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text)
+    assert main(["plot", "--out", str(tmp_path)]) == 2
+    assert f"{path}: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "ig_curves.svg").exists()

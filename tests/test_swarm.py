@@ -1,7 +1,14 @@
 """Shared-belief search episodes: determinism, streams, logs, baselines."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import inline_reading
+
+from plumeseek import swarm
 
 from plumeseek.belief import (
     MeasurementRecord,
@@ -12,6 +19,7 @@ from plumeseek.belief import (
 from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams
 from plumeseek.planner import CostModel, TIER_SNR_FFT, movement_cost, snr_score_map_bruteforce
 from plumeseek.rl.env import HybridEnv, HybridEnvConfig
+from plumeseek.rl.train import CurveRow
 from plumeseek.swarm import (
     POLICY_COST_ONLY,
     POLICY_INFO,
@@ -23,9 +31,11 @@ from plumeseek.swarm import (
     cost_only_policy,
     random_policy,
     read_episode_csv,
+    read_rows,
     run_episode,
     sense,
     steps_to_ig,
+    write_rows,
 )
 
 
@@ -140,8 +150,78 @@ def test_csv_round_trip_preserves_values(tmp_path):
 def test_csv_with_another_header_is_refused(tmp_path, header):
     path = tmp_path / "episode.csv"
     path.write_text(header + "\n" if header else "")
-    with pytest.raises(ValueError, match="episode.csv: episode CSV header"):
+    with pytest.raises(ValueError, match="episode.csv: CSV header"):
         read_episode_csv(path)
+
+
+ROW = "0.5,0.5,0.1,0.0,1.0"  # x, y, m, ig_bits, cost after step and agent_id
+
+
+@pytest.mark.parametrize(
+    "body,error",
+    [
+        (f"0,0,{ROW}\n0,1,x,0.5,0.1,0.0,1.0\n", "line 3: .*'x'.* is not one each of int, int"),
+        (f"0.0,0,{ROW}\n", "line 2: .*'0.0'.* is not one each of int"),
+        (f"0,0,{ROW}\n0,1,{ROW},2.0\n", "line 3: 8 values, not 7"),
+        (f"1,0,{ROW}\n", "line 2: step 1 agent 0 is out of order"),
+        (f"0,0,{ROW}\n0,0,{ROW}\n", "line 3: step 0 agent 0 is out of order"),
+        (f"0,0,{ROW}\n0,1,{ROW}\n1,1,{ROW}\n", "line 4: step 1 agent 1 is out of order"),
+        (f"0,0,{ROW}\n0,1,{ROW}\n1,0,{ROW}\n", "the last step lists 1 of 2 agents"),
+    ],
+    ids=[
+        "not-a-number",
+        "fractional-step",
+        "extra-value",
+        "starts-at-step-1",
+        "repeated-row",
+        "agents-out-of-order",
+        "short-last-step",
+    ],
+)
+def test_step_table_rows_are_checked(tmp_path, body, error):
+    path = tmp_path / "episode.csv"
+    path.write_text(",".join(StepRecord._fields) + "\n" + body)
+    with pytest.raises(ValueError, match=f"episode.csv: {error}"):
+        read_episode_csv(path)
+
+
+# -0.0, the extreme subnormals and normals, and +-1e308 on top of any finite float
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e308, -1e308]
+)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    row_type=st.sampled_from([StepRecord, CurveRow]),
+    n_steps=st.integers(0, 5),
+    n_agents=st.integers(1, 5),
+    data=st.data(),
+)
+def test_rows_read_back_as_written(tmp_path_factory, row_type, n_steps, n_agents, data):
+    n_floats = len(row_type._fields) - 2
+    rows = [
+        row_type(step, agent, *data.draw(st.lists(FINITE, min_size=n_floats, max_size=n_floats)))
+        for step in range(n_steps)
+        for agent in range(n_agents)
+    ]
+    path = tmp_path_factory.mktemp("rows") / "table.csv"
+    write_rows(path, rows, row_type)
+    back = read_rows(path, row_type)
+    assert back == rows
+    assert [list(map(repr, row)) for row in back] == [list(map(repr, row)) for row in rows]
+
+
+def test_one_module_reads_and_writes_csv():
+    # every CSV goes through swarm.write_rows and swarm.read_rows; a module
+    # with its own csv import is a second table format
+    src = Path(swarm.__file__).parent
+    importers = [
+        path.relative_to(src).as_posix()
+        for path in sorted(src.rglob("*.py"))
+        if re.search(r"^\s*(import\s.*\bcsv\b|from\s+csv\s+import)", path.read_text(), re.M)
+    ]
+    assert importers == ["swarm.py"]
 
 
 def test_cumulative_cost_sums_record_costs():
