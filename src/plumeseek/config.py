@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .field import GridSpec, PlumeParams, check_number
+from .field import GridSpec, PlumeParams, check_values
 from .planner import TIER_EXACT, CostModel, QuadratureSpec
 from .rl.env import HybridEnvConfig, RewardWeights
 from .rl.train import TrainConfig
@@ -50,17 +50,18 @@ _RL_KEYS = _ENV_KEYS + _names(TrainConfig, _TRAIN_PER_JOB) + ("reward",)
 
 
 def _section(name: str, given, keys) -> dict:
-    """The keys a config section sets, with JSON arrays as tuples.
+    """The keys a config section sets, as given.
 
     Keys the section leaves out are not filled in here: the dataclass the
-    section builds supplies its own field defaults.
+    section builds supplies its own field defaults, and stores each list
+    setting as the tuple field.check_values returns.
     """
     if not isinstance(given, dict):
         raise ConfigError(f"{name}: expected an object")
     unknown = set(given) - set(keys)
     if unknown:
         raise ConfigError(f"{name}: unknown key(s) {sorted(unknown)}")
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
+    return dict(given)
 
 
 def _source_xy(src):
@@ -78,12 +79,13 @@ def _source_xy(src):
 
 def check_seeds(seeds) -> tuple[int, ...]:
     """The config's seeds or the --seed values as a tuple, unless one is not an integer >= 0."""
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(f"seeds must be a non-empty list, got {seeds!r}")
     try:
-        return tuple(int(check_number("seeds", s, low=0, integer=True)) for s in seeds)
+        seeds = check_values("seeds", seeds, low=0, integer=True)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not seeds:
+        raise ConfigError("seeds must be a non-empty list")
+    return tuple(int(s) for s in seeds)
 
 
 def _prior_weights(prior):
@@ -94,10 +96,9 @@ def _prior_weights(prior):
     _section("prior", prior, ("kind",) if uniform else ("kind", "values"))
     if uniform:
         return None
-    values = prior.get("values")
-    if not isinstance(values, list):
-        raise ConfigError("prior.values must be a list of weights (row-major)")
-    return tuple(values)
+    if "values" not in prior:
+        raise ConfigError("prior: kind 'weights' requires values")
+    return prior["values"]
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ def parse_config(raw: dict) -> RunConfig:
         reward = _section("rl.reward", rl.pop("reward", {}), _names(RewardWeights))
 
         policies = sim.pop("policies", POLICIES)
-        if not isinstance(policies, tuple):  # _section made a JSON list a tuple
+        if not isinstance(policies, (list, tuple)):  # a JSON list, or the default
             raise ConfigError(f"sim.policies must be a list, got {policies!r}")
         for pol in policies:
             if pol not in POLICIES:

@@ -45,6 +45,22 @@ def check_number(name: str, value, low=-np.inf, high=np.inf, above=False, intege
     raise ValueError(f"{name} must be {rule.rstrip()}, got {value!r}")
 
 
+def check_values(name: str, values, length=None, **rule) -> tuple:
+    """The entries of a valid list setting as a tuple, else raise a ValueError naming the setting.
+
+    The one rule behind every list-valued setting: a tuple, list or 1-D
+    array, never a string or a scalar, with exactly length entries when
+    length is given, each entry passing check_number(name, entry, **rule).
+    Entries are returned unchanged, so an echoed config keeps its integers.
+    """
+    array = isinstance(values, np.ndarray) and values.ndim == 1
+    if not (array or isinstance(values, (tuple, list))):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    if length is not None and len(values) != length:
+        raise ValueError(f"{name} must list {length} values, got {len(values)}")
+    return tuple(check_number(name, value, **rule) for value in values)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular world with two uniform cell grids laid over it.
@@ -174,9 +190,7 @@ class PlumeParams:
             check_number(name, getattr(self, name), low=0.0)
         for name in ("length_scale", "sigma0", "noise_sigma"):
             check_number(name, getattr(self, name), low=0.0, above=True)
-        if not isinstance(self.wind, (tuple, list, np.ndarray)) or len(self.wind) != 2:
-            raise ValueError(f"wind must be a pair of numbers (x, y), got {self.wind!r}")
-        wx, wy = (float(check_number("wind", w)) for w in self.wind)
+        wx, wy = (float(w) for w in check_values("wind", self.wind, length=2))
         object.__setattr__(self, "wind", (wx, wy))
         if self.kind == ADVECTED and wx == 0.0 and wy == 0.0:
             raise ValueError("advected plume needs a nonzero wind vector")

@@ -21,7 +21,7 @@ from ..belief import (
     map_estimate,
     posterior_update,
 )
-from ..field import check_number
+from ..field import check_number, check_values
 from ..swarm import World, sense
 
 OBS_SIZE = 17
@@ -74,13 +74,10 @@ class RewardWeights:
     action_costs: tuple[float, ...] = (0.0, 0.2, 0.1, 0.1, 0.3)
 
     def __post_init__(self):
-        costs = self.action_costs
-        if not isinstance(costs, (tuple, list, np.ndarray)) or len(costs) != N_ACTIONS:
-            raise ValueError(f"action_costs must list {N_ACTIONS} values, got {costs!r}")
         for name in ("w_info", "w_est"):
             check_number(name, getattr(self, name))
-        for cost in self.action_costs:
-            check_number("action_costs", cost)
+        costs = check_values("action_costs", self.action_costs, length=N_ACTIONS)
+        object.__setattr__(self, "action_costs", costs)
 
 
 @dataclass(frozen=True)

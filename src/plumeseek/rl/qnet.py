@@ -197,8 +197,15 @@ class ReplayBuffer:
         return self._size
 
     def push(self, obs, actions, rewards, next_obs, done: bool) -> None:
-        """Copy one team step into the ring, overwriting the oldest when full."""
+        """Copy one team step into the ring, overwriting the oldest when full.
+
+        The first push sets the team's shape: obs and next_obs (n_agents,
+        obs_size), actions and rewards (n_agents,). A step of another shape
+        raises ValueError rather than broadcasting into the ring.
+        """
         if self._columns is None:
+            if np.ndim(obs) != 2:
+                raise ValueError(f"obs must be (n_agents, obs_size), got shape {np.shape(obs)}")
             n_agents, obs_size = np.shape(obs)
             self._columns = Batch(
                 obs=np.empty((self.capacity, n_agents, obs_size)),
@@ -208,6 +215,13 @@ class ReplayBuffer:
                 dones=np.empty(self.capacity),
             )
         cols, k = self._columns, self._pos
+        team = cols.obs.shape[1:]
+        shapes = (np.shape(obs), np.shape(next_obs), np.shape(actions), np.shape(rewards))
+        if shapes != (team, team, team[:1], team[:1]):
+            raise ValueError(
+                f"a team step is obs and next_obs {team}, actions and rewards {team[:1]}; "
+                f"got {shapes}"
+            )
         cols.obs[k] = obs
         cols.actions[k] = actions
         cols.rewards[k] = rewards
@@ -220,15 +234,16 @@ class ReplayBuffer:
         """A (n_agents, batch_size, ...) batch; rngs[i] draws agent i's rows."""
         if not self._size:
             raise ValueError("cannot sample from an empty buffer")
+        n_agents = self._columns.actions.shape[1]
+        if len(rngs) != n_agents:
+            raise ValueError(f"sample needs one stream per agent, {n_agents}, got {len(rngs)}")
         picks = np.array([rng.integers(0, self._size, size=batch_size) for rng in rngs])
         agents = np.arange(len(rngs))[:, None]
         *per_agent, dones = self._columns
         return Batch(*(col[picks, agents] for col in per_agent), dones[picks])
 
 
-def epsilon(
-    step: int, start: float = 1.0, end: float = 0.05, decay_steps: int = 10_000
-) -> float:
+def epsilon(step: int, start: float, end: float, decay_steps: int) -> float:
     """Linear exploration schedule, clamped at `end` after decay_steps."""
     if decay_steps < 1:
         return end

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..field import check_number
+from ..field import check_number, check_values
 from .env import Action, HybridEnv, HybridEnvConfig, N_ACTIONS, OBS_SIZE
 from ..swarm import agent_streams, read_rows, write_rows
 from .qnet import QNet, ReplayBuffer, epsilon, td_train_step
@@ -64,10 +64,8 @@ class TrainConfig:
             check_number(name, getattr(self, name), low, integer=True)
         if self.batch_size > self.replay_capacity:
             raise ValueError("batch_size must not exceed replay_capacity")
-        if not isinstance(self.hidden, (tuple, list)):
-            raise ValueError("hidden must be a list of layer widths")
-        for width in self.hidden:
-            check_number("hidden", width, low=1, integer=True)
+        hidden = check_values("hidden", self.hidden, low=1, integer=True)
+        object.__setattr__(self, "hidden", hidden)
         for name in ("gamma", "eps_start", "eps_end"):
             check_number(name, getattr(self, name), 0.0, 1.0)
         check_number("learning_rate", self.learning_rate, low=0.0, above=True)

@@ -6,7 +6,8 @@ bytes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from html import escape
 
 
 @dataclass
@@ -37,7 +38,7 @@ def line_chart(
     width: int = 760,
     height: int = 420,
 ) -> str:
-    """Render series as an SVG string."""
+    """Render series as an SVG string; the title, axis and series labels are XML-escaped."""
     margin_l, margin_r, margin_t, margin_b = 64, 16, 34, 46
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -67,7 +68,7 @@ def line_chart(
     if title:
         parts.append(
             f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
+            f'font-size="14">{escape(title, quote=False)}</text>'
         )
     for tx in _ticks(x_lo, x_hi):
         gx = px(tx)
@@ -91,12 +92,13 @@ def line_chart(
     if x_label:
         parts.append(
             f'<text x="{margin_l + plot_w / 2:.0f}" y="{height - 8}" '
-            f'text-anchor="middle">{x_label}</text>'
+            f'text-anchor="middle">{escape(x_label, quote=False)}</text>'
         )
     if y_label:
         parts.append(
             f'<text x="16" y="{margin_t + plot_h / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {margin_t + plot_h / 2:.0f})">{y_label}</text>'
+            f'transform="rotate(-90 16 {margin_t + plot_h / 2:.0f})">'
+            f"{escape(y_label, quote=False)}</text>"
         )
     for s in series:
         pts = " ".join(
@@ -112,6 +114,6 @@ def line_chart(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
             f'stroke="{s.color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{lx + 28}" y="{ly}">{s.label}</text>')
+        parts.append(f'<text x="{lx + 28}" y="{ly}">{escape(s.label, quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

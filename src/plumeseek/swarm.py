@@ -9,6 +9,7 @@ alongside the information-driven policy for efficiency comparisons.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, get_type_hints
 
@@ -23,7 +24,9 @@ from .belief import (
     posterior_update,
     uniform_posterior,
 )
-from .field import GridSpec, PlumeParams, check_number, concentration, squared_snr_kernel
+from .field import (
+    GridSpec, PlumeParams, check_number, check_values, concentration, squared_snr_kernel
+)
 from .planner import (
     TIER_SNR_FFT,
     TIERS,
@@ -56,19 +59,17 @@ class World:
     prior_weights: tuple | None = None
 
     def __post_init__(self):
-        g, source = self.grid, self.source_xy
-        if source is not None:
-            if not isinstance(source, (tuple, list, np.ndarray)) or len(source) != 2:
-                raise ValueError(f"sim.source must be a pair (x, y), got {source!r}")
-            x = float(check_number("sim.source.x", source[0], g.x_min, g.x_max))
-            y = float(check_number("sim.source.y", source[1], g.y_min, g.y_max))
+        g = self.grid
+        if self.source_xy is not None:
+            x, y = check_values("sim.source", self.source_xy, length=2)
+            x = float(check_number("sim.source.x", x, g.x_min, g.x_max))
+            y = float(check_number("sim.source.y", y, g.y_min, g.y_max))
             object.__setattr__(self, "source_xy", (x, y))
-        prior = self.prior_weights
-        if prior is not None:
-            if not isinstance(prior, (tuple, list, np.ndarray)) or len(prior) != g.n_src_cells:
-                raise ValueError(f"prior.values must list {g.n_src_cells} weights (row-major)")
-            if not any([check_number("prior.values", w, low=0.0) for w in prior]):
+        if self.prior_weights is not None:
+            prior = check_values("prior.values", self.prior_weights, g.n_src_cells, low=0.0)
+            if not any(prior):
                 raise ValueError("prior.values must have positive mass")
+            object.__setattr__(self, "prior_weights", prior)
 
     def setup(self, world_rng: np.random.Generator, n_agents: int):
         """(prior, source, start positions) of one episode, drawn from the world stream.
@@ -138,10 +139,19 @@ def write_rows(path, rows, row_type) -> None:
     The csv module writes floats as repr, so every value reads back exactly.
     This and read_rows are the program's only CSV writer and reader.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(row_type._fields)
         writer.writerows(rows)
+
+
+def _utf8_lines(path):
+    """The lines of a UTF-8 file as csv.reader takes them; a ValueError names a file that is not."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def read_rows(path, row_type) -> list:
@@ -149,38 +159,43 @@ def read_rows(path, row_type) -> list:
 
     A step table's row type starts with step and agent_id, and its rows are
     steps 0, 1, ... in order with agents 0..n-1 in order in each. Raises
-    ValueError naming the file for another header, a row that is not one
-    value of each field's type (naming its line), or rows out of that order.
+    ValueError naming the file for text that is not UTF-8, another header, a
+    row that is not one finite value of each field's type (naming its line),
+    or rows out of that order.
     """
     fields, hints = row_type._fields, get_type_hints(row_type)
     kinds = [hints[name] for name in fields]
+    reader = csv.reader(_utf8_lines(path))
+    header = tuple(next(reader, ()))
+    if header != fields:
+        raise ValueError(f"{path}: CSV header {list(header)} is not {list(fields)}")
     rows, n_agents = [], 0  # the team size, known once step 1 starts
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != fields:
-            raise ValueError(f"{path}: CSV header {list(header)} is not {list(fields)}")
-        for cells in reader:
-            if len(cells) != len(kinds):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: {len(cells)} values, not {len(kinds)}"
-                )
-            try:
-                row = row_type._make([kind(cell) for kind, cell in zip(kinds, cells)])
-            except ValueError:
-                names = ", ".join(kind.__name__ for kind in kinds)
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: {cells} is not one each of {names}"
-                ) from None
-            if not n_agents and row.step == 1:
-                n_agents = len(rows)
-            expected = divmod(len(rows), n_agents) if n_agents else (0, len(rows))
-            if (row.step, row.agent_id) != expected:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: step {row.step} agent {row.agent_id} "
-                    "is out of order"
-                )
-            rows.append(row)
+    for cells in reader:
+        if len(cells) != len(kinds):
+            raise ValueError(
+                f"{path}: line {reader.line_num}: {len(cells)} values, not {len(kinds)}"
+            )
+        try:
+            values = [kind(cell) for kind, cell in zip(kinds, cells)]
+        except ValueError:
+            names = ", ".join(kind.__name__ for kind in kinds)
+            raise ValueError(
+                f"{path}: line {reader.line_num}: {cells} is not one each of {names}"
+            ) from None
+        if not all(map(math.isfinite, values)):  # the program writes only finite values
+            raise ValueError(
+                f"{path}: line {reader.line_num}: {cells} holds a value that is not finite"
+            )
+        row = row_type._make(values)
+        if not n_agents and row.step == 1:
+            n_agents = len(rows)
+        expected = divmod(len(rows), n_agents) if n_agents else (0, len(rows))
+        if (row.step, row.agent_id) != expected:
+            raise ValueError(
+                f"{path}: line {reader.line_num}: step {row.step} agent {row.agent_id} "
+                "is out of order"
+            )
+        rows.append(row)
     if n_agents and len(rows) % n_agents:
         raise ValueError(f"{path}: the last step lists {len(rows) % n_agents} of {n_agents} agents")
     return rows

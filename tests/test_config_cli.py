@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -14,13 +15,16 @@ from plumeseek import swarm
 from plumeseek.cli import main
 from plumeseek.config import (
     ConfigError,
+    check_seeds,
     check_tier_budget,
     load_config,
     parse_config,
 )
+from plumeseek.field import GridSpec, PlumeParams
 from plumeseek.planner import TIERS
-from plumeseek.rl.train import MODES
-from plumeseek.swarm import POLICIES
+from plumeseek.rl.env import HybridEnvConfig, RewardWeights
+from plumeseek.rl.train import MODES, TrainConfig
+from plumeseek.swarm import POLICIES, World
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -378,6 +382,60 @@ def test_bad_value_in_any_section_exits_2(tmp_path, capsys, command, section, ke
 def test_wrong_shape_error_names_the_setting(payload, key):
     with pytest.raises(ConfigError, match=key):
         parse_config(payload)
+
+
+GRID4 = GridSpec(0.0, 4.0, 0.0, 4.0, 4, 4, 4, 4)
+ENV4 = HybridEnvConfig(world=World(GRID4, PlumeParams()))
+PRIOR4 = [1, 2, 0, 1, 0.5, 1, 1, 3, 1, 1, 0, 2, 1, 1, 1, 4]
+
+# (setting, build from a list value, the stored value, a valid list, a list of
+# the wrong length or None, an entry the setting refuses)
+LIST_SETTINGS = [
+    ("wind", lambda v: PlumeParams(wind=v), lambda o: o.wind, [1, 0], [1, 0, 0], float("nan")),
+    (
+        "sim.source",
+        lambda v: World(GRID4, PlumeParams(), source_xy=v),
+        lambda o: o.source_xy,
+        [1, 2.5],
+        [1.0],
+        5.0,  # outside the 4-wide world
+    ),
+    (
+        "prior.values",
+        lambda v: World(GRID4, PlumeParams(), prior_weights=v),
+        lambda o: o.prior_weights,
+        PRIOR4,
+        PRIOR4[:-1],
+        -1.0,
+    ),
+    (
+        "action_costs",
+        lambda v: RewardWeights(action_costs=v),
+        lambda o: o.action_costs,
+        [0, 0.2, 0.1, 0.1, 0.3],
+        [0, 0.2],
+        True,
+    ),
+    ("hidden", lambda v: TrainConfig(env=ENV4, hidden=v), lambda o: o.hidden, [8, 6], None, 0),
+    ("seeds", check_seeds, lambda o: o, [3, 0, 7], [], 1.5),
+]
+
+
+@pytest.mark.parametrize(
+    "name,build,stored,good,wrong_length,bad_entry",
+    LIST_SETTINGS,
+    ids=[setting[0] for setting in LIST_SETTINGS],
+)
+def test_list_setting_is_one_checked_tuple(name, build, stored, good, wrong_length, bad_entry):
+    # a list, a tuple or a 1-D array builds the same hashable value
+    built = [build(given) for given in (good, tuple(good), np.array(good))]
+    for obj in built:
+        assert type(stored(obj)) is tuple and stored(obj) == tuple(good)
+        assert obj == built[0] and hash(obj) == hash(built[0])
+    bad_values = ["1, 0", 1.0, np.array([good]), [*good[:-1], bad_entry]]
+    for bad in bad_values + ([] if wrong_length is None else [wrong_length]):
+        with pytest.raises(ValueError, match=name):
+            build(bad)
 
 
 def _numeric_leaves(node, path=()):
@@ -765,6 +823,17 @@ def test_plot_regenerates_svg_and_needs_data(tmp_path, capsys):
     assert main(["plot", "--out", str(tmp_path / "missing")]) == 2
 
 
+def test_plot_escapes_a_label_taken_from_a_file_name(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, TINY_SIM)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out), "--policy", "info"]) == 0
+    (out / "info" / "episode_0.csv").rename(out / "info" / "episode_a&b.csv")
+    assert main(["plot", "--out", str(out)]) == 0
+    svg = ElementTree.parse(out / "ig_curves.svg").getroot()  # well-formed XML
+    legend = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert "info a&b" in legend and "info 1" in legend
+
+
 EPISODE_HEADER = ",".join(swarm.StepRecord._fields)
 EPISODE_ROW = "0.5,0.5,0.1,0.0,1.0"  # x, y, m, ig_bits, cost after step and agent_id
 
@@ -785,14 +854,25 @@ EPISODE_ROW = "0.5,0.5,0.1,0.0,1.0"  # x, y, m, ig_bits, cost after step and age
             "step,agent_id,smoothed_reward\n0,0\n",
             "line 2: 2 values, not 3",
         ),
+        (
+            "info/episode_0.csv",
+            f"{EPISODE_HEADER}\n0,0,0.5,0.5,nan,0.0,1.0\n",
+            "line 2: ['0', '0', '0.5', '0.5', 'nan', '0.0', '1.0'] holds a value that is not",
+        ),
+        ("info/episode_0.csv", f"{EPISODE_HEADER}\n".encode() + b"0,0,\xe9\n", "not UTF-8 text"),
+        (
+            "curves_individual_0.csv",
+            "step,agent_id,smoothed_reward\n0,0,-inf\n",
+            "line 2: ['0', '0', '-inf'] holds a value that is not finite",
+        ),
     ],
     ids=["episode-header", "episode-short-row", "episode-missing-step", "curves-header",
-         "curves-short-row"],
+         "curves-short-row", "episode-nan", "episode-not-utf-8", "curves-inf"],
 )
 def test_plot_refuses_a_foreign_table_with_exit_2(tmp_path, capsys, name, text, error):
     path = tmp_path / name
     path.parent.mkdir(exist_ok=True)
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["plot", "--out", str(tmp_path)]) == 2
     assert f"{path}: {error}" in capsys.readouterr().err
     assert not (tmp_path / "ig_curves.svg").exists()

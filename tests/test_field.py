@@ -1,5 +1,6 @@
 """Concentration models, grid geometry, and the offset kernel."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from plumeseek.field import (
     GridSpec,
     KernelGridMismatch,
     PlumeParams,
+    check_values,
     concentration,
     concentration_at_sources,
     next_fast_len,
@@ -114,6 +116,35 @@ def test_plume_params_validation():
         PlumeParams(kind=ADVECTED, wind=(1.0, 0.0), spread_rate=-0.1)
     # zero strength is legal: a silent world is a valid limiting case
     PlumeParams(kind=BLOB, strength=0.0)
+
+
+def test_check_values_returns_the_entries_unchanged_as_a_tuple():
+    assert check_values("w", [1, 2.5]) == (1, 2.5)
+    assert [type(v) for v in check_values("w", [1, 2.5])] == [int, float]  # echoes keep ints
+    assert check_values("w", (), low=1) == ()
+    assert check_values("w", np.arange(3.0), length=3, low=0.0) == (0.0, 1.0, 2.0)
+    assert check_values("w", [1, 2], integer=True, low=1, high=2) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "values,kwargs,error",
+    [
+        ("12", {}, "w must be a list of numbers, got '12'"),  # a string is not a list of digits
+        (3.0, {}, "w must be a list of numbers, got 3.0"),
+        (np.float64(3.0), {}, "w must be a list of numbers"),
+        (np.ones((2, 2)), {}, "w must be a list of numbers"),
+        ({"x": 1}, {}, "w must be a list of numbers"),
+        ([1.0], {"length": 2}, "w must list 2 values, got 1"),
+        ([1.0, 2.0, 3.0], {"length": 2}, "w must list 2 values, got 3"),
+        ([1.0, "2"], {}, "w must be a finite number, got '2'"),
+        ([1.0, float("inf")], {}, "w must be a finite number"),
+        ([1, 2.5], {"integer": True}, "w must be an integer, got 2.5"),
+        ([1, 0], {"low": 1}, "w must be a finite number >= 1, got 0"),
+    ],
+)
+def test_check_values_refuses_what_is_not_a_list_of_valid_numbers(values, kwargs, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        check_values("w", values, **kwargs)
 
 
 # -- isotropic blob -----------------------------------------------------------

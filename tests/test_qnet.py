@@ -354,14 +354,37 @@ def test_replay_empty_and_bad_capacity():
         buf.sample(1, streams(0))
 
 
+def test_replay_refuses_a_team_of_the_wrong_size():
+    buf = ReplayBuffer(8)
+    obs, actions, rewards, next_obs, done = team_step(0, n_agents=3)
+    with pytest.raises(ValueError, match="n_agents, obs_size"):
+        buf.push(obs[0], actions[0], rewards[0], next_obs[0], done)  # one agent's row first
+    buf.push(obs, actions, rewards, next_obs, done)
+    for bad in (
+        (obs[0], actions[0], rewards[0], next_obs[0], done),  # would broadcast to every agent
+        (obs[:2], actions[:2], rewards[:2], next_obs[:2], done),
+        (obs, actions, rewards, next_obs[:, :1], done),
+        (obs, actions[:2], rewards, next_obs, done),
+        (obs, actions, rewards[:2], next_obs, done),
+    ):
+        with pytest.raises(ValueError, match="team step"):
+            buf.push(*bad)
+    assert len(buf) == 1  # nothing refused reached the ring
+    for rngs in (streams(0), streams(0, 1), streams(0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="one stream per agent"):
+            buf.sample(4, rngs)
+    assert buf.sample(4, streams(0, 1, 2)).obs.shape == (3, 4, 2)
+
+
 # -- exploration schedule -----------------------------------------------------------------
 
 
 def test_epsilon_linear_schedule():
-    assert epsilon(0) == 1.0
-    assert epsilon(10_000) == 0.05
-    assert epsilon(20_000) == 0.05  # clamped after the decay window
-    assert epsilon(5_000) == pytest.approx(0.525)
-    assert epsilon(-3) == 1.0
+    schedule = dict(start=1.0, end=0.05, decay_steps=10_000)  # TrainConfig's eps_* defaults
+    assert epsilon(0, **schedule) == 1.0
+    assert epsilon(10_000, **schedule) == 0.05
+    assert epsilon(20_000, **schedule) == 0.05  # clamped after the decay window
+    assert epsilon(5_000, **schedule) == pytest.approx(0.525)
+    assert epsilon(-3, **schedule) == 1.0
     assert epsilon(2, start=0.9, end=0.1, decay_steps=4) == pytest.approx(0.5)
-    assert epsilon(99, decay_steps=0) == 0.05
+    assert epsilon(99, start=1.0, end=0.05, decay_steps=0) == 0.05

@@ -167,6 +167,9 @@ ROW = "0.5,0.5,0.1,0.0,1.0"  # x, y, m, ig_bits, cost after step and agent_id
         (f"0,0,{ROW}\n0,0,{ROW}\n", "line 3: step 0 agent 0 is out of order"),
         (f"0,0,{ROW}\n0,1,{ROW}\n1,1,{ROW}\n", "line 4: step 1 agent 1 is out of order"),
         (f"0,0,{ROW}\n0,1,{ROW}\n1,0,{ROW}\n", "the last step lists 1 of 2 agents"),
+        (f"0,0,{ROW}\n0,1,0.5,0.5,nan,0.0,1.0\n", "line 3: .*'nan'.* holds a value that is not"),
+        ("0,0,0.5,-inf,0.1,0.0,1.0\n", "line 2: .*'-inf'.* holds a value that is not finite"),
+        (f"0,0,{ROW}\n".encode() + b"0,1,0.5,0.5,0.1,0.0,\xff\n", "not UTF-8 text"),
     ],
     ids=[
         "not-a-number",
@@ -176,11 +179,15 @@ ROW = "0.5,0.5,0.1,0.0,1.0"  # x, y, m, ig_bits, cost after step and agent_id
         "repeated-row",
         "agents-out-of-order",
         "short-last-step",
+        "nan",
+        "inf",
+        "not-utf-8",
     ],
 )
 def test_step_table_rows_are_checked(tmp_path, body, error):
     path = tmp_path / "episode.csv"
-    path.write_text(",".join(StepRecord._fields) + "\n" + body)
+    body = body if isinstance(body, bytes) else body.encode()
+    path.write_bytes(",".join(StepRecord._fields).encode() + b"\n" + body)
     with pytest.raises(ValueError, match=f"episode.csv: {error}"):
         read_episode_csv(path)
 
