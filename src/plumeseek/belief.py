@@ -11,7 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 # `concentration` is not called here; perfbench's tracer wraps it under this name.
-from .field import GridSpec, PlumeParams, check_number, concentration, concentration_at_sources
+from .field import (
+    GridSpec,
+    KernelGridMismatch,
+    OffsetKernel,
+    PlumeParams,
+    check_number,
+    concentration,
+    concentration_at_sources,
+)
 
 LOG_2 = float(np.log(2.0))
 # Per-cell log-likelihood floor: keeps exp() finite while leaving a huge
@@ -48,7 +56,8 @@ class SourcePosterior:
     grid: GridSpec
 
     def __post_init__(self):
-        lp = np.asarray(self.log_probs, dtype=float)
+        # row-major, so info_gain_bits's full-array and masked sums take one order
+        lp = np.ascontiguousarray(self.log_probs, dtype=float)
         if lp.shape != (self.grid.i_cells, self.grid.j_cells):
             raise ValueError(
                 f"log_probs shape {lp.shape} does not match source grid "
@@ -72,14 +81,21 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     log1p(rest / count) + log(count) + max. Where that is not finite (every
     entry -inf, an inf or a NaN), the direct log(sum(exp(a))) is returned.
     A full reduction gives a NumPy scalar, as SciPy does.
+
+    exp(a - max) is one temporary, computed in place; the maxima are zeroed
+    after the exp, which is SciPy's exp(-inf) where max is finite. Where it
+    is not, the result is the direct sum in both.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     axis = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(a, axis=axis, keepdims=True)
         is_max = a == a_max
-        count = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
-        rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        count = np.count_nonzero(is_max, axis=axis, keepdims=True).astype(float)
+        shifted = np.subtract(a, a_max)
+        np.exp(shifted, out=shifted)
+        np.copyto(shifted, 0.0, where=is_max)
+        rest = np.sum(shifted, axis=axis, keepdims=True)
         rest = np.where(rest == 0, rest, rest / count)
         out = np.log1p(rest) + np.log(count) + a_max
         finite = np.isfinite(out)
@@ -124,26 +140,50 @@ def gaussian_loglik(m, f, sigma: float):
     return np.maximum(ll, LOGLIK_FLOOR, out=ll)
 
 
-def loglik_grid(record: MeasurementRecord, grid: GridSpec, params: PlumeParams) -> np.ndarray:
-    """Floored log-likelihood of one record against every source hypothesis, (I, J)."""
-    f = concentration_at_sources((record.x, record.y), grid, params)
-    return gaussian_loglik(record.value, f, params.noise_sigma)
+def loglik_grid(
+    record: MeasurementRecord,
+    grid: GridSpec,
+    params: PlumeParams,
+    kernel: OffsetKernel | None = None,
+) -> np.ndarray:
+    """Floored log-likelihood of one record against every source hypothesis, (I, J).
+
+    kernel, squared_snr_kernel(params, grid), changes no bit of the result.
+    A reading at a measurement-cell centre of an exact lattice takes f from
+    the kernel's table (OffsetKernel.source_window) instead of the closed
+    form; the likelihood is evaluated only where that f can be non-zero, and
+    every other cell gets the one value gaussian_loglik(m, 0.0).
+    """
+    sigma = params.noise_sigma
+    window = None
+    if kernel is not None:
+        if kernel.grid != grid or kernel.params != params:
+            raise KernelGridMismatch("kernel was tabulated for another grid or plume")
+        window = kernel.source_window(record.x, record.y)
+    if window is None:
+        f = concentration_at_sources((record.x, record.y), grid, params)
+        return gaussian_loglik(record.value, f, sigma)
+    f, rows, cols = window
+    ll = np.full((grid.i_cells, grid.j_cells), gaussian_loglik(record.value, 0.0, sigma))
+    ll[rows, cols] = gaussian_loglik(record.value, f[rows, cols], sigma)
+    return ll
 
 
 def posterior_update(
-    post: SourcePosterior, records, params: PlumeParams
+    post: SourcePosterior, records, params: PlumeParams, kernel: OffsetKernel | None = None
 ) -> SourcePosterior:
     """Condition the posterior on a batch of measurement records.
 
     Returns a new posterior; the input is untouched. Raises AllMassLost when
-    some record's likelihood floors out on every hypothesis at once.
+    some record's likelihood floors out on every hypothesis at once. kernel
+    is passed to loglik_grid and changes no bit of the result.
     """
     records = list(records)
     if not records:
         return post
     total = np.array(post.log_probs, dtype=float, copy=True)
     for rec in records:
-        ll = loglik_grid(rec, post.grid, params)
+        ll = loglik_grid(rec, post.grid, params, kernel)
         if np.all(ll <= LOGLIK_FLOOR):
             raise AllMassLost(
                 f"measurement {rec.value!r} at ({rec.x}, {rec.y}) is impossible "
@@ -160,18 +200,22 @@ def info_gain_bits(post: SourcePosterior, reference: SourcePosterior) -> float:
     """KL divergence (bits) of the posterior from a reference distribution.
 
     The convention 0 * log(0/q) = 0 applies; mass on cells where the
-    reference has none is an error, not infinity.
+    reference has none is an error, not infinity. Where p > 0 on every cell
+    the sums run over the full arrays, which hold the masked values in the
+    same order, so the result is the same.
     """
     if post.grid != reference.grid:
         raise ValueError("posterior and reference are on different grids")
     p = post.probs()
+    lp, ref_lp = post.log_probs, reference.log_probs
     support = p > 0.0
-    if np.any(np.isneginf(reference.log_probs[support])):
+    if not support.all():
+        p, lp, ref_lp = p[support], lp[support], ref_lp[support]
+    if np.any(np.isneginf(ref_lp)):
         raise UnsupportedReference(
             "posterior has mass outside the reference's support"
         )
-    diff = post.log_probs[support] - reference.log_probs[support]
-    return float(np.sum(p[support] * diff) / LOG_2)
+    return float(np.sum(p * (lp - ref_lp)) / LOG_2)
 
 
 def map_estimate(post: SourcePosterior) -> tuple[tuple[int, int], tuple[float, float]]:

@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -77,6 +76,10 @@ def _run_jobs(ns, cfg: RunConfig, job, kinds, summary_name: str, plot, what: str
     jobs = [(cfg, kind, seed, str(out_dir)) for kind, seed in runs]
     workers = min(ns.threads, len(jobs))
     if workers > 1:
+        # imported here: the pool brings multiprocessing, logging and socket,
+        # which a single-process run does not need at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(job, jobs))
     else:

@@ -111,6 +111,16 @@ class GridSpec:
         """Per axis, (p, q) with meas_pitch/src_pitch == p/q, else raise KernelGridMismatch."""
         return _axis_strides(self.meas_dx, self.src_dx), _axis_strides(self.meas_dy, self.src_dy)
 
+    def lattice_cells(self) -> int:
+        """Cells of the offset lattice squared_snr_kernel tabulates; KernelGridMismatch if none.
+
+        Offsets p*im - q*is run over p*(A - 1) + q*(I - 1) + 1 values in x,
+        and likewise in y.
+        """
+        (px, qx), (py, qy) = self.lattice_strides()
+        nx = px * (self.a_cells - 1) + qx * (self.i_cells - 1) + 1
+        return nx * (py * (self.b_cells - 1) + qy * (self.j_cells - 1) + 1)
+
     @property
     def diagonal(self) -> float:
         return float(np.hypot(self.x_max - self.x_min, self.y_max - self.y_min))
@@ -319,6 +329,14 @@ class OffsetKernel:
     of values at that size, rfft2(values, s=fft_shape).T, a contiguous
     (sy // 2 + 1, sx) array (see transposed_rfft2), computed once so
     correlate does not redo it.
+
+    f is the plume's mean concentration on the same lattice, values before
+    squaring, and params the plume it was tabulated for. f_box (x0, x1, y0,
+    y1) bounds f's non-zero cells, half-open; (0, 0, 0, 0) when there are
+    none. exact_x is true when the lattice x offset tx * pitch_x + shift_x
+    is meas_x_centers()[ix] - src_x_centers()[is], bit for bit, for every
+    measurement/source column pair (same in y); source_window reads f only
+    when both hold.
     """
 
     values: np.ndarray
@@ -335,6 +353,11 @@ class OffsetKernel:
     grid: GridSpec = field(repr=False)
     spectrum: np.ndarray = field(repr=False, compare=False)
     fft_shape: tuple[int, int] = field(repr=False, compare=False)
+    f: np.ndarray = field(repr=False, compare=False)
+    params: PlumeParams = field(repr=False)
+    f_box: tuple[int, int, int, int] = field(repr=False, compare=False)
+    exact_x: bool = field(repr=False, compare=False)
+    exact_y: bool = field(repr=False, compare=False)
 
     def correlate(self, probs: np.ndarray) -> np.ndarray:
         """Squared-SNR score in nats at every measurement cell, (a_cells, b_cells).
@@ -358,6 +381,52 @@ class OffsetKernel:
         cols = np.ascontiguousarray(spec[:, x0 : x0 + px * (g.a_cells - 1) + 1 : px].T)
         vals = np.fft.irfft(cols, self.fft_shape[1], axis=1)
         return vals[:, y0 : y0 + py * (g.b_cells - 1) + 1 : py]
+
+    def source_window(self, x: float, y: float):
+        """f over the source grid for a reading at (x, y), read off the table, or None.
+
+        When (x, y) is a measurement-cell centre exactly and both axes are
+        exact, returns (window, rows, cols). window is an (i_cells, j_cells)
+        strided view of f equal, bit for bit, to
+        concentration_at_sources((x, y), grid, params); it is 0.0 outside
+        window[rows, cols], the source cells whose offsets meet f_box. Any
+        other reading returns None and takes the closed form.
+        """
+        if not (self.exact_x and self.exact_y):
+            return None
+        g = self.grid
+        x0, x1, y0, y1 = self.f_box
+        ax = _window_axis(x, g.meas_x_centers(), self.stride_meas_x, self.stride_src_x,
+                          g.i_cells, x0, x1)
+        ay = _window_axis(y, g.meas_y_centers(), self.stride_meas_y, self.stride_src_y,
+                          g.j_cells, y0, y1)
+        if ax is None or ay is None:
+            return None
+        (xs, rows), (ys, cols) = ax, ay
+        return self.f[xs, ys][::-1, ::-1], rows, cols
+
+
+def _window_axis(v, centres, p: int, q: int, n_src: int, lo: int, hi: int):
+    """(table slice, source slice) of one axis for a reading at v, or None off the centres.
+
+    Measurement column im and source column s meet at table index
+    c - q*s with c = p*im + q*(n_src - 1): the table slice, reversed, runs
+    over s = 0 .. n_src - 1, and the source slice holds the s whose index
+    lies in [lo, hi).
+    """
+    im = int(np.searchsorted(centres, v))
+    if im == centres.size or centres[im] != v:
+        return None
+    c = p * im + q * (n_src - 1)
+    s_lo = max(0, -((hi - 1 - c) // q))
+    s_hi = max(s_lo, min(n_src, (c - lo) // q + 1))
+    return slice(p * im, c + 1, q), slice(s_lo, s_hi)
+
+
+def _exact_axis(meas, src, off, p: int, q: int, t0: int) -> bool:
+    """True when off[p*im - q*is - t0] is meas[im] - src[is], bit for bit, for every pair."""
+    t = p * np.arange(meas.size)[:, None] - q * np.arange(src.size)[None, :] - t0
+    return np.array_equal((meas[:, None] - src[None, :]).view(np.int64), off[t].view(np.int64))
 
 
 def next_fast_len(n: int) -> int:
@@ -397,7 +466,10 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     """Tabulate k(d) = f(d)^2 / (2 sigma^2) over every sensor-source offset.
 
     The lattice spans all displacements (measurement center - source center),
-    including sub-pitch shifts when the two grids differ in resolution.
+    including sub-pitch shifts when the two grids differ in resolution. The
+    concentration f on the lattice is kept, with its non-zero box and the
+    per-axis exactness flags, so that on-lattice readings take their
+    likelihood from this one evaluation (see OffsetKernel.source_window).
     """
     (px, qx), (py, qy) = grid.lattice_strides()
     fine_dx = grid.meas_dx / px
@@ -414,6 +486,11 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     off_y = ty * fine_dy + shift_y
     f = _concentration_at_offset(off_x[:, None], off_y[None, :], params)
     values = (f * f) / (2.0 * params.noise_sigma**2)
+    nz_x = np.flatnonzero(f.any(axis=1))
+    nz_y = np.flatnonzero(f.any(axis=0))
+    f_box = (0, 0, 0, 0)
+    if nz_x.size:
+        f_box = (int(nz_x[0]), int(nz_x[-1]) + 1, int(nz_y[0]), int(nz_y[-1]) + 1)
     # correlate embeds the posterior on the fine lattice with the source
     # strides and reads only convolution indices q*(I-1) ... q*(I-1) + p*(A-1).
     # A circular convolution of length N >= len(tx) = p*(A-1) + q*(I-1) + 1
@@ -435,4 +512,9 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
         grid=grid,
         spectrum=transposed_rfft2(values, fft_shape),
         fft_shape=fft_shape,
+        f=f,
+        params=params,
+        f_box=f_box,
+        exact_x=_exact_axis(grid.meas_x_centers(), grid.src_x_centers(), off_x, px, qx, tx0),
+        exact_y=_exact_axis(grid.meas_y_centers(), grid.src_y_centers(), off_y, py, qy, ty0),
     )

@@ -25,7 +25,8 @@ from .belief import (
     uniform_posterior,
 )
 from .field import (
-    GridSpec, PlumeParams, check_number, check_values, concentration, squared_snr_kernel
+    GridSpec, KernelGridMismatch, PlumeParams, check_number, check_values, concentration,
+    squared_snr_kernel,
 )
 from .planner import (
     TIER_SNR_FFT,
@@ -161,7 +162,8 @@ def read_rows(path, row_type) -> list:
     steps 0, 1, ... in order with agents 0..n-1 in order in each. Raises
     ValueError naming the file for text that is not UTF-8, another header, a
     row that is not one finite value of each field's type (naming its line),
-    or rows out of that order.
+    a cell that is not the repr write_rows gives its value (such as ' 1_0.5 '
+    for 10.5), or rows out of that order.
     """
     fields, hints = row_type._fields, get_type_hints(row_type)
     kinds = [hints[name] for name in fields]
@@ -185,6 +187,13 @@ def read_rows(path, row_type) -> list:
         if not all(map(math.isfinite, values)):  # the program writes only finite values
             raise ValueError(
                 f"{path}: line {reader.line_num}: {cells} holds a value that is not finite"
+            )
+        written = list(map(repr, values))  # what write_rows writes for int and float
+        if written != cells:
+            cell, value = next((c, w) for c, w in zip(cells, written) if c != w)
+            raise ValueError(
+                f"{path}: line {reader.line_num}: {cell!r} reads as {value}, "
+                f"which write_rows writes as {value!r}"
             )
         row = row_type._make(values)
         if not n_agents and row.step == 1:
@@ -292,15 +301,35 @@ def sense(
     )
 
 
+def episode_kernel(cfg: SimConfig):
+    """The squared-SNR kernel an episode reads, or None.
+
+    One evaluation of the plume on the offset lattice serves the snr-fft
+    score map and the likelihood of every reading at a measurement-cell
+    centre. The score map needs it; any other episode builds it only when
+    the table holds no more cells than the closed form would evaluate for
+    all its readings, so a pitch ratio with a huge fine lattice costs no
+    more than it saves. A grid without an offset lattice gets None.
+    """
+    grid = cfg.world.grid
+    if cfg.policy == POLICY_INFO and cfg.tier == TIER_SNR_FFT:
+        return squared_snr_kernel(cfg.world.plume, grid)
+    try:
+        cells = grid.lattice_cells()
+    except KernelGridMismatch:
+        return None
+    if cells > cfg.n_steps * cfg.n_agents * grid.n_src_cells:
+        return None
+    return squared_snr_kernel(cfg.world.plume, grid)
+
+
 def run_episode(cfg: SimConfig) -> EpisodeLog:
     """Run one seeded episode and return its full log."""
     world_rng, meas_rngs, policy_rngs = agent_streams(cfg.seed, cfg.n_agents)
     prior, source, positions = cfg.world.setup(world_rng, cfg.n_agents)
     grid, plume = cfg.world.grid, cfg.world.plume
     belief = prior
-    kernel = None
-    if cfg.policy == POLICY_INFO and cfg.tier == TIER_SNR_FFT:
-        kernel = squared_snr_kernel(plume, grid)
+    kernel = episode_kernel(cfg)
 
     log = EpisodeLog(
         seed=cfg.seed,
@@ -318,7 +347,7 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
             for i in range(cfg.n_agents)
         ]
         # broadcast: every reading reaches every agent before one shared update
-        belief = posterior_update(belief, readings, plume)
+        belief = posterior_update(belief, readings, plume, kernel)
         ig = info_gain_bits(belief, prior)
 
         scores = None

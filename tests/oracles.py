@@ -300,3 +300,11 @@ def plain_loglik_grid(record, grid, params):
     """Log-likelihood of one record against every source-cell center, (I, J)."""
     f = plain_concentration(np.array([record.x, record.y]), grid.src_centers(), params)
     return plain_gaussian_loglik(record.value, f, params.noise_sigma)
+
+
+def masked_info_gain_bits(post, reference):
+    """KL divergence in bits summed over the posterior's support only, gathered by a mask."""
+    p = post.probs()
+    support = p > 0.0
+    diff = post.log_probs[support] - reference.log_probs[support]
+    return float(np.sum(p[support] * diff) / LOG_2)

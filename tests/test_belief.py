@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import plain_gaussian_loglik, plain_loglik_grid
+from oracles import masked_info_gain_bits, plain_gaussian_loglik, plain_loglik_grid
 from scipy.stats import norm
 
 from plumeseek.belief import (
@@ -24,7 +24,15 @@ from plumeseek.belief import (
     posterior_update,
     uniform_posterior,
 )
-from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams, concentration
+from plumeseek.field import (
+    ADVECTED,
+    BLOB,
+    GridSpec,
+    KernelGridMismatch,
+    PlumeParams,
+    concentration,
+    squared_snr_kernel,
+)
 
 
 def grid(n=2, world=None):
@@ -129,6 +137,89 @@ def test_loglik_grid_equals_plain_formula_oracle(g, params):
         got = loglik_grid(rec, g, params)
         assert got.shape == (g.i_cells, g.j_cells)
         assert np.array_equal(got, plain_loglik_grid(rec, g, params))
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def update_outcome(post, batch, params, kernel=None):
+    """The updated posterior, or the AllMassLost message."""
+    try:
+        return posterior_update(post, batch, params, kernel)
+    except AllMassLost as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 12, 6),
+        GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6),  # measurement:source pitch 1:2
+        GridSpec(0.1, 1.3, 0.1, 0.7, 12, 6, 12, 6),  # pitch 0.1: an inexact lattice
+    ],
+)
+@pytest.mark.parametrize(
+    "params",
+    [
+        blob(strength=1.3, length_scale=1.7, noise_sigma=0.4),
+        blob(length_scale=0.3, noise_sigma=0.4),  # f is non-zero on a small box
+        blob(strength=0.0),  # an empty non-zero box
+        PlumeParams(
+            kind=ADVECTED,
+            strength=1.7,
+            wind=(1.0, 0.3),
+            sigma0=0.8,
+            spread_rate=0.25,
+            noise_sigma=0.3,
+        ),
+        PlumeParams(kind=ADVECTED, strength=0.0, wind=(0.0, -2.0)),
+    ],
+)
+def test_kernel_likelihood_and_update_equal_the_closed_form_bit_for_bit(g, params):
+    # oracle for the on-lattice likelihood: passing the kernel changes no
+    # bit, at every measurement-cell centre, off the lattice and outside the
+    # world, where readings hit the floor, and where every cell floors
+    kernel = squared_snr_kernel(params, g)
+    rng = np.random.default_rng(23)
+    values = [0.0, 0.37, -1.2, 30.0]
+    on = [g.meas_cell_center(c) for c in range(g.n_meas_cells)]
+    width, height = g.x_max - g.x_min, g.y_max - g.y_min
+    off = [(g.x_min + width * u, g.y_min + height * v) for u, v in rng.random((8, 2))]
+    off += [(g.x_min - width, g.y_max + 2.0 * height)]
+    records = [
+        MeasurementRecord(float(x), float(y), values[k % len(values)], step=k)
+        for k, (x, y) in enumerate(on + off)
+    ]
+    for rec in records:
+        assert same_bits(loglik_grid(rec, g, params, kernel), loglik_grid(rec, g, params))
+    order = rng.permutation(len(records))
+    batches = [[records[k] for k in order[lo : lo + 5]] for lo in range(0, len(order), 5)]
+    batches.append([records[0], MeasurementRecord(*on[-1], 1e6)])  # floors every cell
+    fast = slow = posterior_from_weights(g, rng.random(g.n_src_cells) + 0.05)
+    for batch in batches:
+        got = update_outcome(fast, batch, params, kernel)
+        want = update_outcome(slow, batch, params)
+        if isinstance(want, str):
+            assert got == want  # AllMassLost alike, and the chains keep their posteriors
+            continue
+        assert same_bits(got.log_probs, want.log_probs)
+        fast, slow = got, want
+    assert isinstance(want, str)
+
+
+def test_kernel_for_another_grid_or_plume_is_refused():
+    g = GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 12, 6)
+    params = blob(noise_sigma=0.4)
+    rec = MeasurementRecord(*g.meas_cell_center(7), 0.5)
+    post = uniform_posterior(g)
+    for kernel in (squared_snr_kernel(blob(noise_sigma=0.5), g),
+                   squared_snr_kernel(params, GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 6, 6))):
+        with pytest.raises(KernelGridMismatch):
+            loglik_grid(rec, g, params, kernel)
+        with pytest.raises(KernelGridMismatch):
+            posterior_update(post, [rec], params, kernel)
 
 
 def test_gaussian_loglik_equals_plain_formula_on_scalars_and_broadcasts():
@@ -292,6 +383,11 @@ def _logsumexp_cases():
         elif kind == 5:
             a = np.round(a)  # ties below the maximum too
         yield a
+    # full-scale sizes, so that the sums run through pairwise-summation blocks
+    big = rng.normal(scale=30.0, size=(512, 256))
+    big[rng.random(big.shape) < 0.3] = -np.inf
+    yield big
+    yield np.round(rng.normal(scale=5.0, size=(64, 4096)))  # tied maxima in every row
 
 
 @pytest.mark.parametrize(
@@ -364,6 +460,26 @@ def test_info_gain_rejects_mass_outside_reference_support():
     # but a posterior inside the support is fine
     inside = posterior_from_weights(g, [3.0, 1.0, 0.0, 0.0])
     assert info_gain_bits(inside, reference) >= 0.0
+
+
+@pytest.mark.parametrize("side", [5, 64])
+def test_info_gain_equals_masked_formula(side):
+    # the full-support path sums the full arrays; the masked sum is the oracle
+    rng = np.random.default_rng(29)
+    g = grid(side, world=float(side))
+    for zeros in (0.0, 0.3, 0.9):
+        for _ in range(5):
+            w = rng.random(g.n_src_cells) * np.exp(rng.normal(scale=20.0, size=g.n_src_cells))
+            w[rng.random(w.size) < zeros] = 0.0
+            w[0] = 1.0
+            post = posterior_from_weights(g, w)
+            assert np.all(post.probs() > 0.0) == (zeros == 0.0)
+            ref = posterior_from_weights(g, rng.random(g.n_src_cells) + 1e-3)
+            assert info_gain_bits(post, ref) == masked_info_gain_bits(post, ref)
+            assert info_gain_bits(post, post) == masked_info_gain_bits(post, post) == 0.0
+            holes = posterior_from_weights(g, np.where(w > 0.0, 0.0, 1.0) + np.eye(1, w.size)[0])
+            with pytest.raises(UnsupportedReference):  # full or partial support alike
+                info_gain_bits(post, holes)
 
 
 def test_info_gain_nonnegative_for_random_pairs():

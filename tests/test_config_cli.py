@@ -78,6 +78,22 @@ def test_cli_and_training_import_without_scipy():
     assert out.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    # only --threads > 1 needs the pool; its import brings multiprocessing,
+    # logging and socket into every single-process run's start-up
+    import plumeseek
+
+    src = str(Path(plumeseek.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import plumeseek.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 
 def test_readme_library_example_runs(capsys):
     readme = (CONFIGS.parent / "README.md").read_text()
@@ -592,7 +608,7 @@ def test_pool_never_has_more_workers_than_jobs(tmp_path, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr("plumeseek.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     cfg_path = write_config(tmp_path, TINY_SIM)
     args = ["simulate", "--config", cfg_path, "--policy", "random", "--threads", "64"]
     assert main([*args, "--out", str(tmp_path / "two")]) == 0  # 2 seeds: 2 jobs
@@ -865,9 +881,15 @@ EPISODE_ROW = "0.5,0.5,0.1,0.0,1.0"  # x, y, m, ig_bits, cost after step and age
             "step,agent_id,smoothed_reward\n0,0,-inf\n",
             "line 2: ['0', '0', '-inf'] holds a value that is not finite",
         ),
+        (
+            "info/episode_0.csv",
+            f"{EPISODE_HEADER}\n0,0, 1_0.5 ,0.5,0.1,0.0,1.0\n",
+            "line 2: ' 1_0.5 ' reads as 10.5, which write_rows writes as '10.5'",
+        ),
     ],
     ids=["episode-header", "episode-short-row", "episode-missing-step", "curves-header",
-         "curves-short-row", "episode-nan", "episode-not-utf-8", "curves-inf"],
+         "curves-short-row", "episode-nan", "episode-not-utf-8", "curves-inf",
+         "episode-underscored-number"],
 )
 def test_plot_refuses_a_foreign_table_with_exit_2(tmp_path, capsys, name, text, error):
     path = tmp_path / name

@@ -412,10 +412,73 @@ def test_kernel_spectrum_is_transposed_rfft2(g, params):
     assert np.array_equal(k.spectrum, want)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        GridSpec(0.0, 8.0, 0.0, 8.0, 8, 8, 8, 8),
+        GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 6, 12),
+        GridSpec(0.0, 15.0, 0.0, 9.0, 5, 9, 15, 3),
+    ],
+)
+def test_lattice_cells_is_the_kernel_size(g):
+    assert g.lattice_cells() == squared_snr_kernel(blob(), g).values.size
+
+
 def test_kernel_zero_strength_is_all_zero():
     g = GridSpec(0.0, 4.0, 0.0, 4.0, 4, 4, 4, 4)
     k = squared_snr_kernel(blob(strength=0.0), g)
     assert np.all(k.values == 0.0)
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 12, 6),
+        GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6),  # measurement:source pitch 1:2
+        GridSpec(0.0, 12.0, 0.0, 12.0, 6, 12, 12, 4),  # 2:1 in x, 1:3 in y
+    ],
+)
+@pytest.mark.parametrize(
+    "params",
+    [
+        blob(length_scale=0.3),  # f's non-zero box is a small part of the table
+        blob(strength=1.3, length_scale=1.7),
+        blob(strength=0.0),  # no non-zero cell at all
+        advected(wind=(1.0, 0.3)),
+        advected(wind=(-0.5, -2.0), spread_rate=0.0),
+    ],
+)
+def test_kernel_source_window_is_the_closed_form_bit_for_bit(g, params):
+    k = squared_snr_kernel(params, g)
+    assert k.exact_x and k.exact_y
+    assert (k.f_box == (0, 0, 0, 0)) == (params.strength == 0.0)
+    for flat in range(g.n_meas_cells):
+        x, y = g.meas_cell_center(flat)
+        window, rows, cols = k.source_window(x, y)
+        want = concentration_at_sources((x, y), g, params)
+        assert same_bits(window, want)
+        outside = np.ones(want.shape, dtype=bool)
+        outside[rows, cols] = False
+        assert not want[outside].any()
+
+
+def test_kernel_source_window_is_none_off_the_lattice():
+    g = GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 12, 6)
+    k = squared_snr_kernel(blob(), g)
+    for x, y in [(0.5, 0.25), (0.25, 0.5), (12.5, 0.5), (-0.5, 0.5), (0.5, 6.5),
+                 (math.nan, 0.5), (0.5, -math.inf), (math.nextafter(0.5, 1.0), 0.5)]:
+        assert k.source_window(x, y) is None
+    # pitch 0.1 from x_min 0.1: centre differences round off the lattice offsets
+    inexact = GridSpec(0.1, 1.3, 0.1, 0.7, 12, 6, 12, 6)
+    k = squared_snr_kernel(blob(length_scale=0.2), inexact)
+    assert not (k.exact_x or k.exact_y)
+    for flat in range(inexact.n_meas_cells):
+        assert k.source_window(*inexact.meas_cell_center(flat)) is None
 
 
 def test_next_fast_len_equals_scipy():
@@ -431,3 +494,5 @@ def test_kernel_rejects_incommensurate_pitches():
     g = GridSpec(0.0, 1.0, 0.0, 1.0, 4099, 1, 4096, 1)
     with pytest.raises(KernelGridMismatch):
         squared_snr_kernel(blob(), g)
+    with pytest.raises(KernelGridMismatch):
+        g.lattice_cells()

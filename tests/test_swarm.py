@@ -29,6 +29,7 @@ from plumeseek.swarm import (
     World,
     agent_streams,
     cost_only_policy,
+    episode_kernel,
     random_policy,
     read_episode_csv,
     read_rows,
@@ -170,6 +171,10 @@ ROW = "0.5,0.5,0.1,0.0,1.0"  # x, y, m, ig_bits, cost after step and agent_id
         (f"0,0,{ROW}\n0,1,0.5,0.5,nan,0.0,1.0\n", "line 3: .*'nan'.* holds a value that is not"),
         ("0,0,0.5,-inf,0.1,0.0,1.0\n", "line 2: .*'-inf'.* holds a value that is not finite"),
         (f"0,0,{ROW}\n".encode() + b"0,1,0.5,0.5,0.1,0.0,\xff\n", "not UTF-8 text"),
+        ("0,0, 1_0.5 ,0.5,0.1,0.0,1.0\n", "line 2: ' 1_0.5 ' reads as 10.5, which write_rows"),
+        (f"0,0,{ROW}\n0,+1,{ROW}\n", "line 3: '\\+1' reads as 1, which write_rows writes as '1'"),
+        ("0,0,0.5,0.5,1e-3,0.0,1.0\n", "line 2: '1e-3' reads as 0.001"),
+        ("0,0,0.5,0.5,0.1,0.0,1\n", "line 2: '1' reads as 1.0"),
     ],
     ids=[
         "not-a-number",
@@ -182,6 +187,10 @@ ROW = "0.5,0.5,0.1,0.0,1.0"  # x, y, m, ig_bits, cost after step and agent_id
         "nan",
         "inf",
         "not-utf-8",
+        "spaces-and-underscore",
+        "plus-sign",
+        "float-not-repr",
+        "int-in-float-field",
     ],
 )
 def test_step_table_rows_are_checked(tmp_path, body, error):
@@ -287,6 +296,33 @@ def test_info_policy_with_fft_matches_bruteforce_tier(monkeypatch):
     )
     b = run_episode(small_config(policy=POLICY_INFO, tier=TIER_SNR_FFT, seed=9))
     assert a.records == b.records
+
+
+def test_episode_kernel_is_built_where_it_serves():
+    # the snr-fft map always needs it; another episode builds it only when
+    # the table is no larger than the closed-form cells its readings evaluate
+    for policy in (POLICY_INFO, POLICY_COST_ONLY, POLICY_RANDOM):
+        assert episode_kernel(small_config(policy=policy)) is not None
+    assert episode_kernel(small_config(policy=POLICY_INFO, tier="exact")) is not None
+    assert episode_kernel(small_config(n_steps=0)) is None
+    assert episode_kernel(small_config(policy=POLICY_INFO, n_steps=0)) is not None
+    # pitch ratio 99:100, a 19602-cell lattice against 6 * 3 * 99 closed-form cells
+    awkward = GridSpec(0.0, 9900.0, 0.0, 1.0, 100, 1, 99, 1)
+    assert awkward.lattice_cells() == 19602
+    assert episode_kernel(small_config(grid=awkward)) is None
+    no_lattice = GridSpec(0.0, 1.0, 0.0, 1.0, 4099, 1, 4096, 1)
+    assert episode_kernel(small_config(grid=no_lattice, tier="expected-measurement")) is None
+
+
+@pytest.mark.parametrize("policy", [POLICY_INFO, POLICY_COST_ONLY, POLICY_RANDOM])
+def test_episode_kernel_changes_no_output(monkeypatch, policy):
+    cfg = small_config(policy=policy, seed=4, n_steps=12)
+    with_kernel = run_episode(cfg)
+    monkeypatch.setattr("plumeseek.swarm.episode_kernel", lambda cfg: None)
+    closed_form = run_episode(cfg)
+    assert with_kernel.records == closed_form.records
+    lp, want = with_kernel.final_posterior.log_probs, closed_form.final_posterior.log_probs
+    assert np.array_equal(lp.view(np.int64), want.view(np.int64))
 
 
 def test_random_policy_is_uniform_over_cells():
