@@ -12,13 +12,7 @@ import numpy as np
 
 # `concentration` is not called here; perfbench's tracer wraps it under this name.
 from .field import (
-    GridSpec,
-    KernelGridMismatch,
-    OffsetKernel,
-    PlumeParams,
-    check_number,
-    concentration,
-    concentration_at_sources,
+    GridSpec, OffsetKernel, PlumeParams, check_number, concentration, concentration_at_sources
 )
 
 LOG_2 = float(np.log(2.0))
@@ -157,8 +151,7 @@ def loglik_grid(
     sigma = params.noise_sigma
     window = None
     if kernel is not None:
-        if kernel.grid != grid or kernel.params != params:
-            raise KernelGridMismatch("kernel was tabulated for another grid or plume")
+        kernel.check(grid, params)
         window = kernel.source_window(record.x, record.y)
     if window is None:
         f = concentration_at_sources((record.x, record.y), grid, params)

@@ -111,16 +111,6 @@ class GridSpec:
         """Per axis, (p, q) with meas_pitch/src_pitch == p/q, else raise KernelGridMismatch."""
         return _axis_strides(self.meas_dx, self.src_dx), _axis_strides(self.meas_dy, self.src_dy)
 
-    def lattice_cells(self) -> int:
-        """Cells of the offset lattice squared_snr_kernel tabulates; KernelGridMismatch if none.
-
-        Offsets p*im - q*is run over p*(A - 1) + q*(I - 1) + 1 values in x,
-        and likewise in y.
-        """
-        (px, qx), (py, qy) = self.lattice_strides()
-        nx = px * (self.a_cells - 1) + qx * (self.i_cells - 1) + 1
-        return nx * (py * (self.b_cells - 1) + qy * (self.j_cells - 1) + 1)
-
     @property
     def diagonal(self) -> float:
         return float(np.hypot(self.x_max - self.x_min, self.y_max - self.y_min))
@@ -358,6 +348,11 @@ class OffsetKernel:
     f_box: tuple[int, int, int, int] = field(repr=False, compare=False)
     exact_x: bool = field(repr=False, compare=False)
     exact_y: bool = field(repr=False, compare=False)
+
+    def check(self, grid: GridSpec, params: PlumeParams | None = None) -> None:
+        """Raise KernelGridMismatch unless tabulated for grid and, when given, params."""
+        if self.grid != grid or (params is not None and self.params != params):
+            raise KernelGridMismatch("kernel was tabulated for another grid or plume")
 
     def correlate(self, probs: np.ndarray) -> np.ndarray:
         """Squared-SNR score in nats at every measurement cell, (a_cells, b_cells).

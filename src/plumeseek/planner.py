@@ -169,18 +169,24 @@ def snr_score_map_bruteforce(
 
 
 def snr_score_map_fft(
-    post: SourcePosterior, kernel: OffsetKernel, grid: GridSpec | None = None
+    post: SourcePosterior,
+    kernel: OffsetKernel,
+    grid: GridSpec | None = None,
+    params: PlumeParams | None = None,
 ) -> ScoreMap:
     """Squared-SNR score in bits for every measurement cell via FFT cross-correlation.
 
     OffsetKernel.correlate computes the map in nats (squared_snr_kernel says
     why the FFT's wraparound never reaches it); this clamps the FFT roundoff
-    that grazes below zero and converts to bits.
+    that grazes below zero and converts to bits. A kernel tabulated for
+    another grid, or for another plume than params when given, raises
+    KernelGridMismatch.
     """
     if grid is None:
         grid = kernel.grid
-    if kernel.grid != grid or post.grid != grid:
-        raise KernelGridMismatch("kernel was tabulated for a different grid")
+    kernel.check(grid, params)
+    if post.grid != grid:
+        raise KernelGridMismatch("posterior is on another grid than the kernel")
     vals = np.maximum(kernel.correlate(post.probs()), 0.0) / LOG_2
     return ScoreMap(vals, TIER_SNR_FFT, grid)
 
@@ -198,7 +204,7 @@ def compute_score_map(
     if tier == TIER_SNR_FFT:
         if kernel is None:
             kernel = squared_snr_kernel(params, grid)
-        return snr_score_map_fft(post, kernel, grid)
+        return snr_score_map_fft(post, kernel, grid, params)
     if tier in (TIER_EXACT, TIER_EXPECTED):
         centers = grid.meas_centers().reshape(-1, 2)
         if reference is None:

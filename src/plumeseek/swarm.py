@@ -25,8 +25,7 @@ from .belief import (
     uniform_posterior,
 )
 from .field import (
-    GridSpec, KernelGridMismatch, PlumeParams, check_number, check_values, concentration,
-    squared_snr_kernel,
+    GridSpec, PlumeParams, check_number, check_values, concentration, squared_snr_kernel
 )
 from .planner import (
     TIER_SNR_FFT,
@@ -301,35 +300,15 @@ def sense(
     )
 
 
-def episode_kernel(cfg: SimConfig):
-    """The squared-SNR kernel an episode reads, or None.
-
-    One evaluation of the plume on the offset lattice serves the snr-fft
-    score map and the likelihood of every reading at a measurement-cell
-    centre. The score map needs it; any other episode builds it only when
-    the table holds no more cells than the closed form would evaluate for
-    all its readings, so a pitch ratio with a huge fine lattice costs no
-    more than it saves. A grid without an offset lattice gets None.
-    """
-    grid = cfg.world.grid
-    if cfg.policy == POLICY_INFO and cfg.tier == TIER_SNR_FFT:
-        return squared_snr_kernel(cfg.world.plume, grid)
-    try:
-        cells = grid.lattice_cells()
-    except KernelGridMismatch:
-        return None
-    if cells > cfg.n_steps * cfg.n_agents * grid.n_src_cells:
-        return None
-    return squared_snr_kernel(cfg.world.plume, grid)
-
-
 def run_episode(cfg: SimConfig) -> EpisodeLog:
     """Run one seeded episode and return its full log."""
     world_rng, meas_rngs, policy_rngs = agent_streams(cfg.seed, cfg.n_agents)
     prior, source, positions = cfg.world.setup(world_rng, cfg.n_agents)
     grid, plume = cfg.world.grid, cfg.world.plume
     belief = prior
-    kernel = episode_kernel(cfg)
+    kernel = None
+    if cfg.policy == POLICY_INFO and cfg.tier == TIER_SNR_FFT:
+        kernel = squared_snr_kernel(plume, grid)
 
     log = EpisodeLog(
         seed=cfg.seed,

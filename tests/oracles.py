@@ -308,3 +308,9 @@ def masked_info_gain_bits(post, reference):
     support = p > 0.0
     diff = post.log_probs[support] - reference.log_probs[support]
     return float(np.sum(p[support] * diff) / LOG_2)
+
+
+def same_bits(a, b):
+    """True when two float arrays have one shape and equal bits (NaNs and signed zeros too)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import masked_info_gain_bits, plain_gaussian_loglik, plain_loglik_grid
+from oracles import masked_info_gain_bits, plain_gaussian_loglik, plain_loglik_grid, same_bits
 from scipy.stats import norm
 
 from plumeseek.belief import (
@@ -137,11 +137,6 @@ def test_loglik_grid_equals_plain_formula_oracle(g, params):
         got = loglik_grid(rec, g, params)
         assert got.shape == (g.i_cells, g.j_cells)
         assert np.array_equal(got, plain_loglik_grid(rec, g, params))
-
-
-def same_bits(a, b):
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def update_outcome(post, batch, params, kernel=None):

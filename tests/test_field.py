@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import plain_concentration
+from oracles import plain_concentration, same_bits
 
 from plumeseek.field import (
     ADVECTED,
@@ -412,27 +412,10 @@ def test_kernel_spectrum_is_transposed_rfft2(g, params):
     assert np.array_equal(k.spectrum, want)
 
 
-@pytest.mark.parametrize(
-    "g",
-    [
-        GridSpec(0.0, 8.0, 0.0, 8.0, 8, 8, 8, 8),
-        GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 6, 12),
-        GridSpec(0.0, 15.0, 0.0, 9.0, 5, 9, 15, 3),
-    ],
-)
-def test_lattice_cells_is_the_kernel_size(g):
-    assert g.lattice_cells() == squared_snr_kernel(blob(), g).values.size
-
-
 def test_kernel_zero_strength_is_all_zero():
     g = GridSpec(0.0, 4.0, 0.0, 4.0, 4, 4, 4, 4)
     k = squared_snr_kernel(blob(strength=0.0), g)
     assert np.all(k.values == 0.0)
-
-
-def same_bits(a, b):
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @pytest.mark.parametrize(
@@ -494,5 +477,3 @@ def test_kernel_rejects_incommensurate_pitches():
     g = GridSpec(0.0, 1.0, 0.0, 1.0, 4099, 1, 4096, 1)
     with pytest.raises(KernelGridMismatch):
         squared_snr_kernel(blob(), g)
-    with pytest.raises(KernelGridMismatch):
-        g.lattice_cells()

@@ -285,6 +285,17 @@ def test_fft_map_rejects_mismatched_posterior_grid():
         snr_score_map_fft(uniform_posterior(grid(4)), kernel)
 
 
+def test_score_map_refuses_a_kernel_for_another_plume_or_grid():
+    g, params = grid(8), blob(length_scale=1.0)
+    post = uniform_posterior(g)
+    other_plume, other_grid = blob(length_scale=4.0), grid(4)
+    for kernel in (squared_snr_kernel(other_plume, g), squared_snr_kernel(params, other_grid)):
+        with pytest.raises(KernelGridMismatch):
+            compute_score_map(post, params, g, TIER_SNR_FFT, kernel=kernel)
+        with pytest.raises(KernelGridMismatch):
+            snr_score_map_fft(post, kernel, g, params)
+
+
 def test_fft_map_never_negative():
     rng = np.random.default_rng(8)
     g = grid(12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import inline_reading
+from oracles import inline_reading, same_bits
 
 from plumeseek import swarm
 
@@ -29,7 +29,6 @@ from plumeseek.swarm import (
     World,
     agent_streams,
     cost_only_policy,
-    episode_kernel,
     random_policy,
     read_episode_csv,
     read_rows,
@@ -298,31 +297,20 @@ def test_info_policy_with_fft_matches_bruteforce_tier(monkeypatch):
     assert a.records == b.records
 
 
-def test_episode_kernel_is_built_where_it_serves():
-    # the snr-fft map always needs it; another episode builds it only when
-    # the table is no larger than the closed-form cells its readings evaluate
-    for policy in (POLICY_INFO, POLICY_COST_ONLY, POLICY_RANDOM):
-        assert episode_kernel(small_config(policy=policy)) is not None
-    assert episode_kernel(small_config(policy=POLICY_INFO, tier="exact")) is not None
-    assert episode_kernel(small_config(n_steps=0)) is None
-    assert episode_kernel(small_config(policy=POLICY_INFO, n_steps=0)) is not None
-    # pitch ratio 99:100, a 19602-cell lattice against 6 * 3 * 99 closed-form cells
-    awkward = GridSpec(0.0, 9900.0, 0.0, 1.0, 100, 1, 99, 1)
-    assert awkward.lattice_cells() == 19602
-    assert episode_kernel(small_config(grid=awkward)) is None
-    no_lattice = GridSpec(0.0, 1.0, 0.0, 1.0, 4099, 1, 4096, 1)
-    assert episode_kernel(small_config(grid=no_lattice, tier="expected-measurement")) is None
-
-
-@pytest.mark.parametrize("policy", [POLICY_INFO, POLICY_COST_ONLY, POLICY_RANDOM])
-def test_episode_kernel_changes_no_output(monkeypatch, policy):
-    cfg = small_config(policy=policy, seed=4, n_steps=12)
+def test_update_kernel_changes_no_output(monkeypatch):
+    cfg = small_config(policy=POLICY_INFO, tier=TIER_SNR_FFT, seed=4, n_steps=12)
     with_kernel = run_episode(cfg)
-    monkeypatch.setattr("plumeseek.swarm.episode_kernel", lambda cfg: None)
+    kernels = []
+
+    def closed_form_update(post, records, params, kernel):
+        kernels.append(kernel)
+        return posterior_update(post, records, params)
+
+    monkeypatch.setattr("plumeseek.swarm.posterior_update", closed_form_update)
     closed_form = run_episode(cfg)
+    assert len(kernels) == 12 and all(k is not None for k in kernels)
     assert with_kernel.records == closed_form.records
-    lp, want = with_kernel.final_posterior.log_probs, closed_form.final_posterior.log_probs
-    assert np.array_equal(lp.view(np.int64), want.view(np.int64))
+    assert same_bits(with_kernel.final_posterior.log_probs, closed_form.final_posterior.log_probs)
 
 
 def test_random_policy_is_uniform_over_cells():
