@@ -167,11 +167,10 @@ def _reward_curves_svg(out_dir: Path) -> str | None:
     series = []
     for path in sorted(out_dir.glob("curves_*.csv")):
         curves = read_curves_csv(path)
-        if curves.size == 0:
-            continue
         tag = path.stem[len("curves_") :]
         mode = tag.rsplit("_", 1)[0]
-        mean_curve = curves.mean(axis=1)
+        # a 0-step run, (0, 0), is drawn as an empty series, as a 0-step episode is
+        mean_curve = curves.mean(axis=1) if curves.size else []
         series.append(
             Series(
                 label=tag,

@@ -173,6 +173,9 @@ class PlumeParams:
     spread_rate; its cross-wind width grows linearly with downwind
     distance and there is no upwind signal at all. Every field is checked
     whatever the kind; kind adds only that an advected wind is nonzero.
+    2 w^2 must be a positive finite float for each width w (length_scale,
+    sigma0, noise_sigma), and the kernel peak strength^2 / (2 noise_sigma^2)
+    finite, so no closed form divides by 0 or overflows.
     """
 
     kind: str = BLOB
@@ -189,59 +192,38 @@ class PlumeParams:
         for name in ("strength", "spread_rate"):
             check_number(name, getattr(self, name), low=0.0)
         for name in ("length_scale", "sigma0", "noise_sigma"):
-            check_number(name, getattr(self, name), low=0.0, above=True)
+            w = float(check_number(name, getattr(self, name), low=0.0, above=True))
+            if not 0.0 < 2.0 * w * w < np.inf:  # a closed form divides by it
+                raise ValueError(f"{name} must keep 2 {name}^2 a positive finite float, got {w!r}")
+        s, sigma = float(self.strength), float(self.noise_sigma)
+        if not s * s / (2.0 * sigma * sigma) < np.inf:  # the squared-SNR kernel's peak
+            raise ValueError(
+                f"strength^2 / (2 noise_sigma^2) must be finite, got strength {s!r} "
+                f"and noise_sigma {sigma!r}"
+            )
         wx, wy = (float(w) for w in check_values("wind", self.wind, length=2))
         object.__setattr__(self, "wind", (wx, wy))
         if self.kind == ADVECTED and wx == 0.0 and wy == 0.0:
             raise ValueError("advected plume needs a nonzero wind vector")
 
 
-def _wind_unit(params: PlumeParams) -> tuple[float, float]:
-    """Unit vector (ux, uy) along an advected plume's wind."""
+def _concentration_at_offset(dx, dy, params: PlumeParams):
+    """Mean concentration for displacement (sensor - source). Vectorized."""
+    if params.kind == BLOB:
+        r2 = dx * dx + dy * dy
+        return params.strength * np.exp(-r2 / (2.0 * params.length_scale**2))
+    # Advected: rotate into the wind frame; the signal is 0 upwind (down <= 0)
+    # and its cross-wind width grows linearly downwind.
     wx, wy = params.wind
     wnorm = float(np.hypot(wx, wy))
-    return wx / wnorm, wy / wnorm
-
-
-def _concentration_at_offset(dx, dy, params: PlumeParams):
-    """Mean concentration for displacement (sensor - source). Vectorized.
-
-    Each broadcast-size intermediate is allocated once and then updated in
-    place. Every step keeps the closed form's operands and grouping (a
-    product only swaps its two factors, which is exact), so the result is
-    the same to the last bit as the plain expression.
-    """
-    dx = np.asarray(dx, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    if params.kind == BLOB:
-        # strength * exp(-(dx^2 + dy^2) / (2 length_scale^2))
-        r2 = np.asarray(dx * dx + dy * dy)  # asarray: a 0-d array, not a scalar, for points
-        np.negative(r2, out=r2)
-        r2 /= 2.0 * params.length_scale**2
-        np.exp(r2, out=r2)
-        r2 *= params.strength
-        return r2
-    # Advected: rotate into the wind frame; downwind component must be > 0.
-    # width = sigma0 + spread_rate * max(down, 0)
-    # f = strength * (sigma0 / width) * exp(-cross^2 / (2 width width)), 0 upwind
-    ux, uy = _wind_unit(params)
-    down = np.asarray(dx * ux + dy * uy)
-    cross = np.asarray(-dx * uy + dy * ux)
-    upwind = ~(down > 0.0)
-    width = np.maximum(down, 0.0, out=down)
-    width *= params.spread_rate
-    width += params.sigma0
-    cross *= cross
-    np.negative(cross, out=cross)
-    den = 2.0 * width
-    den *= width
-    cross /= den
-    np.exp(cross, out=cross)
-    shape = np.divide(params.sigma0, width, out=width)
-    shape *= params.strength
-    shape *= cross
-    np.copyto(shape, 0.0, where=upwind)
-    return shape
+    ux, uy = wx / wnorm, wy / wnorm
+    down = dx * ux + dy * uy
+    cross = -dx * uy + dy * ux
+    width = params.sigma0 + params.spread_rate * np.maximum(down, 0.0)
+    shape = params.strength * (params.sigma0 / width) * np.exp(
+        -(cross * cross) / (2.0 * width * width)
+    )
+    return np.where(down > 0.0, shape, 0.0)
 
 
 def concentration(loc, source, params: PlumeParams):
@@ -262,26 +244,12 @@ def concentration_at_sources(loc, grid: GridSpec, params: PlumeParams) -> np.nda
 
     Equal to concentration(loc, grid.src_centers(), params), bit for bit, but
     builds the displacements from the two center axes instead of an (I, J, 2)
-    array of points. For the advected plume the closed form runs only on the
-    block of source rows holding a cell the sensor is downwind of; every other
-    row is upwind and reads the closed form's 0.0. Along a row the downwind
-    component dx*ux + dy*uy is monotone in the column, rounding included, so
-    its two end columns, computed with the closed form's own expression,
-    decide whether the row holds a downwind cell.
+    array of points.
     """
     x, y = np.asarray(loc, dtype=float)
     dx = (x - grid.src_x_centers())[:, None]
     dy = (y - grid.src_y_centers())[None, :]
-    if params.kind == BLOB:
-        return _concentration_at_offset(dx, dy, params)
-    ux, uy = _wind_unit(params)
-    ends = dx * ux + dy[:, [0, -1]] * uy
-    rows = np.flatnonzero((ends > 0.0).any(axis=1))
-    out = np.zeros((grid.i_cells, grid.j_cells))
-    if rows.size:
-        lo, hi = rows[0], rows[-1] + 1
-        out[lo:hi] = _concentration_at_offset(dx[lo:hi], dy, params)
-    return out
+    return _concentration_at_offset(dx, dy, params)
 
 
 def snr_area_fraction(params: PlumeParams, grid: GridSpec, threshold: float = 1.0) -> float:
@@ -311,31 +279,27 @@ class OffsetKernel:
     """Squared-SNR kernel tabulated on the lattice of sensor-source offsets.
 
     values[tx - tx0, ty - ty0] holds f(offset)^2 / (2 sigma^2) in nats at the
-    x offset tx * pitch_x + shift_x (same per axis in y), where
-    tx = stride_meas_x * ix - stride_src_x * is for measurement column ix and
-    source column is. Strides record how each grid embeds into the common
-    fine lattice. fft_shape (sx, sy) is the smallest alias-free fast FFT
-    size (see squared_snr_kernel), and spectrum is the transposed spectrum
-    of values at that size, rfft2(values, s=fft_shape).T, a contiguous
-    (sy // 2 + 1, sx) array (see transposed_rfft2), computed once so
-    correlate does not redo it.
+    x offset tx * (grid.meas_dx / stride_meas_x) + (grid.meas_dx - grid.src_dx) / 2
+    (same per axis in y), where tx = stride_meas_x * ix - stride_src_x * is
+    for measurement column ix and source column is. Strides record how each
+    grid embeds into the common fine lattice. fft_shape (sx, sy) is the
+    smallest alias-free fast FFT size (see squared_snr_kernel), and spectrum
+    is the transposed spectrum of values at that size,
+    rfft2(values, s=fft_shape).T, a contiguous (sy // 2 + 1, sx) array (see
+    transposed_rfft2), computed once so correlate does not redo it.
 
     f is the plume's mean concentration on the same lattice, values before
     squaring, and params the plume it was tabulated for. f_box (x0, x1, y0,
     y1) bounds f's non-zero cells, half-open; (0, 0, 0, 0) when there are
-    none. exact_x is true when the lattice x offset tx * pitch_x + shift_x
-    is meas_x_centers()[ix] - src_x_centers()[is], bit for bit, for every
-    measurement/source column pair (same in y); source_window reads f only
-    when both hold.
+    none. exact_x is true when that lattice x offset, as squared_snr_kernel
+    computes it, is meas_x_centers()[ix] - src_x_centers()[is], bit for bit,
+    for every measurement/source column pair (same in y); source_window reads
+    f only when both hold.
     """
 
     values: np.ndarray
     tx0: int
     ty0: int
-    pitch_x: float
-    pitch_y: float
-    shift_x: float
-    shift_y: float
     stride_meas_x: int
     stride_src_x: int
     stride_meas_y: int
@@ -496,10 +460,6 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
         values=values,
         tx0=int(tx0),
         ty0=int(ty0),
-        pitch_x=fine_dx,
-        pitch_y=fine_dy,
-        shift_x=shift_x,
-        shift_y=shift_y,
         stride_meas_x=px,
         stride_src_x=qx,
         stride_meas_y=py,

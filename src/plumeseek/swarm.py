@@ -306,9 +306,7 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
     prior, source, positions = cfg.world.setup(world_rng, cfg.n_agents)
     grid, plume = cfg.world.grid, cfg.world.plume
     belief = prior
-    kernel = None
-    if cfg.policy == POLICY_INFO and cfg.tier == TIER_SNR_FFT:
-        kernel = squared_snr_kernel(plume, grid)
+    kernel = squared_snr_kernel(plume, grid) if cfg.tier == TIER_SNR_FFT else None
 
     log = EpisodeLog(
         seed=cfg.seed,

@@ -7,9 +7,9 @@ observation loop and the per-agent reward. The buffer ledger keeps
 `HybridEnv`'s readings as it first did, in three structures. The rest are direct sums, the
 inline reading formula that `swarm.sense` replaced, and the plume and
 likelihood closed forms written as plain expressions, one fresh array per
-operation, for the in-place versions in `field` and `belief`. They share
-no arithmetic with the code under test, so a change there that moves a
-bit shows up against them.
+operation, for the closed forms in `field` and the in-place likelihood in
+`belief`. They share no code with the code under test, so a change there
+that moves a bit shows up against them.
 """
 from collections import deque
 from typing import NamedTuple

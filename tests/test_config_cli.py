@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree
@@ -374,6 +375,13 @@ BAD_VALUES = [
     ("plume", "wind", [1, 0, 0]),
     ("plume", "wind", 1.0),
     ("rl", "reward", {"action_costs": 0.5}),
+    # 2 w^2 under- or overflows, or the kernel peak strength^2 / (2 noise_sigma^2) overflows
+    ("plume", "length_scale", 1e-170),
+    ("plume", "length_scale", 1e300),
+    ("plume", "noise_sigma", 1e300),
+    ("plume", "noise_sigma", 1e-170),
+    ("plume", "strength", 1e200),
+    ("plume", "sigma0", 1e-170),
 ]
 
 
@@ -848,6 +856,31 @@ def test_plot_escapes_a_label_taken_from_a_file_name(tmp_path, capsys):
     svg = ElementTree.parse(out / "ig_curves.svg").getroot()  # well-formed XML
     legend = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
     assert "info a&b" in legend and "info 1" in legend
+
+
+@pytest.mark.parametrize(
+    "command,payload,svg_name,label",
+    [
+        ("simulate", {**TINY_SIM, "sim": {"n_steps": 0}}, "ig_curves.svg", "info 0"),
+        ("train", {**TINY_RL, "rl": {**TINY_RL["rl"], "train_steps": 0}}, "reward_curves.svg",
+         "communicating_0"),
+    ],
+)
+def test_plot_draws_a_zero_step_run_as_empty_series(
+    tmp_path, capsys, command, payload, svg_name, label
+):
+    cfg_path = write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+    svg_before = (out / svg_name).read_bytes()
+    (out / svg_name).unlink()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice"
+        assert main(["plot", "--out", str(out)]) == 0, capsys.readouterr().err
+    assert (out / svg_name).read_bytes() == svg_before
+    svg = ElementTree.parse(out / svg_name).getroot()
+    legend = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert label in legend
 
 
 EPISODE_HEADER = ",".join(swarm.StepRecord._fields)

@@ -24,6 +24,7 @@ from plumeseek.swarm import (
     POLICY_COST_ONLY,
     POLICY_INFO,
     POLICY_RANDOM,
+    POLICIES,
     SimConfig,
     StepRecord,
     World,
@@ -297,8 +298,18 @@ def test_info_policy_with_fft_matches_bruteforce_tier(monkeypatch):
     assert a.records == b.records
 
 
-def test_update_kernel_changes_no_output(monkeypatch):
-    cfg = small_config(policy=POLICY_INFO, tier=TIER_SNR_FFT, seed=4, n_steps=12)
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize(
+    "plume",
+    [
+        PlumeParams(kind=BLOB, strength=1.0, length_scale=1.0, noise_sigma=0.4),
+        PlumeParams(kind=ADVECTED, wind=(1.0, 0.5), sigma0=0.8, spread_rate=0.3, noise_sigma=0.4),
+    ],
+    ids=["blob", "advected"],
+)
+def test_update_kernel_changes_no_output(monkeypatch, policy, plume):
+    # every snr-fft episode builds the kernel and hands it to each update
+    cfg = small_config(policy=policy, tier=TIER_SNR_FFT, plume=plume, seed=4, n_steps=12)
     with_kernel = run_episode(cfg)
     kernels = []
 
