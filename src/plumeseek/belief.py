@@ -189,6 +189,12 @@ def posterior_update(
     return SourcePosterior(total - norm, post.grid)
 
 
+def check_reference(post: SourcePosterior, reference: SourcePosterior) -> None:
+    """Raise ValueError unless the reference is on the posterior's grid."""
+    if post.grid != reference.grid:
+        raise ValueError("posterior and reference are on different grids")
+
+
 def info_gain_bits(post: SourcePosterior, reference: SourcePosterior) -> float:
     """KL divergence (bits) of the posterior from a reference distribution.
 
@@ -197,8 +203,7 @@ def info_gain_bits(post: SourcePosterior, reference: SourcePosterior) -> float:
     the sums run over the full arrays, which hold the masked values in the
     same order, so the result is the same.
     """
-    if post.grid != reference.grid:
-        raise ValueError("posterior and reference are on different grids")
+    check_reference(post, reference)
     p = post.probs()
     lp, ref_lp = post.log_probs, reference.log_probs
     support = p > 0.0

@@ -204,8 +204,8 @@ class BenchRow(NamedTuple):
     brute_ms: float
 
 
-def bench_grid(side: int, world: float = 64.0) -> GridSpec:
-    return GridSpec(0.0, world, 0.0, world, side, side, side, side)
+def bench_grid(side: int) -> GridSpec:
+    return GridSpec(0.0, 64.0, 0.0, 64.0, side, side, side, side)
 
 
 def _time_call(fn, repeats: int) -> float:
@@ -243,7 +243,7 @@ def cmd_bench(ns) -> int:
         kernel = squared_snr_kernel(cfg.plume, grid)
         fft_ms = _time_call(lambda: snr_score_map_fft(post, kernel), ns.repeats)
         brute_ms = _time_call(
-            lambda: snr_score_map_bruteforce(post, cfg.plume, grid), ns.repeats
+            lambda: snr_score_map_bruteforce(post, cfg.plume), ns.repeats
         )
         rows.append(BenchRow(side, fft_ms, brute_ms))
         print(f"{side:>4}x{side:<4} fft {fft_ms:10.3f} ms   brute {brute_ms:10.3f} ms")

@@ -6,8 +6,8 @@ field f(x, y). Sensors read f plus Gaussian noise. Everything downstream
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from numbers import Integral, Real
 
 import numpy as np
@@ -15,10 +15,8 @@ import numpy as np
 BLOB = "isotropic-blob"
 ADVECTED = "advected-plume"
 
-# Commensurability check for the measurement/source lattices: the pitch ratio
-# must be a small rational or the offset lattice cannot cover all pairs.
-_MAX_PITCH_DENOMINATOR = 4096
-_PITCH_RTOL = 1e-9
+# The offset lattice embeds one source pitch as at most this many fine steps.
+_MAX_SRC_STRIDE = 4096
 _FLOAT_MAX = float(np.finfo(float).max)  # a Python float: exact against huge ints
 
 
@@ -107,10 +105,6 @@ class GridSpec:
     def src_dy(self) -> float:
         return (self.y_max - self.y_min) / self.j_cells
 
-    def lattice_strides(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Per axis, (p, q) with meas_pitch/src_pitch == p/q, else raise KernelGridMismatch."""
-        return _axis_strides(self.meas_dx, self.src_dx), _axis_strides(self.meas_dy, self.src_dy)
-
     @property
     def diagonal(self) -> float:
         return float(np.hypot(self.x_max - self.x_min, self.y_max - self.y_min))
@@ -195,16 +189,21 @@ class PlumeParams:
             w = float(check_number(name, getattr(self, name), low=0.0, above=True))
             if not 0.0 < 2.0 * w * w < np.inf:  # a closed form divides by it
                 raise ValueError(f"{name} must keep 2 {name}^2 a positive finite float, got {w!r}")
-        s, sigma = float(self.strength), float(self.noise_sigma)
-        if not s * s / (2.0 * sigma * sigma) < np.inf:  # the squared-SNR kernel's peak
+        if not self.kernel_peak < np.inf:
             raise ValueError(
-                f"strength^2 / (2 noise_sigma^2) must be finite, got strength {s!r} "
-                f"and noise_sigma {sigma!r}"
+                f"strength^2 / (2 noise_sigma^2) must be finite, got strength "
+                f"{float(self.strength)!r} and noise_sigma {float(self.noise_sigma)!r}"
             )
         wx, wy = (float(w) for w in check_values("wind", self.wind, length=2))
         object.__setattr__(self, "wind", (wx, wy))
         if self.kind == ADVECTED and wx == 0.0 and wy == 0.0:
             raise ValueError("advected plume needs a nonzero wind vector")
+
+    @property
+    def kernel_peak(self) -> float:
+        """The squared-SNR kernel's peak strength^2 / (2 noise_sigma^2), in nats."""
+        s, sigma = float(self.strength), float(self.noise_sigma)
+        return s * s / (2.0 * sigma * sigma)
 
 
 def _concentration_at_offset(dx, dy, params: PlumeParams):
@@ -262,16 +261,41 @@ def snr_area_fraction(params: PlumeParams, grid: GridSpec, threshold: float = 1.
     return float(np.count_nonzero(f / params.noise_sigma > threshold)) / grid.n_meas_cells
 
 
-def _axis_strides(meas_pitch: float, src_pitch: float) -> tuple[int, int]:
-    """Integer strides (p, q) with meas_pitch/src_pitch == p/q, else raise."""
-    ratio = meas_pitch / src_pitch
-    frac = Fraction(ratio).limit_denominator(_MAX_PITCH_DENOMINATOR)
-    if frac.numerator <= 0 or abs(float(frac) - ratio) > _PITCH_RTOL * ratio:
+def _axis_strides(n_src: int, n_meas: int) -> tuple[int, int]:
+    """Strides (p, q) with meas_pitch/src_pitch == p/q in lowest terms, else raise.
+
+    Two grids over one extent have pitch ratio n_src/n_meas exactly.
+    """
+    d = math.gcd(n_src, n_meas)
+    p, q = n_src // d, n_meas // d
+    if q > _MAX_SRC_STRIDE:
         raise KernelGridMismatch(
-            f"measurement/source pitch ratio {ratio} is not a small rational; "
-            "offset lattice cannot cover all displacements"
+            f"measurement/source pitch ratio {p}/{q} needs a source stride above "
+            f"{_MAX_SRC_STRIDE}; offset lattice cannot cover all displacements"
         )
-    return frac.numerator, frac.denominator
+    return p, q
+
+
+def offset_lattice(grid: GridSpec, params: PlumeParams):
+    """((px, qx), (py, qy), fft_shape) of the offset lattice serving grid and params, else raise.
+
+    The lattice spans p*(A-1) + q*(I-1) + 1 offsets in x (same in y), and
+    correlate reads convolution indices q*(I-1) ... q*(I-1) + p*(A-1) only, so
+    a circular convolution at the next fast size wraps nothing it reads.
+    Every transform sums at most sx * sy terms no larger than the kernel peak
+    (the probabilities sum to 1): ValueError if that product is not finite.
+    """
+    px, qx = _axis_strides(grid.i_cells, grid.a_cells)
+    py, qy = _axis_strides(grid.j_cells, grid.b_cells)
+    sx = next_fast_len(px * (grid.a_cells - 1) + qx * (grid.i_cells - 1) + 1)
+    sy = next_fast_len(py * (grid.b_cells - 1) + qy * (grid.j_cells - 1) + 1)
+    if not params.kernel_peak * (sx * sy) < np.inf:
+        raise ValueError(
+            f"plume.strength^2 / (2 plume.noise_sigma^2) times the {sx}x{sy} offset-lattice "
+            f"FFT cells must be finite, got strength {float(params.strength)!r} and "
+            f"noise_sigma {float(params.noise_sigma)!r}"
+        )
+    return (px, qx), (py, qy), (sx, sy)
 
 
 @dataclass(frozen=True)
@@ -283,7 +307,7 @@ class OffsetKernel:
     (same per axis in y), where tx = stride_meas_x * ix - stride_src_x * is
     for measurement column ix and source column is. Strides record how each
     grid embeds into the common fine lattice. fft_shape (sx, sy) is the
-    smallest alias-free fast FFT size (see squared_snr_kernel), and spectrum
+    smallest alias-free fast FFT size (see offset_lattice), and spectrum
     is the transposed spectrum of values at that size,
     rfft2(values, s=fft_shape).T, a contiguous (sy // 2 + 1, sx) array (see
     transposed_rfft2), computed once so correlate does not redo it.
@@ -430,7 +454,7 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     per-axis exactness flags, so that on-lattice readings take their
     likelihood from this one evaluation (see OffsetKernel.source_window).
     """
-    (px, qx), (py, qy) = grid.lattice_strides()
+    (px, qx), (py, qy), fft_shape = offset_lattice(grid, params)
     fine_dx = grid.meas_dx / px
     fine_dy = grid.meas_dy / py
     # displacement = fine_pitch * t + (meas_pitch - src_pitch)/2 with
@@ -450,12 +474,6 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     f_box = (0, 0, 0, 0)
     if nz_x.size:
         f_box = (int(nz_x[0]), int(nz_x[-1]) + 1, int(nz_y[0]), int(nz_y[-1]) + 1)
-    # correlate embeds the posterior on the fine lattice with the source
-    # strides and reads only convolution indices q*(I-1) ... q*(I-1) + p*(A-1).
-    # A circular convolution of length N >= len(tx) = p*(A-1) + q*(I-1) + 1
-    # wraps only the linear convolution's tail, indices >= N, onto indices
-    # < q*(I-1), which no measurement center reads (same in y).
-    fft_shape = (next_fast_len(len(tx)), next_fast_len(len(ty)))
     return OffsetKernel(
         values=values,
         tx0=int(tx0),

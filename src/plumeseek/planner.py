@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .belief import LOG_2, SourcePosterior, gaussian_loglik, logsumexp, uniform_posterior
+from .belief import (
+    LOG_2, SourcePosterior, check_reference, gaussian_loglik, logsumexp, uniform_posterior
+)
 from .field import (
     GridSpec,
     KernelGridMismatch,
@@ -28,7 +30,6 @@ from .field import (
 TIER_EXACT = "exact"
 TIER_EXPECTED = "expected-measurement"
 TIER_SNR_FFT = "snr-fft"
-TIER_SNR_BRUTE = "snr-brute"  # tags snr_score_map_bruteforce's maps; not a run tier
 TIERS = (TIER_EXACT, TIER_EXPECTED, TIER_SNR_FFT)
 
 
@@ -56,10 +57,9 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class ScoreMap:
-    """Per-measurement-cell scores in bits, (a_cells, b_cells), plus tier tag."""
+    """Per-measurement-cell scores in bits, (a_cells, b_cells), on the posterior's grid."""
 
     values: np.ndarray
-    tier: str
     grid: GridSpec
 
 
@@ -93,8 +93,10 @@ def _hypothetical_ig_bits(
     """Info gain (bits) vs reference after one reading m with mean f, per m.
 
     f holds the candidate's mean concentration per source cell, row-major.
-    The update is posterior_update's: same log-likelihood, same floor.
+    The update is posterior_update's: same log-likelihood, same floor. A
+    reference on another grid raises check_reference's ValueError.
     """
+    check_reference(post, reference)
     lp = post.log_probs.ravel()
     ref_lp = reference.log_probs.ravel()
     ll = gaussian_loglik(m_values[:, None], f[None, :], params.noise_sigma)
@@ -148,14 +150,13 @@ def eig_at_expected_measurement(
     return float(ig[0])
 
 
-def snr_score_map_bruteforce(
-    post: SourcePosterior, params: PlumeParams, grid: GridSpec, chunk: int = 256
-) -> ScoreMap:
+def snr_score_map_bruteforce(post: SourcePosterior, params: PlumeParams) -> ScoreMap:
     """Squared-SNR score for every measurement cell by direct enumeration.
 
-    Work scales with a_cells * b_cells * i_cells * j_cells; chunking bounds
-    the temporary arrays, not the arithmetic.
+    Work scales with a_cells * b_cells * i_cells * j_cells; blocks of 256
+    measurement cells bound the temporary arrays, not the arithmetic.
     """
+    grid, chunk = post.grid, 256
     centers = grid.meas_centers().reshape(-1, 2)
     src = grid.src_centers().reshape(-1, 2)
     p = post.probs().ravel()
@@ -165,7 +166,7 @@ def snr_score_map_bruteforce(
         block = centers[lo : lo + chunk]
         f = concentration(block[:, None, :], src[None, :, :], params)
         out[lo : lo + block.shape[0]] = (f * f) @ p * inv
-    return ScoreMap(out.reshape(grid.a_cells, grid.b_cells), TIER_SNR_BRUTE, grid)
+    return ScoreMap(out.reshape(grid.a_cells, grid.b_cells), grid)
 
 
 def snr_score_map_fft(
@@ -188,19 +189,19 @@ def snr_score_map_fft(
     if post.grid != grid:
         raise KernelGridMismatch("posterior is on another grid than the kernel")
     vals = np.maximum(kernel.correlate(post.probs()), 0.0) / LOG_2
-    return ScoreMap(vals, TIER_SNR_FFT, grid)
+    return ScoreMap(vals, grid)
 
 
 def compute_score_map(
     post: SourcePosterior,
     params: PlumeParams,
-    grid: GridSpec,
     tier: str,
     quad: QuadratureSpec = QuadratureSpec(),
     reference: SourcePosterior | None = None,
     kernel: OffsetKernel | None = None,
 ) -> ScoreMap:
-    """Score every measurement cell with the requested tier."""
+    """Score every measurement cell of the posterior's grid with the requested tier."""
+    grid = post.grid
     if tier == TIER_SNR_FFT:
         if kernel is None:
             kernel = squared_snr_kernel(params, grid)
@@ -208,12 +209,12 @@ def compute_score_map(
     if tier in (TIER_EXACT, TIER_EXPECTED):
         centers = grid.meas_centers().reshape(-1, 2)
         if reference is None:
-            reference = uniform_posterior(post.grid)
+            reference = uniform_posterior(grid)
         if tier == TIER_EXACT:
             vals = [eig_exact(post, c, params, quad, reference) for c in centers]
         else:
             vals = [eig_at_expected_measurement(post, c, params, reference) for c in centers]
-        return ScoreMap(np.array(vals).reshape(grid.a_cells, grid.b_cells), tier, grid)
+        return ScoreMap(np.array(vals).reshape(grid.a_cells, grid.b_cells), grid)
     raise ValueError(f"unknown planner tier {tier!r}")
 
 

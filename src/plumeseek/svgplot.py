@@ -25,9 +25,9 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def line_chart(
@@ -35,10 +35,9 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 760,
-    height: int = 420,
 ) -> str:
-    """Render series as an SVG string; the title, axis and series labels are XML-escaped."""
+    """Render series as a 760 x 420 SVG string; title, axis and series labels are XML-escaped."""
+    width, height = 760, 420
     margin_l, margin_r, margin_t, margin_b = 64, 16, 34, 46
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

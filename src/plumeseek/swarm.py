@@ -16,6 +16,7 @@ from typing import NamedTuple, get_type_hints
 import numpy as np
 
 from .belief import (
+    LOG_2,
     MeasurementRecord,
     SourcePosterior,
     info_gain_bits,
@@ -25,7 +26,8 @@ from .belief import (
     uniform_posterior,
 )
 from .field import (
-    GridSpec, PlumeParams, check_number, check_values, concentration, squared_snr_kernel
+    GridSpec, PlumeParams, check_number, check_values, concentration, offset_lattice,
+    squared_snr_kernel,
 )
 from .planner import (
     TIER_SNR_FFT,
@@ -71,6 +73,12 @@ class World:
                 raise ValueError("prior.values must have positive mass")
             object.__setattr__(self, "prior_weights", prior)
 
+    def prior(self) -> SourcePosterior:
+        """The prior over source cells: uniform, or the normalized prior weights."""
+        if self.prior_weights is None:
+            return uniform_posterior(self.grid)
+        return posterior_from_weights(self.grid, np.asarray(self.prior_weights, dtype=float))
+
     def setup(self, world_rng: np.random.Generator, n_agents: int):
         """(prior, source, start positions) of one episode, drawn from the world stream.
 
@@ -78,10 +86,7 @@ class World:
         the prior; start positions are uniform over the world, drawn after it.
         """
         grid = self.grid
-        if self.prior_weights is None:
-            prior = uniform_posterior(grid)
-        else:
-            prior = posterior_from_weights(grid, np.asarray(self.prior_weights, dtype=float))
+        prior = self.prior()
         source = self.source_xy
         if source is None:
             flat = int(world_rng.choice(grid.n_src_cells, p=prior.probs().ravel()))
@@ -94,7 +99,13 @@ class World:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one heuristic episode needs, including its RNG seed."""
+    """Everything one heuristic episode needs, including its RNG seed.
+
+    The cost model must keep finite, whatever the policy, the longest move's
+    cost, the cost-only weights' sum (<= n_meas_cells / overhead) and score /
+    cost (<= the largest score / overhead: the snr-fft kernel peak in bits,
+    or an information gain, at most -log2 of the smallest prior probability).
+    """
 
     world: World
     cost: CostModel
@@ -112,8 +123,20 @@ class SimConfig:
             raise ValueError(f"planner tier {self.tier!r} is not one of {list(TIERS)}")
         for name, low in (("n_agents", 1), ("n_steps", 0), ("seed", 0)):
             check_number(name, getattr(self, name), low, integer=True)
-        if self.tier == TIER_SNR_FFT:  # the offset lattice must serve the grid
-            self.world.grid.lattice_strides()
+        grid, plume, cost = self.world.grid, self.world.plume, self.cost
+        if self.tier == TIER_SNR_FFT:  # the offset lattice must serve the grid and plume
+            offset_lattice(grid, plume)
+            largest = plume.kernel_peak / LOG_2
+        else:
+            lp = self.world.prior().log_probs
+            largest = -float(lp[lp > -np.inf].min()) / LOG_2
+        if not cost.overhead + cost.quad_coeff * grid.diagonal**2 < np.inf:
+            raise ValueError(f"cost.quad_coeff must keep the longest move's cost finite, got {cost}")
+        if not max(grid.n_meas_cells, largest) / cost.overhead < np.inf:
+            raise ValueError(
+                f"cost.overhead must keep n_meas_cells / overhead and the largest {self.tier} "
+                f"score / overhead ({largest:.6g} bits) finite, got {cost}"
+            )
 
 
 class StepRecord(NamedTuple):
@@ -227,7 +250,6 @@ class EpisodeLog:
     records: list[StepRecord] = field(default_factory=list)
     prior: SourcePosterior | None = None
     final_posterior: SourcePosterior | None = None
-    cumulative_cost: float = 0.0
 
     def ig_series(self) -> np.ndarray:
         """Shared info gain after each step's update (one value per step)."""
@@ -237,19 +259,20 @@ class EpisodeLog:
         """Write the records as a StepRecord table; read_episode_csv reads it back exactly."""
         write_rows(path, self.records, StepRecord)
 
-    def summary(self, ig_thresholds=(10.0,)) -> dict:
-        out = {
+    def summary(self) -> dict:
+        cumulative_cost = 0.0
+        for r in self.records:  # in step order, as paid; Python 3.12's sum() rounds otherwise
+            cumulative_cost += r.cost
+        return {
             "seed": self.seed,
             "policy": self.policy,
             "n_agents": self.n_agents,
             "n_steps": self.n_steps,
             "source_xy": list(self.source_xy),
-            "cumulative_cost": self.cumulative_cost,
+            "cumulative_cost": cumulative_cost,
             "final": posterior_summary(self.final_posterior, self.prior),
+            "steps_to_ig_10": steps_to_ig(self, 10.0),
         }
-        for thr in ig_thresholds:
-            out[f"steps_to_ig_{thr:g}"] = steps_to_ig(self, thr)
-        return out
 
 
 def agent_streams(seed: int, n_agents: int):
@@ -329,7 +352,7 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
 
         scores = None
         if cfg.policy == POLICY_INFO:
-            scores = compute_score_map(belief, plume, grid, cfg.tier, cfg.quad, prior, kernel)
+            scores = compute_score_map(belief, plume, cfg.tier, cfg.quad, prior, kernel)
         for i, position in enumerate(positions):
             if cfg.policy == POLICY_INFO:
                 target = select_next(scores, cfg.cost, position)
@@ -340,7 +363,6 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
             paid = float(movement_cost(cfg.cost, position, np.asarray(target)))
             x, y = float(position[0]), float(position[1])
             log.records.append(StepRecord(step, i, x, y, readings[i].value, ig, paid))
-            log.cumulative_cost += paid
             positions[i] = target
 
     log.final_posterior = belief

@@ -5,13 +5,15 @@ list-of-Transition replay ring, the 2-D TD step, the per-agent training
 loop with one Q-net, target and buffer per agent, the per-agent
 observation loop and the per-agent reward. The buffer ledger keeps
 `HybridEnv`'s readings as it first did, in three structures. The rest are direct sums, the
-inline reading formula that `swarm.sense` replaced, and the plume and
+inline reading formula that `swarm.sense` replaced, the float pitch-ratio
+rule the lattice strides replaced, and the plume and
 likelihood closed forms written as plain expressions, one fresh array per
 operation, for the closed forms in `field` and the in-place likelihood in
 `belief`. They share no code with the code under test, so a change there
 that moves a bit shows up against them.
 """
 from collections import deque
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -269,6 +271,20 @@ def snr_score_bruteforce(post, candidate, params):
     f = f.ravel()
     score = post.probs().ravel() @ (f * f) / (2.0 * params.noise_sigma**2)
     return float(score / LOG_2)
+
+
+def fraction_strides(meas_pitch, src_pitch):
+    """Lattice strides (p, q) by the float pitch-ratio rule, or None where it refuses.
+
+    The rule the offset lattice once took its strides by: the ratio
+    meas_pitch / src_pitch as a float, its nearest fraction p/q with q at
+    most 4096, accepted within a relative 1e-9.
+    """
+    ratio = meas_pitch / src_pitch
+    frac = Fraction(ratio).limit_denominator(4096)
+    if frac.numerator <= 0 or abs(float(frac) - ratio) > 1e-9 * ratio:
+        return None
+    return frac.numerator, frac.denominator
 
 
 def plain_concentration(loc, source, params):

@@ -115,7 +115,7 @@ def test_criterion_01_fft_matches_bruteforce():
                 w[rng.random(grid.n_src_cells) < 0.2] = 0.0  # holes in the support
                 post = posterior_from_weights(grid, w + 1e-9)
                 fft = snr_score_map_fft(post, kernel).values
-                brute = snr_score_map_bruteforce(post, params, grid).values
+                brute = snr_score_map_bruteforce(post, params).values
                 worst = max(worst, np.abs(fft - brute).max() / brute.max())
     elapsed = time.perf_counter() - t0
     ok = worst <= FFT_TOL and elapsed < 10.0

@@ -65,13 +65,14 @@ TINY_RL = {
 
 
 def test_cli_and_training_import_without_scipy():
+    # nor fractions: the lattice strides come from integer cell counts
     import plumeseek
 
     src = str(Path(plumeseek.__file__).resolve().parent.parent)
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
         "import plumeseek.cli, plumeseek.rl.train; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
@@ -382,6 +383,11 @@ BAD_VALUES = [
     ("plume", "noise_sigma", 1e-170),
     ("plume", "strength", 1e200),
     ("plume", "sigma0", 1e-170),
+    # the cost-only weights' sum n_meas_cells / overhead, or the longest move's cost, overflows
+    ("cost", "overhead", 1e-310),
+    ("cost", "quad_coeff", 1e308),
+    # a finite kernel peak, 5e305, whose sum over the 127 x 127 offset lattice overflows
+    ("plume", "strength", 1e153),
 ]
 
 
@@ -393,6 +399,42 @@ def test_bad_value_in_any_section_exits_2(tmp_path, capsys, command, section, ke
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload,setting",
+    [
+        ({"cost": {"overhead": 1e-310}}, "cost.overhead"),
+        ({"cost": {"quad_coeff": 1e308}}, "cost.quad_coeff"),
+        ({"plume": {"strength": 1e153}}, "plume.strength"),
+        # snr-fft: a peak of 7213 bits / 1e-305 overflows; 64 cells / 1e-305 does not
+        ({**TINY_SIM, "plume": {"strength": 100.0}, "cost": {"overhead": 1e-305}}, "cost.overhead"),
+        # exact: a gain of up to 1003 bits (a prior weight of 1e-300 in 64) / 1e-306 overflows
+        (
+            {
+                **TINY_SIM,
+                "planner": {"tier": "exact"},
+                "prior": {"kind": "weights", "values": [1e-300] + [1.0] * 63},
+                "cost": {"overhead": 1e-306},
+            },
+            "cost.overhead",
+        ),
+    ],
+)
+def test_overflowing_plume_or_cost_names_the_setting(payload, setting):
+    with pytest.raises(ConfigError, match=setting.replace(".", r"\.")):
+        parse_config(payload)
+
+
+def test_tiny_but_safe_overhead_still_runs(tmp_path):
+    cfg_path = write_config(tmp_path, {**TINY_SIM, "cost": {"overhead": 1e-305}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    for run in json.loads((out / "summary.json").read_text())["runs"]:
+        assert np.isfinite(run["cumulative_cost"]) and np.isfinite(run["final"]["ig_bits"])
+    # an overflowing score / cost sent every info agent to the first cell, (0.5, 0.5)
+    info = swarm.read_episode_csv(out / "info" / "episode_0.csv")
+    assert {(r.x, r.y) for r in info if r.step > 0} != {(0.5, 0.5)}
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import plain_concentration, same_bits
+from oracles import fraction_strides, plain_concentration, same_bits
 
 from plumeseek.field import (
     ADVECTED,
@@ -16,6 +16,7 @@ from plumeseek.field import (
     concentration,
     concentration_at_sources,
     next_fast_len,
+    offset_lattice,
     snr_area_fraction,
     squared_snr_kernel,
 )
@@ -490,6 +491,32 @@ def test_next_fast_len_equals_scipy():
 
     for n in range(1, 30001):
         assert next_fast_len(n) == scipy_next_fast_len(n, real=True), n
+
+
+def test_lattice_strides_equal_the_float_pitch_ratio_rule():
+    # the cell counts fix the pitch ratio n_src / n_meas exactly; the float
+    # rule reached the same strides, and refused the same grids, from the pitches
+    counts = [*range(1, 41), 63, 64, 127, 128, 255, 256, 512, 4095, 4096, 4097, 4099, 8192, 9000]
+    extents = [(0.0, 1.0), (0.0, 64.0), (0.1, 1.3), (-3.7, 512.0), (0.0, 1e-3), (5.0, 7.3)]
+    for x_min, x_max in extents:
+        for n_meas in counts:
+            for n_src in counts:
+                g = GridSpec(x_min, x_max, 0.0, 1.0, n_meas, 1, n_src, 1)
+                want = fraction_strides(g.meas_dx, g.src_dx)
+                try:
+                    got = offset_lattice(g, blob())[0]
+                except KernelGridMismatch:
+                    got = None
+                assert got == want, (x_min, x_max, n_meas, n_src)
+
+
+def test_offset_lattice_refuses_a_kernel_sum_that_overflows():
+    # peak 5e307 nats: finite, but not times the 15 x 15 lattice
+    g = GridSpec(0.0, 8.0, 0.0, 8.0, 8, 8, 8, 8)
+    with pytest.raises(ValueError, match="plume.strength.*plume.noise_sigma"):
+        squared_snr_kernel(blob(strength=1e154, length_scale=3.0), g)
+    k = squared_snr_kernel(blob(strength=1e153, length_scale=3.0), g)
+    assert np.isfinite(k.spectrum).all()
 
 
 def test_kernel_rejects_incommensurate_pitches():

@@ -137,11 +137,12 @@ def test_snr_score_hand_value_on_uniform_2x2():
 
 def test_snr_map_bruteforce_matches_single_candidate_calls():
     rng = np.random.default_rng(2)
-    g = grid(6)
+    g = grid(17)  # 289 cells: one full block of 256 and a ragged one of 33
     p = blob(length_scale=1.5, noise_sigma=0.5)
-    post = posterior_from_weights(g, rng.random(36) + 0.01)
-    smap = snr_score_map_bruteforce(post, p, g, chunk=7)  # force ragged chunks
-    for flat in (0, 13, 35):
+    post = posterior_from_weights(g, rng.random(289) + 0.01)
+    smap = snr_score_map_bruteforce(post, p)
+    assert smap.grid is post.grid
+    for flat in (0, 13, 255, 256, 288):
         want = snr_score_bruteforce(post, g.meas_cell_center(flat), p)
         assert smap.values.ravel()[flat] == pytest.approx(want, rel=1e-12)
 
@@ -162,7 +163,7 @@ def test_fft_map_matches_bruteforce(a, b, i, j):
     for params in cases:
         post = posterior_from_weights(g, rng.random(g.n_src_cells) + 1e-3)
         fft = snr_score_map_fft(post, squared_snr_kernel(params, g))
-        brute = snr_score_map_bruteforce(post, params, g)
+        brute = snr_score_map_bruteforce(post, params)
         assert fft.values.shape == (a, b)
         scale = brute.values.max()
         assert np.max(np.abs(fft.values - brute.values)) <= 1e-9 * scale
@@ -255,8 +256,28 @@ def test_alias_free_fft_with_heavy_tails_and_corner_mass_matches_bruteforce(g):
         w[weights] = 1.0
         post = posterior_from_weights(g, w)
         got = snr_score_map_fft(post, kernel).values
-        want = snr_score_map_bruteforce(post, params, g).values
+        want = snr_score_map_bruteforce(post, params).values
         assert np.allclose(got, want, rtol=0.0, atol=1e-12 * want.max())
+
+
+def test_every_kernel_the_lattice_accepts_gives_a_finite_score_map():
+    # a flat plume on 64 x 64: 127 x 127 offsets, transformed at 128 x 128.
+    # A peak times the 127^2 lattice cells can be finite while the inverse
+    # transform's sum over 128^2 overflows, so the rule counts the FFT cells.
+    g = grid(64)
+    fm = float(np.finfo(float).max)
+    w = np.zeros(g.n_src_cells)
+    w[g.n_src_cells // 2 + 32] = 1.0
+    post = posterior_from_weights(g, w)
+    for n_cells, accepted in [(128 * 128, True), (127 * 127, False)]:
+        strength = math.sqrt(2.0) * math.sqrt(fm / (1.001 * n_cells))  # peak fm / 1.001 n_cells
+        params = blob(strength=strength, length_scale=1e6)
+        if not accepted:
+            with pytest.raises(ValueError, match="plume.strength"):
+                squared_snr_kernel(params, g)
+            continue
+        smap = snr_score_map_fft(post, squared_snr_kernel(params, g))
+        assert np.isfinite(smap.values).all() and smap.values.max() > 0.9 * fm / n_cells / LOG2
 
 
 def test_fft_map_on_point_mass_reproduces_kernel_slice():
@@ -291,7 +312,7 @@ def test_score_map_refuses_a_kernel_for_another_plume_or_grid():
     other_plume, other_grid = blob(length_scale=4.0), grid(4)
     for kernel in (squared_snr_kernel(other_plume, g), squared_snr_kernel(params, other_grid)):
         with pytest.raises(KernelGridMismatch):
-            compute_score_map(post, params, g, TIER_SNR_FFT, kernel=kernel)
+            compute_score_map(post, params, TIER_SNR_FFT, kernel=kernel)
         with pytest.raises(KernelGridMismatch):
             snr_score_map_fft(post, kernel, g, params)
 
@@ -364,6 +385,17 @@ def test_eig_expected_measurement_on_point_mass_gives_full_bits():
         assert got == pytest.approx(4.0, abs=1e-9)
 
 
+# the same cell count over another world, and another cell count
+@pytest.mark.parametrize("other", [grid(4, world=8.0), grid(5)])
+def test_eig_tiers_refuse_a_reference_on_another_grid(other):
+    g = grid(4)
+    post, params, reference = uniform_posterior(g), blob(), uniform_posterior(other)
+    with pytest.raises(ValueError, match="posterior and reference are on different grids"):
+        eig_exact(post, (0.5, 0.5), params, QuadratureSpec(4), reference)
+    with pytest.raises(ValueError, match="posterior and reference are on different grids"):
+        eig_at_expected_measurement(post, (0.5, 0.5), params, reference)
+
+
 def test_eig_weak_signal_matches_snr_surrogate_within_5_percent():
     g = grid(8)
     params = blob(strength=0.01, length_scale=0.4, noise_sigma=1.0)
@@ -385,12 +417,12 @@ def test_compute_score_map_tiers_and_shapes():
     params = blob(noise_sigma=0.5)
     post = posterior_from_weights(g, rng.random(16) + 0.1)
     for tier in (TIER_EXACT, TIER_EXPECTED, TIER_SNR_FFT):
-        smap = compute_score_map(post, params, g, tier, QuadratureSpec(8))
-        assert smap.tier == tier
+        smap = compute_score_map(post, params, tier, QuadratureSpec(8))
+        assert smap.grid is post.grid
         assert smap.values.shape == (4, 4)
         assert np.all(np.isfinite(smap.values))
     with pytest.raises(ValueError):
-        compute_score_map(post, params, g, "psychic")
+        compute_score_map(post, params, "psychic")
 
 
 def test_compute_score_map_exact_matches_direct_calls():
@@ -399,7 +431,7 @@ def test_compute_score_map_exact_matches_direct_calls():
     params = blob(noise_sigma=0.8)
     post = posterior_from_weights(g, rng.random(9) + 0.1)
     reference = uniform_posterior(g)
-    smap = compute_score_map(post, params, g, TIER_EXACT, QuadratureSpec(8), reference)
+    smap = compute_score_map(post, params, TIER_EXACT, QuadratureSpec(8), reference)
     for flat in (0, 4, 8):
         want = eig_exact(post, g.meas_cell_center(flat), params, QuadratureSpec(8), reference)
         assert smap.values.ravel()[flat] == want
@@ -407,7 +439,7 @@ def test_compute_score_map_exact_matches_direct_calls():
 
 def test_select_next_prefers_cheap_nearby_cell():
     g = GridSpec(0.0, 4.0, 0.0, 1.0, 2, 1, 2, 1)
-    scores = ScoreMap(np.array([[4.0], [1.0]]), TIER_SNR_FFT, g)
+    scores = ScoreMap(np.array([[4.0], [1.0]]), g)
     cm = CostModel(overhead=1.0, quad_coeff=1.0)
     # from (3, 0.5): far cell nets 4/5, staying nets 1/1
     assert select_next(scores, cm, (3.0, 0.5)) == (3.0, 0.5)
@@ -417,7 +449,7 @@ def test_select_next_prefers_cheap_nearby_cell():
 
 def test_select_next_tie_goes_to_lowest_row_major_cell():
     g = GridSpec(0.0, 4.0, 0.0, 1.0, 2, 1, 2, 1)
-    scores = ScoreMap(np.array([[2.0], [2.0]]), TIER_SNR_FFT, g)
+    scores = ScoreMap(np.array([[2.0], [2.0]]), g)
     cm = CostModel(overhead=1.0, quad_coeff=1.0)
     assert select_next(scores, cm, (2.0, 0.5)) == (1.0, 0.5)  # equidistant tie
 
@@ -429,12 +461,12 @@ def test_select_next_equals_movement_cost_oracle():
     vals = rng.random((16, 12))
     for _ in range(20):
         pos = rng.uniform((0.0, 0.0), (16.0, 12.0))
-        scores = ScoreMap(vals, TIER_SNR_FFT, g)
+        scores = ScoreMap(vals, g)
         assert select_next(scores, cm, pos) == select_next_oracle(scores, cm, pos)
     # exact tie: equal scores at cells mirrored about the agent
     tied = np.zeros((16, 12))
     tied[3, 5] = tied[9, 5] = 1.0
-    scores = ScoreMap(tied, TIER_SNR_FFT, g)
+    scores = ScoreMap(tied, g)
     pos = (6.5, 5.5)
     assert select_next(scores, cm, pos) == select_next_oracle(scores, cm, pos) == (3.5, 5.5)
 
@@ -445,14 +477,14 @@ def test_select_next_is_scale_invariant():
     cm = CostModel(overhead=0.7, quad_coeff=0.03)
     vals = rng.random((6, 6))
     pos = rng.uniform(0, 6, 2)
-    a = select_next(ScoreMap(vals, TIER_SNR_FFT, g), cm, pos)
-    b = select_next(ScoreMap(vals * 123.456, TIER_SNR_FFT, g), cm, pos)
+    a = select_next(ScoreMap(vals, g), cm, pos)
+    b = select_next(ScoreMap(vals * 123.456, g), cm, pos)
     assert a == b
 
 
 def test_select_next_all_equal_scores_picks_nearest():
     g = grid(5)
-    scores = ScoreMap(np.ones((5, 5)), TIER_SNR_FFT, g)
+    scores = ScoreMap(np.ones((5, 5)), g)
     cm = CostModel(overhead=1.0, quad_coeff=2.0)
     assert select_next(scores, cm, (3.4, 1.7)) == (3.5, 1.5)
 
