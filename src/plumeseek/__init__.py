@@ -1,8 +1,8 @@
 """Multi-agent chemical plume source localization.
 
 Grid Bayes filtering over source hypotheses, information-driven sensor
-placement (exact, expected-measurement, and FFT-accelerated squared-SNR
-tiers), cooperative search episodes, and a hybrid RL control layer.
+placement (exact and FFT-accelerated squared-SNR tiers), cooperative search
+episodes, and a hybrid RL control layer.
 """
 
 from .belief import (
@@ -28,10 +28,8 @@ from .field import (
 )
 from .planner import (
     CostModel,
-    QuadratureSpec,
     ScoreMap,
     compute_score_map,
-    eig_at_expected_measurement,
     eig_exact,
     movement_cost,
     select_next,

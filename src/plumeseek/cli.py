@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError, RunConfig, check_seeds, check_tier_budget, load_config
-from .field import GridSpec, squared_snr_kernel
+from .field import GridSpec, offset_lattice, squared_snr_kernel
 from .planner import snr_score_map_bruteforce, snr_score_map_fft
 from .rl.train import MODES, curves_to_csv, read_curves_csv, train
 from .swarm import POLICIES, ig_by_step, read_episode_csv, run_episode, write_rows
@@ -197,7 +197,7 @@ def cmd_train(ns) -> int:
 
 
 class BenchRow(NamedTuple):
-    """One row of bench.csv: a grid side and the median FFT and brute-force score-map times."""
+    """One row of bench.csv: a grid side and the fastest FFT and brute-force score-map times."""
 
     size: int
     fft_ms: float
@@ -209,13 +209,14 @@ def bench_grid(side: int) -> GridSpec:
 
 
 def _time_call(fn, repeats: int) -> float:
+    """Fastest of repeats timed calls of fn, in ms; load only ever adds time."""
     fn()  # warm-up outside the clock
-    best = []
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        best.append(time.perf_counter() - t0)
-    return float(np.median(best)) * 1e3
+        times.append(time.perf_counter() - t0)
+    return min(times) * 1e3
 
 
 def cmd_bench(ns) -> int:
@@ -232,6 +233,11 @@ def cmd_bench(ns) -> int:
         raise ConfigError("bench sizes must be strictly increasing integers >= 1")
     if ns.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
+    for side in sizes:
+        try:
+            offset_lattice(bench_grid(side), cfg.plume)
+        except ValueError as exc:
+            raise ConfigError(f"--sizes {side}: {exc}") from None
     _echo_config(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
 

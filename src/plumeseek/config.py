@@ -2,9 +2,9 @@
 
 A config file may specify any subset of the sections below; everything else
 falls back to the field defaults of the dataclass that the section builds
-(GridSpec, PlumeParams, CostModel, QuadratureSpec, World, SimConfig,
-HybridEnvConfig, RewardWeights, TrainConfig). Every section is built, and so
-validated, at load time. Unknown keys are rejected rather than ignored so
+(GridSpec, PlumeParams, CostModel, World, SimConfig, HybridEnvConfig,
+RewardWeights, TrainConfig). Every section is built, and so validated, at
+load time. Unknown keys are rejected rather than ignored so
 typos fail loudly. The fully resolved config can be re-serialized
 (effective_dict) and reloaded to reproduce a run exactly.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .field import GridSpec, PlumeParams, check_values
-from .planner import TIER_EXACT, CostModel, QuadratureSpec
+from .planner import TIER_EXACT, CostModel
 from .rl.env import HybridEnvConfig, RewardWeights
 from .rl.train import TrainConfig
 from .swarm import POLICIES, SimConfig, World
@@ -145,7 +145,7 @@ class RunConfig:
             "grid": _values(world.grid),
             "plume": _values(world.plume),
             "cost": _values(sim.cost),
-            "planner": {"tier": sim.tier, "quad_nodes": sim.quad.n_nodes},
+            "planner": {"tier": sim.tier, "quad_nodes": sim.quad_nodes},
             "prior": prior,
             "sim": {
                 "n_agents": sim.n_agents,
@@ -189,8 +189,6 @@ def parse_config(raw: dict) -> RunConfig:
             source_xy=_source_xy(sim.pop("source", {"placement": "sampled"})),
             prior_weights=_prior_weights(raw.get("prior", {"kind": "uniform"})),
         )
-        if "quad_nodes" in planner:
-            sim["quad"] = QuadratureSpec(planner.pop("quad_nodes"))
         sim = SimConfig(
             world=world,
             cost=CostModel(**_section("cost", raw.get("cost", {}), _names(CostModel))),

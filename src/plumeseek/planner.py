@@ -1,17 +1,16 @@
 """Sensor-placement scoring and next-measurement selection.
 
-Three scoring tiers trade fidelity for speed: exact expected information
-gain via Gauss-Hermite quadrature over hypothetical readings, a single
-update at the expected reading, and a squared-SNR surrogate whose full map
-is one zero-padded FFT cross-correlation instead of a quadruple loop over
-measurement cells x source cells.
+Two scoring tiers trade fidelity for speed: exact expected information
+gain via Gauss-Hermite quadrature over hypothetical readings, and a
+squared-SNR surrogate whose full map is one zero-padded FFT
+cross-correlation instead of a quadruple loop over measurement cells x
+source cells.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .belief import (
     LOG_2, SourcePosterior, check_reference, gaussian_loglik, logsumexp, uniform_posterior
@@ -28,9 +27,8 @@ from .field import (
 )
 
 TIER_EXACT = "exact"
-TIER_EXPECTED = "expected-measurement"
 TIER_SNR_FFT = "snr-fft"
-TIERS = (TIER_EXACT, TIER_EXPECTED, TIER_SNR_FFT)
+TIERS = (TIER_EXACT, TIER_SNR_FFT)
 
 
 @dataclass(frozen=True)
@@ -43,16 +41,6 @@ class CostModel:
     def __post_init__(self):
         check_number("overhead", self.overhead, low=0.0, above=True)  # finite cost ratios
         check_number("quad_coeff", self.quad_coeff, low=0.0)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Hermite node count for averaging over hypothetical readings."""
-
-    n_nodes: int = 16
-
-    def __post_init__(self):
-        check_number("quadrature n_nodes", self.n_nodes, low=1, integer=True)
 
 
 @dataclass(frozen=True)
@@ -83,71 +71,39 @@ def movement_cost_map(cm: CostModel, grid: GridSpec, frm) -> np.ndarray:
     return cm.overhead + cm.quad_coeff * (dx2[:, None] + dy2[None, :])
 
 
-def _hypothetical_ig_bits(
-    post: SourcePosterior,
-    f: np.ndarray,
-    m_values: np.ndarray,
-    params: PlumeParams,
-    reference: SourcePosterior,
-) -> np.ndarray:
-    """Info gain (bits) vs reference after one reading m with mean f, per m.
-
-    f holds the candidate's mean concentration per source cell, row-major.
-    The update is posterior_update's: same log-likelihood, same floor. A
-    reference on another grid raises check_reference's ValueError.
-    """
-    check_reference(post, reference)
-    lp = post.log_probs.ravel()
-    ref_lp = reference.log_probs.ravel()
-    ll = gaussian_loglik(m_values[:, None], f[None, :], params.noise_sigma)
-    new_lp = lp[None, :] + ll
-    new_lp -= logsumexp(new_lp, axis=1, keepdims=True)
-    p = np.exp(new_lp)
-    with np.errstate(invalid="ignore"):  # zero-mass cells hit 0 * -inf, masked out
-        terms = np.where(p > 0.0, p * (new_lp - ref_lp[None, :]), 0.0)
-    return terms.sum(axis=1) / LOG_2
-
-
 def eig_exact(
     post: SourcePosterior,
     candidate,
     params: PlumeParams,
-    quad: QuadratureSpec = QuadratureSpec(),
+    n_nodes: int = 16,
     reference: SourcePosterior | None = None,
 ) -> float:
     """Expected info gain of measuring at candidate, quadrature over readings.
 
     The predictive density of the reading is a Gaussian mixture with one
     component per source hypothesis; each component is integrated with
-    Gauss-Hermite nodes. reference defaults to the uniform distribution and
-    should be the belief the agent started the episode with.
+    n_nodes Gauss-Hermite nodes. Each hypothetical update is
+    posterior_update's: same log-likelihood, same floor. reference defaults
+    to the uniform distribution and should be the belief the agent started
+    the episode with; one on another grid raises check_reference's ValueError.
     """
     if reference is None:
         reference = uniform_posterior(post.grid)
-    nodes, weights = hermgauss(quad.n_nodes)
+    check_reference(post, reference)
+    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     weights = weights / np.sqrt(np.pi)  # normalize to a probability average
     f = concentration_at_sources(candidate, post.grid, params).ravel()
+    lp = post.log_probs.ravel()
     p = post.probs().ravel()
     live = p > 0.0  # components with no mass contribute nothing
-    m_grid = f[live, None] + np.sqrt(2.0) * params.noise_sigma * nodes[None, :]
-    ig = _hypothetical_ig_bits(post, f, m_grid.ravel(), params, reference)
-    ig = ig.reshape(-1, quad.n_nodes)
+    m = (f[live, None] + np.sqrt(2.0) * params.noise_sigma * nodes[None, :]).ravel()
+    new_lp = lp[None, :] + gaussian_loglik(m[:, None], f[None, :], params.noise_sigma)
+    new_lp -= logsumexp(new_lp, axis=1, keepdims=True)
+    p_new = np.exp(new_lp)
+    with np.errstate(invalid="ignore"):  # zero-mass cells hit 0 * -inf, masked out
+        terms = np.where(p_new > 0.0, p_new * (new_lp - reference.log_probs.ravel()), 0.0)
+    ig = (terms.sum(axis=1) / LOG_2).reshape(-1, n_nodes)
     return float(p[live] @ (ig @ weights))
-
-
-def eig_at_expected_measurement(
-    post: SourcePosterior,
-    candidate,
-    params: PlumeParams,
-    reference: SourcePosterior | None = None,
-) -> float:
-    """Info gain from a single update at the posterior-mean reading."""
-    if reference is None:
-        reference = uniform_posterior(post.grid)
-    f = concentration_at_sources(candidate, post.grid, params).ravel()
-    m_bar = float(post.probs().ravel() @ f)
-    ig = _hypothetical_ig_bits(post, f, np.array([m_bar]), params, reference)
-    return float(ig[0])
 
 
 def snr_score_map_bruteforce(post: SourcePosterior, params: PlumeParams) -> ScoreMap:
@@ -196,7 +152,7 @@ def compute_score_map(
     post: SourcePosterior,
     params: PlumeParams,
     tier: str,
-    quad: QuadratureSpec = QuadratureSpec(),
+    n_nodes: int = 16,
     reference: SourcePosterior | None = None,
     kernel: OffsetKernel | None = None,
 ) -> ScoreMap:
@@ -206,14 +162,11 @@ def compute_score_map(
         if kernel is None:
             kernel = squared_snr_kernel(params, grid)
         return snr_score_map_fft(post, kernel, grid, params)
-    if tier in (TIER_EXACT, TIER_EXPECTED):
+    if tier == TIER_EXACT:
         centers = grid.meas_centers().reshape(-1, 2)
         if reference is None:
             reference = uniform_posterior(grid)
-        if tier == TIER_EXACT:
-            vals = [eig_exact(post, c, params, quad, reference) for c in centers]
-        else:
-            vals = [eig_at_expected_measurement(post, c, params, reference) for c in centers]
+        vals = [eig_exact(post, c, params, n_nodes, reference) for c in centers]
         return ScoreMap(np.array(vals).reshape(grid.a_cells, grid.b_cells), grid)
     raise ValueError(f"unknown planner tier {tier!r}")
 

@@ -33,7 +33,6 @@ from .planner import (
     TIER_SNR_FFT,
     TIERS,
     CostModel,
-    QuadratureSpec,
     compute_score_map,
     movement_cost,
     movement_cost_map,
@@ -113,7 +112,7 @@ class SimConfig:
     n_steps: int = 100
     policy: str = POLICY_INFO
     tier: str = TIER_SNR_FFT
-    quad: QuadratureSpec = QuadratureSpec()
+    quad_nodes: int = 16
     seed: int = 0
 
     def __post_init__(self):
@@ -121,7 +120,7 @@ class SimConfig:
             raise ValueError(f"unknown motion policy {self.policy!r}")
         if self.tier not in TIERS:
             raise ValueError(f"planner tier {self.tier!r} is not one of {list(TIERS)}")
-        for name, low in (("n_agents", 1), ("n_steps", 0), ("seed", 0)):
+        for name, low in (("n_agents", 1), ("n_steps", 0), ("seed", 0), ("quad_nodes", 1)):
             check_number(name, getattr(self, name), low, integer=True)
         grid, plume, cost = self.world.grid, self.world.plume, self.cost
         if self.tier == TIER_SNR_FFT:  # the offset lattice must serve the grid and plume
@@ -352,7 +351,7 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
 
         scores = None
         if cfg.policy == POLICY_INFO:
-            scores = compute_score_map(belief, plume, cfg.tier, cfg.quad, prior, kernel)
+            scores = compute_score_map(belief, plume, cfg.tier, cfg.quad_nodes, prior, kernel)
         for i, position in enumerate(positions):
             if cfg.policy == POLICY_INFO:
                 target = select_next(scores, cfg.cost, position)

@@ -26,12 +26,7 @@ from plumeseek.belief import (
 from plumeseek.cli import main
 from plumeseek.config import load_config
 from plumeseek.field import GridSpec, PlumeParams, concentration, squared_snr_kernel
-from plumeseek.planner import (
-    QuadratureSpec,
-    eig_exact,
-    snr_score_map_bruteforce,
-    snr_score_map_fft,
-)
+from plumeseek.planner import eig_exact, snr_score_map_bruteforce, snr_score_map_fft
 from plumeseek.rl.qnet import QNet, loss_and_grads
 from plumeseek.rl.train import train
 from plumeseek.swarm import run_episode, steps_to_ig
@@ -161,7 +156,7 @@ def test_criterion_02_exact_eig_matches_monte_carlo():
         post = posterior_from_weights(grid, rng.random(16) + 0.05)
         candidate = rng.uniform(0.0, 4.0, size=2)
         reference = uniform_posterior(grid)
-        eig = eig_exact(post, candidate, params, QuadratureSpec(64), reference)
+        eig = eig_exact(post, candidate, params, 64, reference)
         mc, sem = _mc_eig_bits(post, candidate, params, reference, 4_000_000, 3000 + k)
         worst_pull = max(worst_pull, abs(eig - mc) / sem)
     elapsed = time.perf_counter() - t0

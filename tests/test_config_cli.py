@@ -1,5 +1,6 @@
 """Config parsing/validation and the command-line front end."""
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -65,14 +66,16 @@ TINY_RL = {
 
 
 def test_cli_and_training_import_without_scipy():
-    # nor fractions: the lattice strides come from integer cell counts
+    # nor fractions: the lattice strides come from integer cell counts; nor
+    # numpy.polynomial: only the exact tier's quadrature nodes need it
     import plumeseek
 
     src = str(Path(plumeseek.__file__).resolve().parent.parent)
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); "
         "import plumeseek.cli, plumeseek.rl.train; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions') "
+        "or m.startswith('numpy.polynomial')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
@@ -109,7 +112,7 @@ def test_empty_config_resolves_all_defaults():
     cfg = parse_config({})
     assert cfg.grid.a_cells == 64 and cfg.grid.n_src_cells == 64 * 64
     assert cfg.plume.kind == "isotropic-blob"
-    assert cfg.sim.tier == "snr-fft" and cfg.sim.quad.n_nodes == 16
+    assert cfg.sim.tier == "snr-fft" and cfg.sim.quad_nodes == 16
     assert cfg.prior_weights() is None
     assert cfg.effective_dict()["prior"] == {"kind": "uniform"}
     assert cfg.seeds == (0,)
@@ -236,6 +239,8 @@ def test_invalid_sections_are_reported_as_config_errors():
         parse_config({"plume": {"kind": "advected-plume", "wind": ["1", "0"]}})
     with pytest.raises(ConfigError, match="tier"):
         parse_config({"planner": {"tier": "psychic"}})
+    with pytest.raises(ConfigError, match=re.escape("is not one of ['exact', 'snr-fft']")):
+        parse_config({"planner": {"tier": "expected-measurement"}})
     with pytest.raises(ConfigError):
         parse_config({"cost": {"overhead": 0.0}})
 
@@ -388,6 +393,8 @@ BAD_VALUES = [
     ("cost", "quad_coeff", 1e308),
     # a finite kernel peak, 5e305, whose sum over the 127 x 127 offset lattice overflows
     ("plume", "strength", 1e153),
+    ("planner", "tier", "expected-measurement"),  # a deleted tier
+    ("planner", "quad_nodes", 0),
 ]
 
 
@@ -860,6 +867,20 @@ def test_bench_rejects_bad_sizes_and_repeats(tmp_path, capsys, flag, value):
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (out / "bench.csv").exists()
+
+
+def test_bench_refuses_a_plume_its_lattice_sizes_cannot_hold(tmp_path, capsys):
+    # the config's own 16x16 lattice FFT is finite, so it loads; the 64-cell
+    # bench grid's 128x128 lattice FFT is not, and nothing may be timed or written
+    plume = {"strength": 4.5e152, "length_scale": 3.0}
+    cfg_path = write_config(tmp_path, {"grid": TINY_SIM["grid"], "plume": plume})
+    out = tmp_path / "bench"
+    code = main(
+        ["bench", "--config", cfg_path, "--out", str(out), "--sizes", "8,64", "--repeats", "1"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --sizes 64:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--threads", "0"), ("--seed", "7")])

@@ -28,13 +28,11 @@ from plumeseek.field import (
 )
 from plumeseek.planner import (
     TIER_EXACT,
-    TIER_EXPECTED,
     TIER_SNR_FFT,
+    TIERS,
     CostModel,
-    QuadratureSpec,
     ScoreMap,
     compute_score_map,
-    eig_at_expected_measurement,
     eig_exact,
     movement_cost,
     movement_cost_map,
@@ -120,8 +118,9 @@ def test_cost_model_validation():
 
 
 def test_quadrature_spec_validation():
+    # a config's planner.quad_nodes: 0 exits 2 at load (test_config_cli.BAD_VALUES)
     with pytest.raises(ValueError):
-        QuadratureSpec(0)
+        eig_exact(uniform_posterior(grid(2)), (0.5, 0.5), blob(), 0)
 
 
 # -- squared-SNR scores -----------------------------------------------------------
@@ -341,7 +340,7 @@ def test_eig_exact_matches_loop_oracle():
         post = posterior_from_weights(g, weights)
         candidate = rng.uniform(0, 3, 2)
         want = eig_loop_oracle(post, candidate, params, reference, 16)
-        got = eig_exact(post, candidate, params, QuadratureSpec(16), reference)
+        got = eig_exact(post, candidate, params, 16, reference)
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -351,8 +350,8 @@ def test_eig_exact_quadrature_is_converged_at_default_nodes():
     params = blob(noise_sigma=0.5)
     post = posterior_from_weights(g, rng.random(64) + 0.1)
     c = g.meas_cell_center(36)
-    e16 = eig_exact(post, c, params, QuadratureSpec(16))
-    e64 = eig_exact(post, c, params, QuadratureSpec(64))
+    e16 = eig_exact(post, c, params, 16)
+    e64 = eig_exact(post, c, params, 64)
     assert e16 == pytest.approx(e64, rel=1e-5)
 
 
@@ -363,25 +362,25 @@ def test_eig_exact_nonnegative_against_own_posterior():
     for _ in range(10):
         post = posterior_from_weights(g, rng.random(16) + 1e-3)
         c = rng.uniform(0, 4, 2)
-        assert eig_exact(post, c, params, QuadratureSpec(12), post) >= -1e-10
+        assert eig_exact(post, c, params, 12, post) >= -1e-10
 
 
 def test_eig_exact_zero_when_world_is_silent():
     rng = np.random.default_rng(12)
     g = grid(4)
     post = posterior_from_weights(g, rng.random(16) + 0.05)
-    got = eig_exact(post, (1.0, 2.0), blob(strength=0.0), QuadratureSpec(8), post)
+    got = eig_exact(post, (1.0, 2.0), blob(strength=0.0), 8, post)
     assert abs(got) <= 1e-12
 
 
-def test_eig_expected_measurement_on_point_mass_gives_full_bits():
-    # the posterior is already decided, and the expected reading confirms it:
-    # the gain over a uniform start is the full log2(cells)
+def test_eig_exact_on_point_mass_gives_full_bits():
+    # the posterior is already decided, and a point mass stays one under every
+    # reading: the gain over a uniform start is the full log2(cells)
     g = grid(4)
     post = point_mass(g, 6)
     params = blob(noise_sigma=0.5)
     for candidate in ((0.5, 0.5), (3.1, 2.2)):
-        got = eig_at_expected_measurement(post, candidate, params)
+        got = eig_exact(post, candidate, params)
         assert got == pytest.approx(4.0, abs=1e-9)
 
 
@@ -391,9 +390,7 @@ def test_eig_tiers_refuse_a_reference_on_another_grid(other):
     g = grid(4)
     post, params, reference = uniform_posterior(g), blob(), uniform_posterior(other)
     with pytest.raises(ValueError, match="posterior and reference are on different grids"):
-        eig_exact(post, (0.5, 0.5), params, QuadratureSpec(4), reference)
-    with pytest.raises(ValueError, match="posterior and reference are on different grids"):
-        eig_at_expected_measurement(post, (0.5, 0.5), params, reference)
+        eig_exact(post, (0.5, 0.5), params, 4, reference)
 
 
 def test_eig_weak_signal_matches_snr_surrogate_within_5_percent():
@@ -402,7 +399,7 @@ def test_eig_weak_signal_matches_snr_surrogate_within_5_percent():
     post = uniform_posterior(g)
     for flat in (0, 9, 27, 36, 63):
         c = g.meas_cell_center(flat)
-        e = eig_exact(post, c, params, QuadratureSpec(16), post)
+        e = eig_exact(post, c, params, 16, post)
         s = snr_score_bruteforce(post, c, params)
         assert e > 0
         assert abs(e - s) / e <= 0.05
@@ -416,8 +413,8 @@ def test_compute_score_map_tiers_and_shapes():
     g = grid(4)
     params = blob(noise_sigma=0.5)
     post = posterior_from_weights(g, rng.random(16) + 0.1)
-    for tier in (TIER_EXACT, TIER_EXPECTED, TIER_SNR_FFT):
-        smap = compute_score_map(post, params, tier, QuadratureSpec(8))
+    for tier in TIERS:
+        smap = compute_score_map(post, params, tier, 8)
         assert smap.grid is post.grid
         assert smap.values.shape == (4, 4)
         assert np.all(np.isfinite(smap.values))
@@ -431,9 +428,9 @@ def test_compute_score_map_exact_matches_direct_calls():
     params = blob(noise_sigma=0.8)
     post = posterior_from_weights(g, rng.random(9) + 0.1)
     reference = uniform_posterior(g)
-    smap = compute_score_map(post, params, TIER_EXACT, QuadratureSpec(8), reference)
+    smap = compute_score_map(post, params, TIER_EXACT, 8, reference)
     for flat in (0, 4, 8):
-        want = eig_exact(post, g.meas_cell_center(flat), params, QuadratureSpec(8), reference)
+        want = eig_exact(post, g.meas_cell_center(flat), params, 8, reference)
         assert smap.values.ravel()[flat] == want
 
 
@@ -490,16 +487,23 @@ def test_select_next_all_equal_scores_picks_nearest():
 
 
 @pytest.mark.parametrize("noise_sigma", [0.3, 0.01])  # 0.01: far cells hit the floor
-def test_expected_measurement_ig_is_the_filter_update(noise_sigma):
+def test_eig_exact_hypothetical_update_is_the_filter_update(noise_sigma):
+    # one node reads each source hypothesis's mean f_k: the exact tier's gain is
+    # then sum_k p_k * info_gain_bits(posterior_update(post, f_k)), floor included
     g = grid(8)
     params = blob(length_scale=1.5, noise_sigma=noise_sigma)
     rng = np.random.default_rng(4)
     post = posterior_from_weights(g, rng.random(g.n_src_cells) + 0.05)
     reference = uniform_posterior(g)
+    p = post.probs().ravel()
     for x, y in [(1.5, 2.5), (4.5, 4.5), (7.5, 0.5)]:
-        f = concentration(np.array([x, y]), g.src_centers(), params)
-        m_bar = float(post.probs().ravel() @ f.ravel())
-        updated = posterior_update(post, [MeasurementRecord(x, y, m_bar)], params)
-        want = info_gain_bits(updated, reference)
-        got = eig_at_expected_measurement(post, (x, y), params, reference)
+        f = concentration(np.array([x, y]), g.src_centers(), params).ravel()
+        want = sum(
+            p_k * info_gain_bits(
+                posterior_update(post, [MeasurementRecord(x, y, float(f_k))], params),
+                reference,
+            )
+            for p_k, f_k in zip(p, f)
+        )
+        got = eig_exact(post, (x, y), params, 1, reference)
         assert got == pytest.approx(want, rel=1e-12)
