@@ -102,9 +102,9 @@ def logsumexp(a, axis=None, keepdims: bool = False):
 
 
 def uniform_posterior(grid: GridSpec) -> SourcePosterior:
-    n = grid.n_src_cells
-    lp = np.full((grid.i_cells, grid.j_cells), -np.log(n))
-    return SourcePosterior(lp - logsumexp(lp), grid)
+    """Equal probability on every source cell: -log(n_src_cells) each, exactly."""
+    # a read-only view of one 1.0, so no grid-sized array of ones is allocated
+    return posterior_from_weights(grid, np.broadcast_to(1.0, (grid.i_cells, grid.j_cells)))
 
 
 def posterior_from_weights(grid: GridSpec, weights) -> SourcePosterior:

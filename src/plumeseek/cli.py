@@ -112,8 +112,7 @@ def _ig_curves_svg(out_dir: Path) -> str | None:
     series = []
     for k, policy in enumerate(POLICIES):
         for path in sorted((out_dir / policy).glob("episode_*.csv")):
-            recs = read_episode_csv(path)
-            ig = ig_by_step(recs, recs[-1].step + 1 if recs else 0)
+            ig = ig_by_step(read_episode_csv(path))
             series.append(
                 Series(
                     label=f"{policy} {path.stem.split('_')[-1]}",

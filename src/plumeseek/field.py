@@ -302,28 +302,27 @@ def offset_lattice(grid: GridSpec, params: PlumeParams):
 class OffsetKernel:
     """Squared-SNR kernel tabulated on the lattice of sensor-source offsets.
 
-    values[tx - tx0, ty - ty0] holds f(offset)^2 / (2 sigma^2) in nats at the
-    x offset tx * (grid.meas_dx / stride_meas_x) + (grid.meas_dx - grid.src_dx) / 2
-    (same per axis in y), where tx = stride_meas_x * ix - stride_src_x * is
-    for measurement column ix and source column is. Strides record how each
-    grid embeds into the common fine lattice. fft_shape (sx, sy) is the
-    smallest alias-free fast FFT size (see offset_lattice), and spectrum
-    is the transposed spectrum of values at that size,
+    values[tx + qx * (I - 1), ty + qy * (J - 1)] holds f(offset)^2 / (2 sigma^2)
+    in nats at the x offset tx * (grid.meas_dx / px) + (grid.meas_dx - grid.src_dx) / 2
+    (same in y), where tx = px * ix - qx * is for measurement column ix and
+    source column is, px = stride_meas_x, qx = stride_src_x and I = i_cells:
+    the origin tx = 0 sits at qx * (I - 1) (qy * (J - 1) in y). Strides
+    record how each grid embeds into the common fine lattice. fft_shape (sx,
+    sy) is the smallest alias-free fast FFT size (see offset_lattice), and
+    spectrum is the transposed spectrum of values at that size,
     rfft2(values, s=fft_shape).T, a contiguous (sy // 2 + 1, sx) array (see
     transposed_rfft2), computed once so correlate does not redo it.
 
     f is the plume's mean concentration on the same lattice, values before
     squaring, and params the plume it was tabulated for. f_box (x0, x1, y0,
     y1) bounds f's non-zero cells, half-open; (0, 0, 0, 0) when there are
-    none. exact_x is true when that lattice x offset, as squared_snr_kernel
-    computes it, is meas_x_centers()[ix] - src_x_centers()[is], bit for bit,
-    for every measurement/source column pair (same in y); source_window reads
-    f only when both hold.
+    none. exact is true when every lattice offset, as squared_snr_kernel
+    computes it, is meas_x_centers()[ix] - src_x_centers()[is] (and the
+    same in y), bit for bit, for every measurement/source pair; only then
+    does source_window read f.
     """
 
     values: np.ndarray
-    tx0: int
-    ty0: int
     stride_meas_x: int
     stride_src_x: int
     stride_meas_y: int
@@ -334,8 +333,7 @@ class OffsetKernel:
     f: np.ndarray = field(repr=False, compare=False)
     params: PlumeParams = field(repr=False)
     f_box: tuple[int, int, int, int] = field(repr=False, compare=False)
-    exact_x: bool = field(repr=False, compare=False)
-    exact_y: bool = field(repr=False, compare=False)
+    exact: bool = field(repr=False, compare=False)
 
     def check(self, grid: GridSpec, params: PlumeParams | None = None) -> None:
         """Raise KernelGridMismatch unless tabulated for grid and, when given, params."""
@@ -347,9 +345,10 @@ class OffsetKernel:
 
         probs, the posterior on the source grid, is embedded on the fine
         lattice, circularly convolved with values at fft_shape and sampled at
-        the measurement centers. The transforms are rfft2 and irfft2's own
-        1-D transforms, transposed as spectrum is, so the result is irfft2's
-        bit for bit; the last runs only for the columns the centers read.
+        the measurement centers, column im at p * im + q * (n_src - 1), the
+        kernel's origin. The transforms are rfft2 and irfft2's own 1-D
+        transforms, transposed as spectrum is, so the result is irfft2's bit
+        for bit; the last runs only for the columns the centers read.
         """
         g = self.grid
         qx, qy = self.stride_src_x, self.stride_src_y
@@ -359,8 +358,7 @@ class OffsetKernel:
         spec = transposed_rfft2(up, self.fft_shape)
         spec *= self.spectrum
         np.fft.ifft(spec, axis=1, out=spec)
-        # measurement column im reads convolution index p*im - tx0
-        x0, y0 = -self.tx0, -self.ty0
+        x0, y0 = up.shape[0] - 1, up.shape[1] - 1  # q * (n_src - 1), the kernel's origin
         cols = np.ascontiguousarray(spec[:, x0 : x0 + px * (g.a_cells - 1) + 1 : px].T)
         vals = np.fft.irfft(cols, self.fft_shape[1], axis=1)
         return vals[:, y0 : y0 + py * (g.b_cells - 1) + 1 : py]
@@ -368,14 +366,14 @@ class OffsetKernel:
     def source_window(self, x: float, y: float):
         """f over the source grid for a reading at (x, y), read off the table, or None.
 
-        When (x, y) is a measurement-cell centre exactly and both axes are
+        When (x, y) is a measurement-cell centre exactly and the kernel is
         exact, returns (window, rows, cols). window is an (i_cells, j_cells)
         strided view of f equal, bit for bit, to
         concentration_at_sources((x, y), grid, params); it is 0.0 outside
         window[rows, cols], the source cells whose offsets meet f_box. Any
         other reading returns None and takes the closed form.
         """
-        if not (self.exact_x and self.exact_y):
+        if not self.exact:
             return None
         g = self.grid
         x0, x1, y0, y1 = self.f_box
@@ -449,10 +447,10 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     """Tabulate k(d) = f(d)^2 / (2 sigma^2) over every sensor-source offset.
 
     The lattice spans all displacements (measurement center - source center),
-    including sub-pitch shifts when the two grids differ in resolution. The
-    concentration f on the lattice is kept, with its non-zero box and the
-    per-axis exactness flags, so that on-lattice readings take their
-    likelihood from this one evaluation (see OffsetKernel.source_window).
+    including sub-pitch shifts, from the most negative, so the origin sits at
+    q * (n_src - 1) on each axis. The concentration f on the lattice is kept,
+    with its non-zero box and its exactness flag, so that on-lattice readings
+    take their likelihood from this one evaluation (see source_window).
     """
     (px, qx), (py, qy), fft_shape = offset_lattice(grid, params)
     fine_dx = grid.meas_dx / px
@@ -476,8 +474,6 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
         f_box = (int(nz_x[0]), int(nz_x[-1]) + 1, int(nz_y[0]), int(nz_y[-1]) + 1)
     return OffsetKernel(
         values=values,
-        tx0=int(tx0),
-        ty0=int(ty0),
         stride_meas_x=px,
         stride_src_x=qx,
         stride_meas_y=py,
@@ -488,6 +484,6 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
         f=f,
         params=params,
         f_box=f_box,
-        exact_x=_exact_axis(grid.meas_x_centers(), grid.src_x_centers(), off_x, px, qx, tx0),
-        exact_y=_exact_axis(grid.meas_y_centers(), grid.src_y_centers(), off_y, py, qy, ty0),
+        exact=_exact_axis(grid.meas_x_centers(), grid.src_x_centers(), off_x, px, qx, tx0)
+        and _exact_axis(grid.meas_y_centers(), grid.src_y_centers(), off_y, py, qy, ty0),
     )

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import (
-    LOG_2, SourcePosterior, check_reference, gaussian_loglik, logsumexp, uniform_posterior
-)
+from .belief import LOG_2, SourcePosterior, check_reference, gaussian_loglik, logsumexp
 from .field import (
     GridSpec,
     KernelGridMismatch,
@@ -80,15 +78,18 @@ def eig_exact(
 ) -> float:
     """Expected info gain of measuring at candidate, quadrature over readings.
 
-    The predictive density of the reading is a Gaussian mixture with one
-    component per source hypothesis; each component is integrated with
-    n_nodes Gauss-Hermite nodes. Each hypothetical update is
-    posterior_update's: same log-likelihood, same floor. reference defaults
-    to the uniform distribution and should be the belief the agent started
-    the episode with; one on another grid raises check_reference's ValueError.
+    The expectation, over the predictive density of the reading, of the KL
+    divergence of the updated posterior from reference. That density is a
+    Gaussian mixture with one component per source hypothesis; each
+    component is integrated with n_nodes Gauss-Hermite nodes. Each
+    hypothetical update is posterior_update's: same log-likelihood, same
+    floor. reference defaults to post itself, which makes the value the
+    mutual information of the next reading and the source location; another
+    reference adds KL(post || reference), and one on another grid raises
+    check_reference's ValueError.
     """
     if reference is None:
-        reference = uniform_posterior(post.grid)
+        reference = post
     check_reference(post, reference)
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     weights = weights / np.sqrt(np.pi)  # normalize to a probability average
@@ -153,10 +154,13 @@ def compute_score_map(
     params: PlumeParams,
     tier: str,
     n_nodes: int = 16,
-    reference: SourcePosterior | None = None,
     kernel: OffsetKernel | None = None,
 ) -> ScoreMap:
-    """Score every measurement cell of the posterior's grid with the requested tier."""
+    """Score every measurement cell of the posterior's grid with the requested tier.
+
+    The exact tier scores each cell by eig_exact against the posterior
+    itself: the mutual information of the next reading there.
+    """
     grid = post.grid
     if tier == TIER_SNR_FFT:
         if kernel is None:
@@ -164,9 +168,7 @@ def compute_score_map(
         return snr_score_map_fft(post, kernel, grid, params)
     if tier == TIER_EXACT:
         centers = grid.meas_centers().reshape(-1, 2)
-        if reference is None:
-            reference = uniform_posterior(grid)
-        vals = [eig_exact(post, c, params, n_nodes, reference) for c in centers]
+        vals = [eig_exact(post, c, params, n_nodes) for c in centers]
         return ScoreMap(np.array(vals).reshape(grid.a_cells, grid.b_cells), grid)
     raise ValueError(f"unknown planner tier {tier!r}")
 

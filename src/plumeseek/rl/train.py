@@ -74,8 +74,8 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
-    mode: str
-    seed: int
+    """What a training run returns; its mode and seed are the TrainConfig's."""
+
     curves: np.ndarray                 # (train_steps, n_agents) smoothed reward
     nets: list[QNet]                   # per-agent views into the trained team net
     n_episodes: int
@@ -133,13 +133,7 @@ def train(cfg: TrainConfig) -> TrainResult:
             if step % cfg.target_sync == 0:
                 team_target.copy_from(team)
 
-    return TrainResult(
-        mode=cfg.mode,
-        seed=cfg.seed,
-        curves=curves,
-        nets=[team.agent(i) for i in range(n_agents)],
-        n_episodes=n_episodes,
-    )
+    return TrainResult(curves, [team.agent(i) for i in range(n_agents)], n_episodes)
 
 
 def curves_to_csv(result: TrainResult, path) -> None:

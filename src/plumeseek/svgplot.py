@@ -6,6 +6,7 @@ bytes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from html import escape
 
@@ -25,9 +26,28 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _axis_range(values: list) -> tuple[float, float]:
+    """(min, max) of values, (0, 1) of none; a flat range is widened by 1, or to 0."""
+    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
+    if hi <= lo:
+        hi = lo + 1.0
+        if hi == lo:  # |lo| >= 2^53 rounds the 1 away
+            lo, hi = min(lo, 0.0), max(hi, 0.0)
+    return lo, hi
+
+
+def _unit(lo: float, hi: float):
+    """v -> (v - lo) / (hi - lo), halving every term where hi - lo overflows (lo < 0 < hi)."""
+    if hi - lo < math.inf:
+        return lambda v: (v - lo) / (hi - lo)
+    return lambda v: (v / 2 - lo / 2) / (hi / 2 - lo / 2)
+
+
 def _ticks(lo: float, hi: float) -> list[float]:
     step = (hi - lo) / 4
-    return [lo + i * step for i in range(5)]
+    if step < math.inf:
+        return [lo + i * step for i in range(5)]
+    return [lo * (1 - i / 4) + hi * (i / 4) for i in range(5)]  # lo < 0 < hi: no overflow
 
 
 def line_chart(
@@ -42,20 +62,15 @@ def line_chart(
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
 
-    xs_all = [x for s in series for x in s.xs]
-    ys_all = [y for s in series for y in s.ys]
-    x_lo, x_hi = (min(xs_all), max(xs_all)) if xs_all else (0.0, 1.0)
-    y_lo, y_hi = (min(ys_all), max(ys_all)) if ys_all else (0.0, 1.0)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _axis_range([x for s in series for x in s.xs])
+    y_lo, y_hi = _axis_range([y for s in series for y in s.ys])
+    x_unit, y_unit = _unit(x_lo, x_hi), _unit(y_lo, y_hi)
 
     def px(x: float) -> float:
-        return margin_l + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return margin_l + x_unit(x) * plot_w
 
     def py(y: float) -> float:
-        return margin_t + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+        return margin_t + (1.0 - y_unit(y)) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

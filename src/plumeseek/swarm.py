@@ -103,7 +103,8 @@ class SimConfig:
     The cost model must keep finite, whatever the policy, the longest move's
     cost, the cost-only weights' sum (<= n_meas_cells / overhead) and score /
     cost (<= the largest score / overhead: the snr-fft kernel peak in bits,
-    or an information gain, at most -log2 of the smallest prior probability).
+    or the exact tier's mutual information, at most -log2 of the smallest
+    prior probability).
     """
 
     world: World
@@ -231,9 +232,9 @@ def read_rows(path, row_type) -> list:
     return rows
 
 
-def ig_by_step(records, n_steps: int) -> np.ndarray:
-    """Shared info gain after each step's update, one value per step, from step records."""
-    out = np.empty(n_steps)
+def ig_by_step(records) -> np.ndarray:
+    """Shared info gain after each step's update, one value per step, from step-major records."""
+    out = np.empty(records[-1].step + 1 if records else 0)
     for rec in records:
         out[rec.step] = rec.ig_bits
     return out
@@ -241,10 +242,9 @@ def ig_by_step(records, n_steps: int) -> np.ndarray:
 
 @dataclass
 class EpisodeLog:
-    seed: int
-    policy: str
-    n_steps: int
-    n_agents: int
+    """One episode: its config (seed, policy, team size, steps), source, records and beliefs."""
+
+    cfg: SimConfig
     source_xy: tuple[float, float]
     records: list[StepRecord] = field(default_factory=list)
     prior: SourcePosterior | None = None
@@ -252,7 +252,7 @@ class EpisodeLog:
 
     def ig_series(self) -> np.ndarray:
         """Shared info gain after each step's update (one value per step)."""
-        return ig_by_step(self.records, self.n_steps)
+        return ig_by_step(self.records)
 
     def to_csv(self, path) -> None:
         """Write the records as a StepRecord table; read_episode_csv reads it back exactly."""
@@ -263,10 +263,10 @@ class EpisodeLog:
         for r in self.records:  # in step order, as paid; Python 3.12's sum() rounds otherwise
             cumulative_cost += r.cost
         return {
-            "seed": self.seed,
-            "policy": self.policy,
-            "n_agents": self.n_agents,
-            "n_steps": self.n_steps,
+            "seed": self.cfg.seed,
+            "policy": self.cfg.policy,
+            "n_agents": self.cfg.n_agents,
+            "n_steps": self.cfg.n_steps,
             "source_xy": list(self.source_xy),
             "cumulative_cost": cumulative_cost,
             "final": posterior_summary(self.final_posterior, self.prior),
@@ -330,14 +330,7 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
     belief = prior
     kernel = squared_snr_kernel(plume, grid) if cfg.tier == TIER_SNR_FFT else None
 
-    log = EpisodeLog(
-        seed=cfg.seed,
-        policy=cfg.policy,
-        n_steps=cfg.n_steps,
-        n_agents=cfg.n_agents,
-        source_xy=(float(source[0]), float(source[1])),
-        prior=prior,
-    )
+    log = EpisodeLog(cfg, (float(source[0]), float(source[1])), prior=prior)
 
     for step in range(cfg.n_steps):
         # measure, in agent-id order, each on its own noise stream
@@ -351,7 +344,7 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
 
         scores = None
         if cfg.policy == POLICY_INFO:
-            scores = compute_score_map(belief, plume, cfg.tier, cfg.quad_nodes, prior, kernel)
+            scores = compute_score_map(belief, plume, cfg.tier, cfg.quad_nodes, kernel)
         for i, position in enumerate(positions):
             if cfg.policy == POLICY_INFO:
                 target = select_next(scores, cfg.cost, position)

@@ -67,3 +67,24 @@ def test_every_tracer_wrap_site_resolves_but_the_known_gap():
     finally:
         patches.undo()
     assert patches.unwrapped == KNOWN_UNWRAPPED
+
+
+def test_tracer_count_hooks_run_on_the_program(tmp_path, capsys):
+    # the hooks read the kernel's values and strides, the posterior's grid and
+    # the env's actions: a refactor of those must not crash a traced run
+    from plumeseek import cli
+
+    config = str(ROOT / "configs" / "quickstart.json")
+    traced, patches = tracer.Tracer(), tracer.Patches()
+    traced.install(patches)
+    try:
+        assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+        argv = ["train", "--config", config, "--out", str(tmp_path / "rl")]
+        assert cli.main([*argv, "--mode", "communicating"]) == 0
+    finally:
+        patches.undo()
+    assert patches.unwrapped == KNOWN_UNWRAPPED
+    counts = traced.run_counts([traced.run_id])
+    for key in ("planner.fft_cells", "field.kernel_cells", "belief.cell_records",
+                "planner.distinct_targets", "rl.qnet.replay_samples", "rl.env.actions.move"):
+        assert counts[key] > 0, key

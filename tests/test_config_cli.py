@@ -946,6 +946,30 @@ def test_plot_draws_a_zero_step_run_as_empty_series(
     assert label in legend
 
 
+@pytest.mark.parametrize(
+    "rewards",
+    [("1e+16", "1e+16"), ("-1e+308", "1e+308")],
+    ids=["flat-beyond-2-53", "span-overflows"],
+)
+def test_plot_draws_any_finite_table_with_finite_coordinates(tmp_path, capsys, rewards):
+    # a flat span widened by +1.0 loses the 1 at |y| >= 2^53, and 1e308 - -1e308
+    # overflows: neither may divide by zero or write nan into the chart
+    rows = "".join(f"{step},0,{v}\n" for step, v in enumerate(rewards))
+    (tmp_path / "curves_communicating_0.csv").write_text(f"step,agent_id,smoothed_reward\n{rows}")
+    assert main(["plot", "--out", str(tmp_path)]) == 0, capsys.readouterr().err
+    svg = (tmp_path / "reward_curves.svg").read_text()
+    ElementTree.fromstring(svg)  # well-formed XML
+    numbers = []
+    for token in re.findall(r"[^\s,\"<>=()]+", svg):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            continue
+    assert numbers and all(map(np.isfinite, numbers))
+    ticks = re.findall(r'text-anchor="end">([^<]*)<', svg)
+    assert len(ticks) == 5 and len(set(ticks)) == 5
+
+
 EPISODE_HEADER = ",".join(swarm.StepRecord._fields)
 EPISODE_ROW = "0.5,0.5,0.1,0.0,1.0"  # x, y, m, ig_bits, cost after step and agent_id
 

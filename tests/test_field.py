@@ -386,8 +386,9 @@ def test_kernel_center_and_one_cell_out_values():
     g = GridSpec(0.0, 8.0, 0.0, 8.0, 8, 8, 8, 8)
     k = squared_snr_kernel(blob(), g)
     # same-resolution grids share centers, so zero offset is on the lattice
-    assert k.values[-k.tx0, -k.ty0] == 0.5  # strength^2 / (2 sigma^2)
-    one_out = k.values[-k.tx0 + 1, -k.ty0]
+    x0, y0 = k.stride_src_x * (g.i_cells - 1), k.stride_src_y * (g.j_cells - 1)
+    assert k.values[x0, y0] == 0.5  # strength^2 / (2 sigma^2)
+    one_out = k.values[x0 + 1, y0]
     assert one_out == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-15)
 
 
@@ -408,7 +409,8 @@ def test_kernel_covers_every_measurement_source_pair():
             i_s, j_s = divmod(s, g.j_cells)
             tx = k.stride_meas_x * am - k.stride_src_x * i_s
             ty = k.stride_meas_y * bm - k.stride_src_y * j_s
-            got = k.values[tx - k.tx0, ty - k.ty0]
+            got = k.values[tx + k.stride_src_x * (g.i_cells - 1),
+                           ty + k.stride_src_y * (g.j_cells - 1)]
             f = concentration(meas[a], src[s], params)
             want = f * f / (2.0 * params.noise_sigma**2)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
@@ -460,7 +462,7 @@ def test_kernel_zero_strength_is_all_zero():
 )
 def test_kernel_source_window_is_the_closed_form_bit_for_bit(g, params):
     k = squared_snr_kernel(params, g)
-    assert k.exact_x and k.exact_y
+    assert k.exact
     assert (k.f_box == (0, 0, 0, 0)) == (params.strength == 0.0)
     for flat in range(g.n_meas_cells):
         x, y = g.meas_cell_center(flat)
@@ -481,7 +483,7 @@ def test_kernel_source_window_is_none_off_the_lattice():
     # pitch 0.1 from x_min 0.1: centre differences round off the lattice offsets
     inexact = GridSpec(0.1, 1.3, 0.1, 0.7, 12, 6, 12, 6)
     k = squared_snr_kernel(blob(length_scale=0.2), inexact)
-    assert not (k.exact_x or k.exact_y)
+    assert not k.exact
     for flat in range(inexact.n_meas_cells):
         assert k.source_window(*inexact.meas_cell_center(flat)) is None
 

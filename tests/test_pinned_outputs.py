@@ -2,11 +2,13 @@
 
 Criterion 9 compares two reruns of the same code; this test compares every
 file under --out with a sha256 recorded in pinned_outputs.json, so a
-refactor that changes an output byte fails here. Two configs are pinned:
-configs/quickstart.json and LIST_SETTINGS, a small config that sets every
-list-valued setting. A change that means to alter the outputs regenerates
-the pins with `PYTHONPATH=src python tests/test_pinned_outputs.py` and says
-so in CHANGES.md.
+refactor that changes an output byte fails here. Three configs are pinned:
+configs/quickstart.json, LIST_SETTINGS, a small config that sets every
+list-valued setting, and LIST_SETTINGS on the exact planner tier with a
+distance-dependent move cost, so that the tier's scores, not only their
+order, decide its picks. A change that means to alter the outputs
+regenerates the pins with `PYTHONPATH=src python tests/test_pinned_outputs.py`
+and says so in CHANGES.md.
 """
 import hashlib
 import json
@@ -43,6 +45,14 @@ LIST_SETTINGS = {
 CONFIGS = {
     "quickstart": lambda tmp: HERE.parent / "configs" / "quickstart.json",
     "list_settings": lambda tmp: _write(tmp / "list_settings.json", LIST_SETTINGS),
+    "list_settings_exact": lambda tmp: _write(
+        tmp / "list_settings_exact.json",
+        {
+            **LIST_SETTINGS,
+            "planner": {"tier": "exact", "quad_nodes": 4},
+            "cost": {"quad_coeff": 0.05},
+        },
+    ),
 }
 
 

@@ -195,7 +195,7 @@ def _irfft2_map(post, kernel, fft_shape):
     conv = np.fft.irfft2(
         np.fft.rfft2(up, s=fft_shape) * np.fft.rfft2(kernel.values, s=fft_shape), s=fft_shape
     )
-    x0, y0 = -kernel.tx0, -kernel.ty0
+    x0, y0 = qx * (g.i_cells - 1), qy * (g.j_cells - 1)
     want = conv[x0 : x0 + px * (g.a_cells - 1) + 1 : px, y0 : y0 + py * (g.b_cells - 1) + 1 : py]
     return np.maximum(want, 0.0) / LOG2
 
@@ -375,13 +375,15 @@ def test_eig_exact_zero_when_world_is_silent():
 
 def test_eig_exact_on_point_mass_gives_full_bits():
     # the posterior is already decided, and a point mass stays one under every
-    # reading: the gain over a uniform start is the full log2(cells)
+    # reading: the gain over a uniform start is the full log2(cells), and the
+    # next reading, against the posterior itself (the default), teaches nothing
     g = grid(4)
     post = point_mass(g, 6)
     params = blob(noise_sigma=0.5)
     for candidate in ((0.5, 0.5), (3.1, 2.2)):
-        got = eig_exact(post, candidate, params)
+        got = eig_exact(post, candidate, params, 16, uniform_posterior(g))
         assert got == pytest.approx(4.0, abs=1e-9)
+        assert eig_exact(post, candidate, params) == 0.0
 
 
 # the same cell count over another world, and another cell count
@@ -427,11 +429,32 @@ def test_compute_score_map_exact_matches_direct_calls():
     g = grid(3)
     params = blob(noise_sigma=0.8)
     post = posterior_from_weights(g, rng.random(9) + 0.1)
-    reference = uniform_posterior(g)
-    smap = compute_score_map(post, params, TIER_EXACT, 8, reference)
+    smap = compute_score_map(post, params, TIER_EXACT, 8)
     for flat in (0, 4, 8):
-        want = eig_exact(post, g.meas_cell_center(flat), params, 8, reference)
+        want = eig_exact(post, g.meas_cell_center(flat), params, 8, post)
         assert smap.values.ravel()[flat] == want
+
+
+def test_exact_score_map_is_the_mutual_information_of_the_next_reading():
+    # scored against the posterior itself, not the prior: a uniform reference
+    # would add info_gain_bits(post, uniform), the bits already learned, to
+    # every cell, and select_next divides that constant by each cell's cost
+    rng = np.random.default_rng(18)
+    g = grid(4)
+    params = blob(length_scale=1.2, noise_sigma=0.4)
+    weights = rng.random(g.n_src_cells) + 0.02
+    weights[5] = 6.0
+    post = posterior_from_weights(g, weights)
+    uniform = uniform_posterior(g)
+    learned = info_gain_bits(post, uniform)
+    assert learned > 0.1
+    smap = compute_score_map(post, params, TIER_EXACT, 32)
+    for flat in range(g.n_meas_cells):
+        c = g.meas_cell_center(flat)
+        assert smap.values.ravel()[flat] == eig_exact(post, c, params, 32, post)
+        # equal up to the quadrature's error in E[updated posterior] = post
+        against_uniform = eig_exact(post, c, params, 32, uniform)
+        assert against_uniform - smap.values.ravel()[flat] == pytest.approx(learned, abs=1e-7)
 
 
 def test_select_next_prefers_cheap_nearby_cell():
