@@ -45,7 +45,12 @@ def _refuse_nonempty(out_dir: Path, force: bool) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write payload as JSON; a number that is not finite raises a ValueError before the write."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    path.write_text(text + "\n")
 
 
 def _run_jobs(ns, cfg: RunConfig, job, kinds, summary_name: str, plot, what: str) -> int:

@@ -84,6 +84,11 @@ class GridSpec:
             check_number(name, getattr(self, name))
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("grid extent must be positive in both axes")
+        if not self.diagonal * self.diagonal < np.inf:  # every squared distance stays finite
+            raise ValueError(
+                f"grid x_min, x_max, y_min and y_max must keep the squared diagonal finite, "
+                f"got x {self.x_min!r}..{self.x_max!r} and y {self.y_min!r}..{self.y_max!r}"
+            )
         for name in ("a_cells", "b_cells", "i_cells", "j_cells"):
             check_number(name, getattr(self, name), low=1, integer=True)
 

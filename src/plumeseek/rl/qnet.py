@@ -106,13 +106,18 @@ class QNet:
             np.copyto(dst, src)
 
     def save(self, path) -> None:
+        """Write the net as JSON; a parameter that is not finite raises a ValueError first."""
         payload = {
             "sizes": list(self.sizes),
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
+        try:
+            text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from None
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "QNet":

@@ -4,9 +4,12 @@ Each agent trains its own network against its own target copy, on its own
 draws from one team replay ring. The networks are held as one stacked team
 net (`QNet.stack`), so a train step runs one forward pass to act, one push,
 one sample and one TD step for the whole team; each agent's slice computes
-exactly what its own net would. In individual mode the Communicate action
-is masked out: greedy selection never considers it and an exploratory draw
-of it lands on DoNothing, so no transition ever records it.
+exactly what its own net would. A net's output heads are the actions its
+agent can take: an individual agent's net has one head for each action
+before Communicate, the last `Action`, and a communicating agent's net one
+for every action. Exploration draws among the heads and greedy selection
+takes their argmax, so an individual agent never communicates, and its TD
+target is the max over its own actions.
 """
 from __future__ import annotations
 
@@ -70,6 +73,20 @@ class TrainConfig:
             check_number(name, getattr(self, name), 0.0, 1.0)
         check_number("learning_rate", self.learning_rate, low=0.0, above=True)
         check_number("smoothing", self.smoothing, 0.0, 1.0, above=True)
+        # |reward| <= R = the terms' sum; R times max(2, n_agents, train_steps) bounds
+        # the curve EMA's step and both means of the train summary
+        reward, bits = self.env.reward, self.env.world.max_info_bits
+        scale = max(2, self.env.n_agents, self.train_steps)
+        terms = {
+            "rl.reward.w_info": abs(reward.w_info) * bits,
+            "rl.reward.w_est": abs(reward.w_est),
+            "rl.reward.action_costs": max(map(abs, reward.action_costs)),
+        }
+        if not sum(terms.values()) * scale < np.inf:
+            raise ValueError(
+                f"{max(terms, key=terms.get)} must keep (|w_info|·{bits:.6g} bits + |w_est| + "
+                f"max|action_costs|) × {scale} finite, got {reward}"
+            )
 
 
 @dataclass
@@ -81,18 +98,18 @@ class TrainResult:
     n_episodes: int
 
 
-def greedy_action(q_row: np.ndarray, mode: str) -> int:
-    """Argmax action; individual mode never considers Communicate."""
-    if mode == MODE_INDIVIDUAL:
-        return int(np.argmax(q_row[: Action.COMMUNICATE]))
-    return int(np.argmax(q_row))
+def greedy_action(q: np.ndarray) -> np.ndarray:
+    """The argmax action of each row of action values."""
+    return np.argmax(q, axis=-1)
 
 
 def train(cfg: TrainConfig) -> TrainResult:
     """Run seeded DQN training and return per-agent smoothed reward curves."""
     n_agents = cfg.env.n_agents
     episode_seeder, init_rngs, explore_rngs = agent_streams(cfg.seed, n_agents)
-    team = QNet.stack([QNet((OBS_SIZE, *cfg.hidden, N_ACTIONS), rng) for rng in init_rngs])
+    # Communicate is the last Action: an individual agent's heads are the actions before it
+    heads = int(Action.COMMUNICATE) if cfg.mode == MODE_INDIVIDUAL else N_ACTIONS
+    team = QNet.stack([QNet((OBS_SIZE, *cfg.hidden, heads), rng) for rng in init_rngs])
     team_target = team.clone()
     replay = ReplayBuffer(cfg.replay_capacity)
 
@@ -108,16 +125,11 @@ def train(cfg: TrainConfig) -> TrainResult:
         done = False
         while not done and step < cfg.train_steps:
             eps = epsilon(step, cfg.eps_start, cfg.eps_end, cfg.eps_decay_steps)
-            q = team.forward(obs[:, None, :])  # (n_agents, 1, N_ACTIONS)
-            actions = []
-            for i in range(n_agents):
-                if explore_rngs[i].random() < eps:
-                    a = int(explore_rngs[i].integers(N_ACTIONS))
-                else:
-                    a = greedy_action(q[i, 0], cfg.mode)
-                if cfg.mode == MODE_INDIVIDUAL and a == Action.COMMUNICATE:
-                    a = int(Action.DO_NOTHING)
-                actions.append(a)
+            greedy = greedy_action(team.forward(obs[:, None, :])[:, 0])
+            actions = [
+                int(rng.integers(team.n_actions)) if rng.random() < eps else int(a)
+                for rng, a in zip(explore_rngs, greedy)
+            ]
             next_obs, rewards, done = env.step(actions)
             replay.push(obs, actions, rewards, next_obs, done)
             if len(replay) >= cfg.batch_size:

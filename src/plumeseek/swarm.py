@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -78,6 +79,12 @@ class World:
             return uniform_posterior(self.grid)
         return posterior_from_weights(self.grid, np.asarray(self.prior_weights, dtype=float))
 
+    @property
+    def max_info_bits(self) -> float:
+        """The most bits a posterior can gain: -log2 of the least positive prior probability."""
+        lp = self.prior().log_probs
+        return -float(lp[lp > -np.inf].min()) / LOG_2
+
     def setup(self, world_rng: np.random.Generator, n_agents: int):
         """(prior, source, start positions) of one episode, drawn from the world stream.
 
@@ -100,11 +107,11 @@ class World:
 class SimConfig:
     """Everything one heuristic episode needs, including its RNG seed.
 
-    The cost model must keep finite, whatever the policy, the longest move's
-    cost, the cost-only weights' sum (<= n_meas_cells / overhead) and score /
+    The cost model must keep finite, whatever the policy, the cost of
+    n_steps x n_agents longest moves (a bound on the summary's cumulative
+    cost), the cost-only weights' sum (<= n_meas_cells / overhead) and score /
     cost (<= the largest score / overhead: the snr-fft kernel peak in bits,
-    or the exact tier's mutual information, at most -log2 of the smallest
-    prior probability).
+    or the exact tier's mutual information, at most World.max_info_bits).
     """
 
     world: World
@@ -128,10 +135,14 @@ class SimConfig:
             offset_lattice(grid, plume)
             largest = plume.kernel_peak / LOG_2
         else:
-            lp = self.world.prior().log_probs
-            largest = -float(lp[lp > -np.inf].min()) / LOG_2
-        if not cost.overhead + cost.quad_coeff * grid.diagonal**2 < np.inf:
-            raise ValueError(f"cost.quad_coeff must keep the longest move's cost finite, got {cost}")
+            largest = self.world.max_info_bits
+        moves = max(1.0, float(self.n_steps) * float(self.n_agents))
+        longest = cost.overhead + cost.quad_coeff * grid.diagonal * grid.diagonal
+        if not moves * longest < np.inf:
+            raise ValueError(
+                f"cost.quad_coeff must keep the cost of n_steps × n_agents moves "
+                f"({moves:.6g}) of the longest move ({longest:.6g}) finite, got {cost}"
+            )
         if not max(grid.n_meas_cells, largest) / cost.overhead < np.inf:
             raise ValueError(
                 f"cost.overhead must keep n_meas_cells / overhead and the largest {self.tier} "
@@ -160,12 +171,27 @@ def write_rows(path, rows, row_type) -> None:
     """Write rows as a CSV table under the header row_type._fields.
 
     The csv module writes floats as repr, so every value reads back exactly.
-    This and read_rows are the program's only CSV writer and reader.
+    This and read_rows are the program's only CSV writer and reader. A row
+    holding a value that is not finite raises a ValueError naming the file
+    and the row's line, and no file is left at path. The rows stream
+    through, so a long table is never held twice.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(row_type._fields)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(row_type._fields)
+            writer.writerows(_finite_rows(path, rows))
+    except ValueError:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _finite_rows(path, rows):
+    """The rows, unchanged, up to the first holding a value that is not finite, which raises."""
+    for line, row in enumerate(rows, start=2):  # line 1 is the header
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}: line {line}: {row} holds a value that is not finite")
+        yield row
 
 
 def _utf8_lines(path):

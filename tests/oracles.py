@@ -29,7 +29,7 @@ from plumeseek.belief import (
 from plumeseek.field import BLOB, concentration
 from plumeseek.rl.env import OBS_LAST_ACTION, OBS_SIZE, Action, HybridEnv, N_ACTIONS
 from plumeseek.rl.qnet import Batch, QNet, epsilon
-from plumeseek.rl.train import MODE_INDIVIDUAL, greedy_action
+from plumeseek.rl.train import MODE_INDIVIDUAL
 
 
 class Transition(NamedTuple):
@@ -108,8 +108,10 @@ def per_agent_train(cfg):
     n_agents = cfg.env.n_agents
     children = np.random.SeedSequence(cfg.seed).spawn(1 + 2 * n_agents)
     episode_seeder = np.random.default_rng(children[0])
+    # an individual agent's net has one head per action it can take: all but Communicate
+    n_actions = N_ACTIONS - 1 if cfg.mode == MODE_INDIVIDUAL else N_ACTIONS
     nets = [
-        QNet((OBS_SIZE, *cfg.hidden, N_ACTIONS), np.random.default_rng(children[1 + 2 * i]))
+        QNet((OBS_SIZE, *cfg.hidden, n_actions), np.random.default_rng(children[1 + 2 * i]))
         for i in range(n_agents)
     ]
     explore_rngs = [np.random.default_rng(children[2 + 2 * i]) for i in range(n_agents)]
@@ -127,11 +129,9 @@ def per_agent_train(cfg):
             actions = []
             for i in range(n_agents):
                 if explore_rngs[i].random() < eps:
-                    a = int(explore_rngs[i].integers(N_ACTIONS))
+                    a = int(explore_rngs[i].integers(n_actions))
                 else:
-                    a = greedy_action(forward_2d(nets[i], obs[i])[0][-1][0], cfg.mode)
-                if cfg.mode == MODE_INDIVIDUAL and a == Action.COMMUNICATE:
-                    a = int(Action.DO_NOTHING)
+                    a = int(np.argmax(forward_2d(nets[i], obs[i])[0][-1][0]))
                 actions.append(a)
             next_obs, rewards, done = env.step(actions)
             for i in range(n_agents):

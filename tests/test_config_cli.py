@@ -395,6 +395,12 @@ BAD_VALUES = [
     ("plume", "strength", 1e153),
     ("planner", "tier", "expected-measurement"),  # a deleted tier
     ("planner", "quad_nodes", 0),
+    # one move costs 8.2e306, the 100 x 5 moves the summary sums overflow
+    ("cost", "quad_coeff", 1e303),
+    # a reward bound times max(2, n_agents, train_steps) overflows the curves or the summary
+    ("rl", "reward", {"w_info": 1e308}),
+    ("rl", "reward", {"w_est": 1e308}),
+    ("rl", "reward", {"action_costs": [0, 1e308, -1e308, 0.1, 0.3]}),
 ]
 
 
@@ -426,11 +432,51 @@ def test_bad_value_in_any_section_exits_2(tmp_path, capsys, command, section, ke
             },
             "cost.overhead",
         ),
+        # one move costs 8.2e306; the summary sums 100 x 5 of them
+        ({"cost": {"quad_coeff": 1e303}}, "cost.quad_coeff"),
+        # the reward bound's largest term is named; 1e305 x 12 bits is finite, not x 10000 steps
+        ({"rl": {"reward": {"w_info": 1e308}}}, "rl.reward.w_info"),
+        ({"rl": {"reward": {"w_est": 1e308}}}, "rl.reward.w_est"),
+        (
+            {"rl": {"reward": {"action_costs": [0, 1e308, -1e308, 0.1, 0.3]}}},
+            "rl.reward.action_costs",
+        ),
+        ({"rl": {"reward": {"w_info": 1e305}}}, "rl.reward.w_info"),
     ],
 )
 def test_overflowing_plume_or_cost_names_the_setting(payload, setting):
     with pytest.raises(ConfigError, match=setting.replace(".", r"\.")):
         parse_config(payload)
+
+
+def test_overflowing_grid_extent_names_the_grid_not_the_cost():
+    # x_max - x_min overflows to inf, and quad_coeff 0 would price the longest move 0 * inf
+    payload = {"grid": {"x_min": -1e308, "x_max": 1e308}, "cost": {"quad_coeff": 0}}
+    with pytest.raises(ConfigError) as info:
+        parse_config(payload)
+    message = str(info.value)
+    assert "grid" in message and "x_min" in message and "cost" not in message
+
+
+def test_bounded_reward_at_the_edge_still_loads():
+    raw = json.loads((CONFIGS / "quickstart.json").read_text())
+    raw["rl"]["reward"] = {"w_info": 1e300, "w_est": 1e300}
+    assert parse_config(raw).train.env.reward.w_est == 1e300
+
+
+def test_diverging_training_writes_no_non_finite_number(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "quickstart.json").read_text())
+    raw["rl"]["learning_rate"] = 1e6  # the Q-nets' weights reach nan
+    out = tmp_path / "out"
+    args = ["train", "--config", write_config(tmp_path, raw), "--out", str(out), "--mode", "both"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == 3
+    assert "not JSON compliant" in capsys.readouterr().err
+    files = [path for path in out.rglob("*") if path.is_file()]
+    assert files
+    for path in files:
+        text = path.read_text()
+        assert not re.search(r"NaN|Infinity|\bnan\b|\binf\b", text), path.name
 
 
 def test_tiny_but_safe_overhead_still_runs(tmp_path):

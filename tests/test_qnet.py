@@ -229,6 +229,15 @@ def test_team_agent_views_save_the_single_net_checkpoint(tmp_path):
 # -- clone / sync / checkpoints ---------------------------------------------------------
 
 
+def test_save_refuses_a_parameter_that_is_not_finite_before_opening(tmp_path):
+    net = QNet((3, 4, 2), rng=np.random.default_rng(20))
+    net.biases[1][0] = np.nan
+    path = tmp_path / "qnet.json"
+    with pytest.raises(ValueError, match=r"checkpoint .*qnet\.json: .*not JSON compliant"):
+        net.save(path)
+    assert not path.exists()
+
+
 def test_clone_is_independent_and_copy_from_syncs():
     rng = np.random.default_rng(19)
     net = QNet((3, 4, 2), rng=rng)

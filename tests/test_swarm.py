@@ -228,6 +228,15 @@ def test_rows_read_back_as_written(tmp_path_factory, row_type, n_steps, n_agents
     assert [list(map(repr, row)) for row in back] == [list(map(repr, row)) for row in rows]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_write_rows_refuses_a_value_that_is_not_finite_and_leaves_no_file(tmp_path, bad):
+    rows = (StepRecord(0, 0, 0.5, 0.5, 0.1, 0.0, 1.0), StepRecord(0, 1, 0.5, 0.5, 0.1, 0.0, bad))
+    path = tmp_path / "episode.csv"
+    with pytest.raises(ValueError, match=r"episode\.csv: line 3: StepRecord\(step=0, agent_id=1,"):
+        write_rows(path, iter(rows), StepRecord)
+    assert not path.exists()
+
+
 def test_one_module_reads_and_writes_csv():
     # every CSV goes through swarm.write_rows and swarm.read_rows; a module
     # with its own csv import is a second table format

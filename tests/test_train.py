@@ -6,7 +6,7 @@ import pytest
 from oracles import per_agent_train
 
 from plumeseek.field import BLOB, GridSpec, PlumeParams
-from plumeseek.rl.env import Action, HybridEnv, HybridEnvConfig
+from plumeseek.rl.env import N_ACTIONS, Action, HybridEnv, HybridEnvConfig
 from plumeseek.rl.train import (
     MODE_COMMUNICATING,
     MODE_INDIVIDUAL,
@@ -69,10 +69,32 @@ def test_train_config_validation():
         TrainConfig(env=cfg.env, smoothing=0.0)
 
 
-def test_greedy_action_masks_communicate_in_individual_mode():
-    q = np.array([0.1, 0.2, 0.3, 0.4, 9.9])
-    assert greedy_action(q, MODE_COMMUNICATING) == int(Action.COMMUNICATE)
-    assert greedy_action(q, MODE_INDIVIDUAL) == int(Action.UPDATE)
+def test_communicate_is_the_last_action():
+    # so an individual net's first int(Action.COMMUNICATE) heads are every other action
+    assert Action.COMMUNICATE == N_ACTIONS - 1
+
+
+@pytest.mark.parametrize("mode,heads", [(MODE_INDIVIDUAL, 4), (MODE_COMMUNICATING, 5)])
+def test_team_nets_have_one_head_per_action_the_agent_can_take(mode, heads):
+    result = train(tiny_train_config(mode=mode, train_steps=5))
+    assert [net.n_actions for net in result.nets] == [heads, heads]
+    assert [net.weights[-1].shape[1] for net in result.nets] == [heads, heads]
+
+
+def test_greedy_action_is_the_argmax_of_each_agent_row():
+    q = np.array([[0.1, 0.2, 0.3, 0.4, 9.9], [0.5, 0.1, 0.2, 0.3, 0.4]])
+    assert greedy_action(q).tolist() == [int(Action.COMMUNICATE), int(Action.DO_NOTHING)]
+    assert greedy_action(q[:, : Action.COMMUNICATE]).tolist() == [int(Action.UPDATE), 0]
+
+
+def test_individual_exploration_draws_each_action_equally(monkeypatch):
+    log = record_env_steps(monkeypatch)
+    cfg = tiny_train_config(mode=MODE_INDIVIDUAL, train_steps=1000, n_agents=3)
+    train(replace(cfg, eps_start=1.0, eps_end=1.0))
+    actions = np.array([actions for _, actions, *_ in log]).ravel()
+    shares = np.bincount(actions, minlength=N_ACTIONS) / actions.size
+    assert shares[Action.COMMUNICATE] == 0.0
+    assert np.all(np.abs(shares[: Action.COMMUNICATE] - 0.25) <= 0.05), shares
 
 
 def test_training_is_deterministic_per_seed():
