@@ -56,9 +56,11 @@ def _write_json(path: Path, payload) -> None:
 def _run_jobs(ns, cfg: RunConfig, job, kinds, summary_name: str, plot, what: str) -> int:
     """Run job((cfg, kind, seed, out_dir)) for every kind and seed, then write the summary.
 
-    The output directory gets effective_config.json first, then
+    Each job returns (its summary, the path of the table it wrote). The
+    output directory gets effective_config.json first, then
     {"runs": [one summary per job]} under summary_name in job order, then
-    plot(out_dir). With --threads > 1 the jobs run in min(threads, jobs)
+    plot(out_dir, tables), which charts these jobs' tables and no other
+    file. With --threads > 1 the jobs run in min(threads, jobs)
     worker processes; the outputs do not depend on that. Bad --seed values, an
     empty run list and a kind and seed listed twice (one file, two runs) fail
     before any write.
@@ -86,12 +88,12 @@ def _run_jobs(ns, cfg: RunConfig, job, kinds, summary_name: str, plot, what: str
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(job, jobs))
+            results = list(pool.map(job, jobs))
     else:
-        summaries = [job(args) for args in jobs]
+        results = [job(args) for args in jobs]
 
-    _write_json(out_dir / summary_name, {"runs": summaries})
-    plot(out_dir)
+    _write_json(out_dir / summary_name, {"runs": [summary for summary, _ in results]})
+    plot(out_dir, [table for _, table in results])
     print(f"wrote {len(jobs)} {what} under {out_dir}")
     return 0
 
@@ -99,10 +101,10 @@ def _run_jobs(ns, cfg: RunConfig, job, kinds, summary_name: str, plot, what: str
 def _simulate_job(args):
     cfg, policy, seed, out_dir = args
     log = run_episode(cfg.sim_config(seed, policy))
-    pol_dir = Path(out_dir) / policy
-    pol_dir.mkdir(parents=True, exist_ok=True)
-    log.to_csv(pol_dir / f"episode_{seed}.csv")
-    return log.summary()
+    table = Path(out_dir) / policy / f"episode_{seed}.csv"
+    table.parent.mkdir(parents=True, exist_ok=True)
+    log.to_csv(table)
+    return log.summary(), table
 
 
 def _write_chart(path: Path, series, **labels) -> str | None:
@@ -113,19 +115,20 @@ def _write_chart(path: Path, series, **labels) -> str | None:
     return path.name
 
 
-def _ig_curves_svg(out_dir: Path) -> str | None:
+def _ig_curves_svg(out_dir: Path, paths) -> str | None:
+    """Chart the episode CSVs <policy>/episode_<seed>.csv in paths, by policy, then file name."""
     series = []
-    for k, policy in enumerate(POLICIES):
-        for path in sorted((out_dir / policy).glob("episode_*.csv")):
-            ig = ig_by_step(read_episode_csv(path))
-            series.append(
-                Series(
-                    label=f"{policy} {path.stem.split('_')[-1]}",
-                    xs=list(range(ig.size)),
-                    ys=ig.tolist(),
-                    color=POLICY_COLORS.get(policy, PALETTE[k % len(PALETTE)]),
-                )
+    for path in sorted(paths, key=lambda p: (POLICIES.index(p.parent.name), p.name)):
+        ig = ig_by_step(read_episode_csv(path))
+        policy = path.parent.name
+        series.append(
+            Series(
+                label=f"{policy} {path.stem.split('_')[-1]}",
+                xs=list(range(ig.size)),
+                ys=ig.tolist(),
+                color=POLICY_COLORS[policy],
             )
+        )
     return _write_chart(
         out_dir / "ig_curves.svg",
         series,
@@ -148,7 +151,8 @@ def _train_job(args):
     cfg, mode, seed, out_dir = args
     result = train(cfg.train_config(seed, mode))
     out = Path(out_dir)
-    curves_to_csv(result, out / f"curves_{mode}_{seed}.csv")
+    table = out / f"curves_{mode}_{seed}.csv"
+    curves_to_csv(result, table)
     for j, net in enumerate(result.nets):
         net.save(out / f"qnet_{mode}_{seed}_agent{j}.json")
     mean_curve = result.curves.mean(axis=1)
@@ -164,12 +168,13 @@ def _train_job(args):
         "mean_reward_last_quarter": float(mean_curve[-quarter:].mean())
         if mean_curve.size
         else 0.0,
-    }
+    }, table
 
 
-def _reward_curves_svg(out_dir: Path) -> str | None:
+def _reward_curves_svg(out_dir: Path, paths) -> str | None:
+    """Chart the curves_<mode>_<seed>.csv tables in paths, by file name."""
     series = []
-    for path in sorted(out_dir.glob("curves_*.csv")):
+    for path in sorted(paths):
         curves = read_curves_csv(path)
         tag = path.stem[len("curves_") :]
         mode = tag.rsplit("_", 1)[0]
@@ -279,7 +284,12 @@ def cmd_plot(ns) -> int:
     if not out_dir.is_dir():
         raise ConfigError(f"not a directory: {out_dir}")
     try:
-        names = [name for name in (_ig_curves_svg(out_dir), _reward_curves_svg(out_dir)) if name]
+        episodes = [p for pol in POLICIES for p in (out_dir / pol).glob("episode_*.csv")]
+        charts = (
+            _ig_curves_svg(out_dir, episodes),
+            _reward_curves_svg(out_dir, out_dir.glob("curves_*.csv")),
+        )
+        names = [name for name in charts if name]
     except ValueError as exc:  # a CSV under --out that is not the table its name says
         raise ConfigError(str(exc)) from None
     if not names:

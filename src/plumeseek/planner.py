@@ -31,13 +31,11 @@ TIERS = (TIER_EXACT, TIER_SNR_FFT)
 
 @dataclass(frozen=True)
 class CostModel:
-    """Movement cost = overhead + quad_coeff * distance^2."""
+    """Movement cost = 1 + quad_coeff * distance^2: one move's fixed cost is the unit of cost."""
 
-    overhead: float = 1.0
     quad_coeff: float = 0.0
 
     def __post_init__(self):
-        check_number("overhead", self.overhead, low=0.0, above=True)  # finite cost ratios
         check_number("quad_coeff", self.quad_coeff, low=0.0)
 
 
@@ -54,7 +52,7 @@ def movement_cost(cm: CostModel, frm, to) -> np.ndarray:
     frm = np.asarray(frm, dtype=float)
     to = np.asarray(to, dtype=float)
     d2 = np.sum((to - frm) ** 2, axis=-1)
-    return cm.overhead + cm.quad_coeff * d2
+    return 1.0 + cm.quad_coeff * d2
 
 
 def movement_cost_map(cm: CostModel, grid: GridSpec, frm) -> np.ndarray:
@@ -66,7 +64,7 @@ def movement_cost_map(cm: CostModel, grid: GridSpec, frm) -> np.ndarray:
     x, y = np.asarray(frm, dtype=float)
     dx2 = (grid.meas_x_centers() - x) ** 2
     dy2 = (grid.meas_y_centers() - y) ** 2
-    return cm.overhead + cm.quad_coeff * (dx2[:, None] + dy2[None, :])
+    return 1.0 + cm.quad_coeff * (dx2[:, None] + dy2[None, :])
 
 
 def eig_exact(

@@ -85,18 +85,16 @@ class HybridEnvConfig:
     world: World
     n_agents: int = 3
     horizon: int = 200
-    a_max: float = 0.5        # fixed acceleration magnitude for Move
+    a_max: float = 0.5        # velocity one Move adds; one step is the unit of time
     damping: float = 0.95     # velocity retained per step before the kick
-    v_max: float = 1.0
-    dt: float = 1.0
-    w_max: float = 1.0        # wind normalization scale for observations
+    v_max: float = 1.0        # the most one step can cover
     buffer_capacity: int = 4  # newest readings kept per agent
     reward: RewardWeights = field(default_factory=RewardWeights)
 
     def __post_init__(self):
         for name in ("n_agents", "horizon", "buffer_capacity"):
             check_number(name, getattr(self, name), low=1, integer=True)
-        for name in ("a_max", "v_max", "dt", "w_max"):
+        for name in ("a_max", "v_max"):
             check_number(name, getattr(self, name), low=0.0, above=True)
         check_number("damping", self.damping, 0.0, 1.0)
 
@@ -113,7 +111,7 @@ class HybridEnv:
         self._origin = np.array([g.x_min, g.y_min])
         self._corner = np.array([g.x_max, g.y_max])
         self._span = np.array([g.x_max - g.x_min, g.y_max - g.y_min])
-        self._wind_obs = np.clip(np.asarray(self._plume.wind) / cfg.w_max, -1.0, 1.0)
+        self._wind_obs = np.clip(np.asarray(self._plume.wind), -1.0, 1.0)
         self._max_ig = np.log2(g.n_src_cells)
         self._costs = np.asarray(cfg.reward.action_costs, dtype=float)
 
@@ -174,11 +172,11 @@ class HybridEnv:
         delta = target - self._pos[i]
         dist = float(np.hypot(*delta))
         accel = (cfg.a_max / dist) * delta if dist > 0 else np.zeros(2)
-        v = cfg.damping * self._vel[i] + accel * cfg.dt
+        v = cfg.damping * self._vel[i] + accel
         speed = float(np.hypot(*v))
         if speed > cfg.v_max:
             v *= cfg.v_max / speed
-        pos = self._pos[i] + v * cfg.dt
+        pos = self._pos[i] + v
         # walls are sticky: clamp and zero the offending velocity component
         clamped = np.clip(pos, self._origin, self._corner)
         v[clamped != pos] = 0.0

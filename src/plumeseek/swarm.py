@@ -108,10 +108,7 @@ class SimConfig:
     """Everything one heuristic episode needs, including its RNG seed.
 
     The cost model must keep finite, whatever the policy, the cost of
-    n_steps x n_agents longest moves (a bound on the summary's cumulative
-    cost), the cost-only weights' sum (<= n_meas_cells / overhead) and score /
-    cost (<= the largest score / overhead: the snr-fft kernel peak in bits,
-    or the exact tier's mutual information, at most World.max_info_bits).
+    n_steps x n_agents longest moves: a bound on the summary's cumulative cost.
     """
 
     world: World
@@ -133,20 +130,12 @@ class SimConfig:
         grid, plume, cost = self.world.grid, self.world.plume, self.cost
         if self.tier == TIER_SNR_FFT:  # the offset lattice must serve the grid and plume
             offset_lattice(grid, plume)
-            largest = plume.kernel_peak / LOG_2
-        else:
-            largest = self.world.max_info_bits
         moves = max(1.0, float(self.n_steps) * float(self.n_agents))
-        longest = cost.overhead + cost.quad_coeff * grid.diagonal * grid.diagonal
+        longest = 1.0 + cost.quad_coeff * grid.diagonal * grid.diagonal
         if not moves * longest < np.inf:
             raise ValueError(
                 f"cost.quad_coeff must keep the cost of n_steps × n_agents moves "
                 f"({moves:.6g}) of the longest move ({longest:.6g}) finite, got {cost}"
-            )
-        if not max(grid.n_meas_cells, largest) / cost.overhead < np.inf:
-            raise ValueError(
-                f"cost.overhead must keep n_meas_cells / overhead and the largest {self.tier} "
-                f"score / overhead ({largest:.6g} bits) finite, got {cost}"
             )
 
 
@@ -155,7 +144,8 @@ class StepRecord(NamedTuple):
 
     (x, y) is where the agent measured and m what it read; ig_bits is the
     shared info gain after the step's update, and cost what the agent paid to
-    move to its next target, which is its (x, y) at the next step.
+    move to its next target, which is its (x, y) at the next step, in units of
+    one move's fixed cost.
     """
 
     step: int

@@ -6,7 +6,9 @@ loop with one Q-net, target and buffer per agent, the per-agent
 observation loop and the per-agent reward. The buffer ledger keeps
 `HybridEnv`'s readings as it first did, in three structures. The rest are direct sums, the
 inline reading formula that `swarm.sense` replaced, the float pitch-ratio
-rule the lattice strides replaced, and the plume and
+rule the lattice strides replaced, the pick and cost-only probabilities
+under a move cost `overhead + quad_coeff * d^2` whose fixed part was a
+setting rather than the unit of cost, and the plume and
 likelihood closed forms written as plain expressions, one fresh array per
 operation, for the closed forms in `field` and the in-place likelihood in
 `belief`. They share no code with the code under test, so a change there
@@ -160,7 +162,7 @@ def per_agent_observe(env):
     for i in range(cfg.n_agents):
         obs[i, 0:2] = (env._pos[i] - origin) / span
         obs[i, 2:4] = env._vel[i] / cfg.v_max
-        obs[i, 4:6] = np.clip(np.asarray(cfg.world.plume.wind) / cfg.w_max, -1.0, 1.0)
+        obs[i, 4:6] = np.clip(np.asarray(cfg.world.plume.wind), -1.0, 1.0)
         obs[i, 6] = np.clip(env._readings[i][-1].value if env._readings[i] else 0.0, 0.0, 1.0)
         obs[i, 7:9] = (env._estimates[i] - origin) / span
         obs[i, 9] = np.clip(env._igs[i] / max_ig, 0.0, 1.0) if max_ig > 0 else 0.0
@@ -259,6 +261,24 @@ def inline_reading(position, source, plume, rng, step, agent_id):
     return MeasurementRecord(
         x=float(position[0]), y=float(position[1]), value=m, step=step, agent_id=agent_id
     )
+
+
+def _overhead_costs(grid, overhead, quad_coeff, position):
+    """overhead + quad_coeff * d^2 from position to every measurement center, row-major."""
+    d = grid.meas_centers().reshape(-1, 2) - np.asarray(position, dtype=float)
+    return overhead + quad_coeff * (d[:, 0] ** 2 + d[:, 1] ** 2)
+
+
+def overhead_pick(scores, overhead, quad_coeff, position):
+    """The cell maximizing score / (overhead + quad_coeff * d^2); ties go to the first."""
+    ratio = scores.values.ravel() / _overhead_costs(scores.grid, overhead, quad_coeff, position)
+    return scores.grid.meas_cell_center(int(np.argmax(ratio)))
+
+
+def overhead_cost_only_probs(grid, overhead, quad_coeff, position):
+    """Cost-only probabilities, proportional to 1 / (overhead + quad_coeff * d^2), row-major."""
+    w = 1.0 / _overhead_costs(grid, overhead, quad_coeff, position)
+    return w / w.sum()
 
 
 def snr_score_bruteforce(post, candidate, params):

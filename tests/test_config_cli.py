@@ -40,7 +40,7 @@ def write_config(tmp_path, payload, name="config.json"):
 TINY_SIM = {
     "grid": {"x_max": 8.0, "y_max": 8.0, "a_cells": 8, "b_cells": 8, "i_cells": 8, "j_cells": 8},
     "plume": {"length_scale": 1.0, "noise_sigma": 0.4},
-    "cost": {"overhead": 1.0, "quad_coeff": 0.05},
+    "cost": {"quad_coeff": 0.05},
     "sim": {"n_agents": 2, "n_steps": 3},
     "seeds": [0, 1],
 }
@@ -178,7 +178,7 @@ def raw_configs(draw):
     )
     sections = {
         "plume": st.just(plume),
-        "cost": st.builds(dict, overhead=_floats(0.1, 5.0), quad_coeff=_floats(0.0, 1.0)),
+        "cost": st.builds(dict, quad_coeff=_floats(0.0, 1.0)),
         "planner": st.builds(dict, tier=st.sampled_from(TIERS), quad_nodes=st.integers(1, 20)),
         "prior": st.one_of(
             st.just({"kind": "uniform"}), st.builds(dict, kind=st.just("weights"), values=weights)
@@ -226,6 +226,10 @@ def test_unknown_keys_are_rejected():
         parse_config({"grid": {"cells": 8}})
     with pytest.raises(ConfigError, match="rl.reward"):
         parse_config({"rl": {"reward": {"w_speed": 1.0}}})
+    # settings that only picked a unit: one move's fixed cost, the step, the wind scale
+    for section, key in (("cost", "overhead"), ("rl", "dt"), ("rl", "w_max")):
+        with pytest.raises(ConfigError, match=re.escape(f"{section}: unknown key(s) ['{key}']")):
+            parse_config({section: {key: 1.0}})
 
 
 def test_invalid_sections_are_reported_as_config_errors():
@@ -242,7 +246,7 @@ def test_invalid_sections_are_reported_as_config_errors():
     with pytest.raises(ConfigError, match=re.escape("is not one of ['exact', 'snr-fft']")):
         parse_config({"planner": {"tier": "expected-measurement"}})
     with pytest.raises(ConfigError):
-        parse_config({"cost": {"overhead": 0.0}})
+        parse_config({"cost": {"quad_coeff": -1.0}})
 
 
 def test_prior_validation():
@@ -330,7 +334,7 @@ BAD_VALUES = [
     ("plume", "strength", float("nan")),
     ("plume", "length_scale", float("nan")),
     ("grid", "x_max", float("inf")),
-    ("cost", "overhead", float("nan")),
+    ("cost", "overhead", float("nan")),  # a unit now: an unknown key, whatever its value
     ("sim", "n_agents", 2.5),
     ("rl", "learning_rate", -1),
     ("rl", "batch_size", 0),
@@ -353,7 +357,7 @@ BAD_VALUES = [
     ("rl", "eps_end", -0.1),
     ("rl", "a_max", float("nan")),
     ("rl", "v_max", float("inf")),
-    ("rl", "dt", float("nan")),
+    ("rl", "dt", float("nan")),  # units now: unknown keys, whatever their value
     ("rl", "w_max", float("inf")),
     ("rl", "reward", {"w_info": float("nan")}),
     ("rl", "reward", {"w_est": float("inf")}),
@@ -388,8 +392,8 @@ BAD_VALUES = [
     ("plume", "noise_sigma", 1e-170),
     ("plume", "strength", 1e200),
     ("plume", "sigma0", 1e-170),
-    # the cost-only weights' sum n_meas_cells / overhead, or the longest move's cost, overflows
     ("cost", "overhead", 1e-310),
+    # the longest move's cost overflows
     ("cost", "quad_coeff", 1e308),
     # a finite kernel peak, 5e305, whose sum over the 127 x 127 offset lattice overflows
     ("plume", "strength", 1e153),
@@ -417,20 +421,16 @@ def test_bad_value_in_any_section_exits_2(tmp_path, capsys, command, section, ke
 @pytest.mark.parametrize(
     "payload,setting",
     [
-        ({"cost": {"overhead": 1e-310}}, "cost.overhead"),
+        # a unit quad_coeff on a grid whose squared diagonal, 2e306, is finite
+        ({"grid": {"x_max": 1e153, "y_max": 1e153}, "cost": {"quad_coeff": 1.0}}, "cost.quad_coeff"),
         ({"cost": {"quad_coeff": 1e308}}, "cost.quad_coeff"),
         ({"plume": {"strength": 1e153}}, "plume.strength"),
-        # snr-fft: a peak of 7213 bits / 1e-305 overflows; 64 cells / 1e-305 does not
-        ({**TINY_SIM, "plume": {"strength": 100.0}, "cost": {"overhead": 1e-305}}, "cost.overhead"),
-        # exact: a gain of up to 1003 bits (a prior weight of 1e-300 in 64) / 1e-306 overflows
+        # the bound holds on either tier: 2 x 3 moves of 1.28e308 each overflow
+        ({**TINY_SIM, "planner": {"tier": "exact"}, "cost": {"quad_coeff": 1e306}}, "cost.quad_coeff"),
+        # one move costs 1.28e303, which 2 x 3 moves keep finite but 2 x 1e6 do not
         (
-            {
-                **TINY_SIM,
-                "planner": {"tier": "exact"},
-                "prior": {"kind": "weights", "values": [1e-300] + [1.0] * 63},
-                "cost": {"overhead": 1e-306},
-            },
-            "cost.overhead",
+            {**TINY_SIM, "sim": {"n_agents": 2, "n_steps": 10**6}, "cost": {"quad_coeff": 1e301}},
+            "cost.quad_coeff",
         ),
         # one move costs 8.2e306; the summary sums 100 x 5 of them
         ({"cost": {"quad_coeff": 1e303}}, "cost.quad_coeff"),
@@ -477,17 +477,6 @@ def test_diverging_training_writes_no_non_finite_number(tmp_path, capsys):
     for path in files:
         text = path.read_text()
         assert not re.search(r"NaN|Infinity|\bnan\b|\binf\b", text), path.name
-
-
-def test_tiny_but_safe_overhead_still_runs(tmp_path):
-    cfg_path = write_config(tmp_path, {**TINY_SIM, "cost": {"overhead": 1e-305}})
-    out = tmp_path / "run"
-    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
-    for run in json.loads((out / "summary.json").read_text())["runs"]:
-        assert np.isfinite(run["cumulative_cost"]) and np.isfinite(run["final"]["ig_bits"])
-    # an overflowing score / cost sent every info agent to the first cell, (0.5, 0.5)
-    info = swarm.read_episode_csv(out / "info" / "episode_0.csv")
-    assert {(r.x, r.y) for r in info if r.step > 0} != {(0.5, 0.5)}
 
 
 @pytest.mark.parametrize(
@@ -965,6 +954,36 @@ def test_plot_escapes_a_label_taken_from_a_file_name(tmp_path, capsys):
     svg = ElementTree.parse(out / "ig_curves.svg").getroot()  # well-formed XML
     legend = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
     assert "info a&b" in legend and "info 1" in legend
+
+
+@pytest.mark.parametrize(
+    "command,payload,stale_run,run,svg_name,stale_table,labels",
+    [
+        ("simulate", TINY_SIM, ["--policy", "info", "--seed", "7"],
+         ["--policy", "info", "--seed", "0"], "ig_curves.svg", "info/episode_99.csv",
+         {"info 0"}),
+        ("train", TINY_RL, ["--mode", "individual", "--seed", "3"],
+         ["--mode", "communicating", "--seed", "0"], "reward_curves.svg",
+         "curves_individual_99.csv", {"communicating_0"}),
+    ],
+    ids=["simulate", "train"],
+)
+def test_a_forced_run_charts_only_the_runs_in_its_summary(
+    tmp_path, capsys, command, payload, stale_run, run, svg_name, stale_table, labels
+):
+    # a run charts the tables it wrote: not a stale one from an earlier run into
+    # the same --out, nor a foreign file whose name looks like a table
+    cfg_path = write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg_path, "--out", str(out), *stale_run]) == 0
+    (out / stale_table).write_text("a,b\n1,2\n")
+    assert main([command, "--config", cfg_path, "--out", str(out), "--force", *run]) == 0, (
+        capsys.readouterr().err
+    )
+    svg = ElementTree.parse(out / svg_name).getroot()
+    legend = {text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")}
+    assert legend & {"info 0", "info 7", "info 99", "communicating_0", "individual_3",
+                     "individual_99"} == labels
 
 
 @pytest.mark.parametrize(

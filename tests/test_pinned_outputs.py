@@ -8,7 +8,8 @@ list-valued setting, and LIST_SETTINGS on the exact planner tier with a
 distance-dependent move cost, so that the tier's scores, not only their
 order, decide its picks. A change that means to alter the outputs
 regenerates the pins with `PYTHONPATH=src python tests/test_pinned_outputs.py`
-and says so in CHANGES.md.
+and says so in CHANGES.md; the script prints, per pinned tree, the files
+whose digest changed, appeared or vanished.
 """
 import hashlib
 import json
@@ -77,23 +78,37 @@ def run_tree(tmp: Path, config: str, command: str) -> dict:
     return tree_digest(out)
 
 
+def moved_files(pinned: dict, got: dict) -> dict:
+    """{"changed", "appeared", "vanished": sorted file names} between two tree digests."""
+    return {
+        "changed": sorted(n for n in pinned.keys() & got.keys() if pinned[n] != got[n]),
+        "appeared": sorted(got.keys() - pinned.keys()),
+        "vanished": sorted(pinned.keys() - got.keys()),
+    }
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_outputs_match_pinned_digests(tmp_path, config, command):
     pinned = json.loads(PINS.read_text())[f"{config} {command}"]
     got = run_tree(tmp_path, config, command)
-    differ = sorted(n for n in pinned.keys() | got.keys() if pinned.get(n) != got.get(n))
-    assert not differ, f"{config} {command}: these files differ from the pins: {differ}"
+    moved = {kind: names for kind, names in moved_files(pinned, got).items() if names}
+    assert not moved, f"{config} {command}: these files differ from the pins: {moved}"
 
 
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(PINS.read_text()) if PINS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         pins = {
             f"{config} {command}": run_tree(Path(tmp), config, command)
             for config in sorted(CONFIGS)
             for command in COMMANDS
         }
+    for tree in sorted(old.keys() | pins.keys()):
+        moved = moved_files(old.get(tree, {}), pins.get(tree, {}))
+        report = "; ".join(f"{kind} {', '.join(names)}" for kind, names in moved.items() if names)
+        print(f"{tree}: {report or 'unchanged'}")
     PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"wrote {PINS}", file=sys.stderr)

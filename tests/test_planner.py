@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
-from oracles import snr_score_bruteforce
+from oracles import overhead_pick, snr_score_bruteforce
 from scipy.fft import next_fast_len
 
 from plumeseek.belief import (
@@ -88,9 +88,9 @@ def eig_loop_oracle(post, candidate, params, reference, n_nodes):
 
 
 def test_movement_cost_examples():
-    assert movement_cost(CostModel(1.0, 0.0), (0, 0), (5, 5)) == 1.0
-    assert movement_cost(CostModel(0.5, 2.0), (0.0, 0.0), (3.0, 0.0)) == 18.5
-    got = movement_cost(CostModel(1.0, 1.0), (1.0, 1.0), np.array([[1.0, 1.0], [4.0, 5.0]]))
+    assert movement_cost(CostModel(0.0), (0, 0), (5, 5)) == 1.0
+    assert movement_cost(CostModel(2.0), (0.0, 0.0), (3.0, 0.0)) == 19.0
+    got = movement_cost(CostModel(1.0), (1.0, 1.0), np.array([[1.0, 1.0], [4.0, 5.0]]))
     assert np.allclose(got, [1.0, 26.0])
 
 
@@ -104,7 +104,7 @@ def select_next_oracle(scores, cm, agent_pos):
 def test_movement_cost_map_equals_point_array_oracle():
     rng = np.random.default_rng(3)
     g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)
-    cm = CostModel(overhead=0.7, quad_coeff=0.03)
+    cm = CostModel(quad_coeff=0.03)
     for frm in [tuple(rng.uniform(0.0, 16.0, 2)) for _ in range(5)] + [(2.5, 3.5)]:
         want = movement_cost(cm, frm, g.meas_centers())
         assert np.array_equal(movement_cost_map(cm, g, frm), want)
@@ -112,9 +112,9 @@ def test_movement_cost_map_equals_point_array_oracle():
 
 def test_cost_model_validation():
     with pytest.raises(ValueError):
-        CostModel(0.0, 1.0)
+        CostModel(-0.5)
     with pytest.raises(ValueError):
-        CostModel(1.0, -0.5)
+        CostModel(float("nan"))
 
 
 def test_quadrature_spec_validation():
@@ -460,24 +460,24 @@ def test_exact_score_map_is_the_mutual_information_of_the_next_reading():
 def test_select_next_prefers_cheap_nearby_cell():
     g = GridSpec(0.0, 4.0, 0.0, 1.0, 2, 1, 2, 1)
     scores = ScoreMap(np.array([[4.0], [1.0]]), g)
-    cm = CostModel(overhead=1.0, quad_coeff=1.0)
+    cm = CostModel(quad_coeff=1.0)
     # from (3, 0.5): far cell nets 4/5, staying nets 1/1
     assert select_next(scores, cm, (3.0, 0.5)) == (3.0, 0.5)
     # with free movement the higher score wins
-    assert select_next(scores, CostModel(1.0, 0.0), (3.0, 0.5)) == (1.0, 0.5)
+    assert select_next(scores, CostModel(0.0), (3.0, 0.5)) == (1.0, 0.5)
 
 
 def test_select_next_tie_goes_to_lowest_row_major_cell():
     g = GridSpec(0.0, 4.0, 0.0, 1.0, 2, 1, 2, 1)
     scores = ScoreMap(np.array([[2.0], [2.0]]), g)
-    cm = CostModel(overhead=1.0, quad_coeff=1.0)
+    cm = CostModel(quad_coeff=1.0)
     assert select_next(scores, cm, (2.0, 0.5)) == (1.0, 0.5)  # equidistant tie
 
 
 def test_select_next_equals_movement_cost_oracle():
     rng = np.random.default_rng(17)
     g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)
-    cm = CostModel(overhead=0.7, quad_coeff=0.03)
+    cm = CostModel(quad_coeff=0.03)
     vals = rng.random((16, 12))
     for _ in range(20):
         pos = rng.uniform((0.0, 0.0), (16.0, 12.0))
@@ -494,7 +494,7 @@ def test_select_next_equals_movement_cost_oracle():
 def test_select_next_is_scale_invariant():
     rng = np.random.default_rng(16)
     g = grid(6)
-    cm = CostModel(overhead=0.7, quad_coeff=0.03)
+    cm = CostModel(quad_coeff=0.03)
     vals = rng.random((6, 6))
     pos = rng.uniform(0, 6, 2)
     a = select_next(ScoreMap(vals, g), cm, pos)
@@ -502,10 +502,26 @@ def test_select_next_is_scale_invariant():
     assert a == b
 
 
+# (overhead, quad_coeff) of a move cost overhead + quad_coeff * d^2
+OVERHEAD_COSTS = [(0.7, 0.03), (1e-3, 0.5), (250.0, 0.01), (3.0, 0.0), (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_fixed_cost_other_than_1_only_rescales_the_quadratic_term(seed):
+    # score / (o + q d^2) = (score / o) / (1 + (q / o) d^2): the same pick
+    rng = np.random.default_rng(seed)
+    g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)
+    scores = ScoreMap(rng.random((16, 12)), g)
+    for overhead, quad_coeff in OVERHEAD_COSTS:
+        cm = CostModel(quad_coeff=quad_coeff / overhead)
+        for pos in rng.uniform((0.0, 0.0), (16.0, 12.0), size=(10, 2)):
+            assert select_next(scores, cm, pos) == overhead_pick(scores, overhead, quad_coeff, pos)
+
+
 def test_select_next_all_equal_scores_picks_nearest():
     g = grid(5)
     scores = ScoreMap(np.ones((5, 5)), g)
-    cm = CostModel(overhead=1.0, quad_coeff=2.0)
+    cm = CostModel(quad_coeff=2.0)
     assert select_next(scores, cm, (3.4, 1.7)) == (3.5, 1.5)
 
 

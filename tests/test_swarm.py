@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import inline_reading, same_bits
+from oracles import inline_reading, overhead_cost_only_probs, same_bits
 
 from plumeseek import swarm
 
@@ -44,7 +44,7 @@ def small_config(policy=POLICY_RANDOM, seed=0, **overrides):
     kwargs = dict(
         grid=GridSpec(0.0, 8.0, 0.0, 8.0, 8, 8, 8, 8),
         plume=PlumeParams(kind=BLOB, strength=1.0, length_scale=1.0, noise_sigma=0.4),
-        cost=CostModel(overhead=1.0, quad_coeff=0.05),
+        cost=CostModel(quad_coeff=0.05),
         n_agents=3,
         n_steps=6,
         policy=policy,
@@ -351,11 +351,11 @@ def test_random_policy_is_uniform_over_cells():
 
 
 def test_cost_only_policy_prefers_cheap_cells():
-    # two cells, distances 0 and 1, unit overhead and unit quadratic term:
+    # two cells, distances 0 and 1, unit quadratic term:
     # weights 1 and 1/2, so probabilities 2/3 and 1/3
     g = GridSpec(0.0, 2.0, 0.0, 1.0, 2, 1, 2, 1)
     position = np.array([0.5, 0.5])
-    cm = CostModel(overhead=1.0, quad_coeff=1.0)
+    cm = CostModel(quad_coeff=1.0)
     rng = np.random.default_rng(1)
     n = 30_000
     near = 0
@@ -367,7 +367,7 @@ def test_cost_only_policy_prefers_cheap_cells():
 
 def test_cost_only_policy_equals_movement_cost_oracle():
     g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)
-    cm = CostModel(overhead=0.7, quad_coeff=0.03)
+    cm = CostModel(quad_coeff=0.03)
     centers = g.meas_centers().reshape(-1, 2)
     # (8.0, 6.0) sits on a cell corner: its four nearest cells tie exactly
     for pos in [np.array([8.0, 6.0]), np.array([2.3, 10.9]), np.array([15.1, 0.2])]:
@@ -376,6 +376,27 @@ def test_cost_only_policy_equals_movement_cost_oracle():
         for _ in range(50):
             want = g.meas_cell_center(int(want_rng.choice(w.size, p=w / w.sum())))
             assert cost_only_policy(pos, cm, got_rng, g) == want
+
+
+class ChoiceSpy:
+    """Stands in for a Generator: records the probabilities choice() is given, returns cell 0."""
+
+    def choice(self, n, p):
+        self.p = p
+        return 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cost_only_probabilities_do_not_depend_on_the_unit_of_cost(seed):
+    # 1 / (o + q d^2) = (1 / o) / (1 + (q / o) d^2): normalizing drops the 1 / o
+    rng = np.random.default_rng(seed)
+    g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)
+    for overhead, quad_coeff in [(0.7, 0.03), (1e-3, 0.5), (250.0, 0.01), (3.0, 0.0)]:
+        for pos in rng.uniform((0.0, 0.0), (16.0, 12.0), size=(5, 2)):
+            spy = ChoiceSpy()
+            cost_only_policy(pos, CostModel(quad_coeff=quad_coeff / overhead), spy, g)
+            want = overhead_cost_only_probs(g, overhead, quad_coeff, pos)
+            np.testing.assert_allclose(spy.p, want, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize(
