@@ -76,29 +76,34 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     entry -inf, an inf or a NaN), the direct log(sum(exp(a))) is returned.
     A full reduction gives a NumPy scalar, as SciPy does.
 
+    A full reduction (axis None) works on scalars: a.max(), a count and
+    .sum(), which sums in the order SciPy's reduction over every axis does.
+    An axis reduction keeps the reduced axes so they broadcast against a.
     exp(a - max) is one temporary, computed in place; the maxima are zeroed
     after the exp, which is SciPy's exp(-inf) where max is finite. Where it
     is not, the result is the direct sum in both.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    axis = tuple(range(a.ndim)) if axis is None else axis
+    reduce = {} if axis is None else {"axis": axis, "keepdims": True}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
+        a_max = a.max(**reduce)
         is_max = a == a_max
-        count = np.count_nonzero(is_max, axis=axis, keepdims=True).astype(float)
+        count = np.count_nonzero(is_max, **reduce)
         shifted = np.subtract(a, a_max)
         np.exp(shifted, out=shifted)
         np.copyto(shifted, 0.0, where=is_max)
-        rest = np.sum(shifted, axis=axis, keepdims=True)
-        rest = np.where(rest == 0, rest, rest / count)
+        # SciPy keeps a rest of 0 as is rather than divide it; unweighted, that
+        # is rest / count, as count is 0 only where max is NaN, and rest with it
+        rest = shifted.sum(**reduce) / count
         out = np.log1p(rest) + np.log(count) + a_max
         finite = np.isfinite(out)
         if not finite.all():
-            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
-            out = np.where(finite, out, direct)
-    if not keepdims:
+            out = np.where(finite, out, np.log(np.exp(a).sum(**reduce)))
+    if axis is None:
+        out = np.reshape(out, (1,) * a.ndim) if keepdims else out
+    elif not keepdims:
         out = np.squeeze(out, axis=axis)
-    return out[()] if out.ndim == 0 else out
+    return out[()] if np.ndim(out) == 0 else out
 
 
 def uniform_posterior(grid: GridSpec) -> SourcePosterior:
@@ -134,6 +139,28 @@ def gaussian_loglik(m, f, sigma: float):
     return np.maximum(ll, LOGLIK_FLOOR, out=ll)
 
 
+def _window_loglik(
+    record: MeasurementRecord,
+    grid: GridSpec,
+    params: PlumeParams,
+    kernel: OffsetKernel | None,
+) -> tuple[np.ndarray, slice, slice]:
+    """(ll, rows, cols): one record's floored log-likelihood on the source cells [rows, cols].
+
+    The one window rule. A reading at a measurement-cell centre of an exact
+    lattice takes f from the kernel's table (OffsetKernel.source_window), and
+    ll covers only the cells where that f can be non-zero: every other cell
+    has the one value gaussian_loglik(m, 0.0). Any other reading, or no
+    kernel, takes the closed form on every cell. The caller checks kernel.
+    """
+    window = None if kernel is None else kernel.source_window(record.x, record.y)
+    if window is None:
+        f = concentration_at_sources((record.x, record.y), grid, params)
+        return gaussian_loglik(record.value, f, params.noise_sigma), slice(None), slice(None)
+    f, rows, cols = window
+    return gaussian_loglik(record.value, f[rows, cols], params.noise_sigma), rows, cols
+
+
 def loglik_grid(
     record: MeasurementRecord,
     grid: GridSpec,
@@ -142,24 +169,19 @@ def loglik_grid(
 ) -> np.ndarray:
     """Floored log-likelihood of one record against every source hypothesis, (I, J).
 
-    kernel, squared_snr_kernel(params, grid), changes no bit of the result.
-    A reading at a measurement-cell centre of an exact lattice takes f from
-    the kernel's table (OffsetKernel.source_window) instead of the closed
-    form; the likelihood is evaluated only where that f can be non-zero, and
-    every other cell gets the one value gaussian_loglik(m, 0.0).
+    kernel, squared_snr_kernel(params, grid), changes no bit of the result:
+    the window _window_loglik evaluates is filled out to the grid with
+    gaussian_loglik(m, 0.0).
     """
-    sigma = params.noise_sigma
-    window = None
     if kernel is not None:
         kernel.check(grid, params)
-        window = kernel.source_window(record.x, record.y)
-    if window is None:
-        f = concentration_at_sources((record.x, record.y), grid, params)
-        return gaussian_loglik(record.value, f, sigma)
-    f, rows, cols = window
-    ll = np.full((grid.i_cells, grid.j_cells), gaussian_loglik(record.value, 0.0, sigma))
-    ll[rows, cols] = gaussian_loglik(record.value, f[rows, cols], sigma)
-    return ll
+    ll, rows, cols = _window_loglik(record, grid, params, kernel)
+    if ll.size == grid.n_src_cells:
+        return ll
+    off = gaussian_loglik(record.value, 0.0, params.noise_sigma)
+    full = np.full((grid.i_cells, grid.j_cells), off)
+    full[rows, cols] = ll
+    return full
 
 
 def posterior_update(
@@ -169,20 +191,35 @@ def posterior_update(
 
     Returns a new posterior; the input is untouched. Raises AllMassLost when
     some record's likelihood floors out on every hypothesis at once. kernel
-    is passed to loglik_grid and changes no bit of the result.
+    changes no bit of the result: each record's log-likelihood is added on
+    its window only (see _window_loglik), and every cell off the window gets
+    the record's off-window value, so each cell sums what loglik_grid holds
+    there, in record order.
     """
     records = list(records)
     if not records:
         return post
     total = np.array(post.log_probs, dtype=float, copy=True)
-    for rec in records:
-        ll = loglik_grid(rec, post.grid, params, kernel)
-        if np.all(ll <= LOGLIK_FLOOR):
+    floors = None
+    if kernel is not None:
+        kernel.check(post.grid, params)
+        values = np.array([rec.value for rec in records], dtype=float)
+        floors = gaussian_loglik(values, 0.0, params.noise_sigma)
+    for k, rec in enumerate(records):
+        ll, rows, cols = _window_loglik(rec, post.grid, params, kernel)
+        partial = ll.size < total.size  # cells off the window hold floors[k]
+        floored = ll.size == 0 or ll.max() <= LOGLIK_FLOOR
+        if floored and (not partial or floors[k] <= LOGLIK_FLOOR):
             raise AllMassLost(
                 f"measurement {rec.value!r} at ({rec.x}, {rec.y}) is impossible "
                 "under every source hypothesis"
             )
-        total += ll
+        if partial:
+            inside = total[rows, cols] + ll
+            total += floors[k]
+            total[rows, cols] = inside
+        else:
+            total += ll
     norm = logsumexp(total)
     if not np.isfinite(norm):
         raise AllMassLost("no posterior mass survived the update")

@@ -7,7 +7,8 @@ field f(x, y). Sensors read f plus Gaussian noise. Everything downstream
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -120,17 +121,37 @@ class GridSpec:
 
     # -- cell centers ---------------------------------------------------------
 
+    @cached_property
+    def _center_axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The measurement x, y and source x, y center axes, computed once, read-only."""
+        axes = tuple(
+            lo + (np.arange(n) + 0.5) * pitch
+            for lo, n, pitch in (
+                (self.x_min, self.a_cells, self.meas_dx),
+                (self.y_min, self.b_cells, self.meas_dy),
+                (self.x_min, self.i_cells, self.src_dx),
+                (self.y_min, self.j_cells, self.src_dy),
+            )
+        )
+        for axis in axes:
+            axis.setflags(write=False)
+        return axes
+
+    def __getstate__(self):
+        # a pickled grid carries its settings only; unpickled arrays would be writable
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def meas_x_centers(self) -> np.ndarray:
-        return self.x_min + (np.arange(self.a_cells) + 0.5) * self.meas_dx
+        return self._center_axes[0]
 
     def meas_y_centers(self) -> np.ndarray:
-        return self.y_min + (np.arange(self.b_cells) + 0.5) * self.meas_dy
+        return self._center_axes[1]
 
     def src_x_centers(self) -> np.ndarray:
-        return self.x_min + (np.arange(self.i_cells) + 0.5) * self.src_dx
+        return self._center_axes[2]
 
     def src_y_centers(self) -> np.ndarray:
-        return self.y_min + (np.arange(self.j_cells) + 0.5) * self.src_dy
+        return self._center_axes[3]
 
     def meas_centers(self) -> np.ndarray:
         """All measurement cell centers, shape (a_cells, b_cells, 2)."""
@@ -358,13 +379,17 @@ class OffsetKernel:
         g = self.grid
         qx, qy = self.stride_src_x, self.stride_src_y
         px, py = self.stride_meas_x, self.stride_meas_y
-        up = np.zeros((qx * (g.i_cells - 1) + 1, qy * (g.j_cells - 1) + 1))
+        x0, y0 = qx * (g.i_cells - 1), qy * (g.j_cells - 1)  # the kernel's origin
+        up = np.zeros((x0 + 1, y0 + 1))
         up[::qx, ::qy] = probs
         spec = transposed_rfft2(up, self.fft_shape)
+        # each grid-sized array is released as soon as the next is built, so
+        # the inverse transform does not hold all four at once (peak memory)
+        del up
         spec *= self.spectrum
         np.fft.ifft(spec, axis=1, out=spec)
-        x0, y0 = up.shape[0] - 1, up.shape[1] - 1  # q * (n_src - 1), the kernel's origin
         cols = np.ascontiguousarray(spec[:, x0 : x0 + px * (g.a_cells - 1) + 1 : px].T)
+        del spec
         vals = np.fft.irfft(cols, self.fft_shape[1], axis=1)
         return vals[:, y0 : y0 + py * (g.b_cells - 1) + 1 : py]
 

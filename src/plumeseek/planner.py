@@ -59,12 +59,16 @@ def movement_cost_map(cm: CostModel, grid: GridSpec, frm) -> np.ndarray:
     """Cost of relocating from frm to every measurement cell center, (a_cells, b_cells).
 
     Equal to movement_cost(cm, frm, grid.meas_centers()), bit for bit, from
-    the squared x and y distances to the center axes.
+    the squared x and y distances to the center axes; the map is built in
+    place, in the order of 1.0 + quad_coeff * d^2.
     """
     x, y = np.asarray(frm, dtype=float)
     dx2 = (grid.meas_x_centers() - x) ** 2
     dy2 = (grid.meas_y_centers() - y) ** 2
-    return 1.0 + cm.quad_coeff * (dx2[:, None] + dy2[None, :])
+    cost = dx2[:, None] + dy2[None, :]
+    cost *= cm.quad_coeff
+    cost += 1.0
+    return cost
 
 
 def eig_exact(
@@ -177,6 +181,7 @@ def select_next(scores: ScoreMap, cm: CostModel, agent_pos) -> tuple[float, floa
     Exact ratio ties resolve to the lowest row-major cell index, so selection
     is deterministic.
     """
-    ratio = scores.values / movement_cost_map(cm, scores.grid, agent_pos)
+    cost = movement_cost_map(cm, scores.grid, agent_pos)
+    ratio = np.divide(scores.values, cost, out=cost)
     best = int(np.argmax(ratio))  # first occurrence wins ties
     return scores.grid.meas_cell_center(best)

@@ -109,6 +109,7 @@ class SimConfig:
 
     The cost model must keep finite, whatever the policy, the cost of
     n_steps x n_agents longest moves: a bound on the summary's cumulative cost.
+    The move count n_steps x n_agents must itself be a finite float.
     """
 
     world: World
@@ -131,6 +132,11 @@ class SimConfig:
         if self.tier == TIER_SNR_FFT:  # the offset lattice must serve the grid and plume
             offset_lattice(grid, plume)
         moves = max(1.0, float(self.n_steps) * float(self.n_agents))
+        if not moves < np.inf:
+            raise ValueError(
+                f"sim.n_steps × sim.n_agents must be a finite float, "
+                f"got {self.n_steps:.6g} × {self.n_agents:.6g}"
+            )
         longest = 1.0 + cost.quad_coeff * grid.diagonal * grid.diagonal
         if not moves * longest < np.inf:
             raise ValueError(

@@ -11,8 +11,11 @@ under a move cost `overhead + quad_coeff * d^2` whose fixed part was a
 setting rather than the unit of cost, and the plume and
 likelihood closed forms written as plain expressions, one fresh array per
 operation, for the closed forms in `field` and the in-place likelihood in
-`belief`. They share no code with the code under test, so a change there
-that moves a bit shows up against them.
+`belief`. The per-reading fold is the Bayes update as it was first
+written: one full-grid `loglik_grid` per reading, checked and added in
+turn, where `posterior_update` adds each reading on its window only. They
+share no code with the code under test, so a change there that moves a
+bit shows up against them.
 """
 from collections import deque
 from fractions import Fraction
@@ -23,8 +26,12 @@ import numpy as np
 from plumeseek.belief import (
     LOG_2,
     LOGLIK_FLOOR,
+    AllMassLost,
     MeasurementRecord,
+    SourcePosterior,
     info_gain_bits,
+    loglik_grid,
+    logsumexp,
     map_estimate,
     posterior_update,
 )
@@ -336,6 +343,23 @@ def plain_loglik_grid(record, grid, params):
     """Log-likelihood of one record against every source-cell center, (I, J)."""
     f = plain_concentration(np.array([record.x, record.y]), grid.src_centers(), params)
     return plain_gaussian_loglik(record.value, f, params.noise_sigma)
+
+
+def per_reading_fold(post, records, params, kernel=None):
+    """posterior_update with one full-grid loglik_grid per record, each checked, then added."""
+    total = np.array(post.log_probs, dtype=float, copy=True)
+    for rec in records:
+        ll = loglik_grid(rec, post.grid, params, kernel)
+        if np.all(ll <= LOGLIK_FLOOR):
+            raise AllMassLost(
+                f"measurement {rec.value!r} at ({rec.x}, {rec.y}) is impossible "
+                "under every source hypothesis"
+            )
+        total += ll
+    norm = logsumexp(total)
+    if not np.isfinite(norm):
+        raise AllMassLost("no posterior mass survived the update")
+    return SourcePosterior(total - norm, post.grid)
 
 
 def masked_info_gain_bits(post, reference):

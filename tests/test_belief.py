@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import masked_info_gain_bits, plain_gaussian_loglik, plain_loglik_grid, same_bits
+from oracles import (
+    masked_info_gain_bits,
+    per_reading_fold,
+    plain_gaussian_loglik,
+    plain_loglik_grid,
+    same_bits,
+)
 from scipy.stats import norm
 
 from plumeseek.belief import (
@@ -204,6 +210,82 @@ def test_kernel_likelihood_and_update_equal_the_closed_form_bit_for_bit(g, param
     assert isinstance(want, str)
 
 
+def fold_outcome(post, batch, params, kernel):
+    """per_reading_fold's posterior, or its AllMassLost message."""
+    try:
+        return per_reading_fold(post, batch, params, kernel)
+    except AllMassLost as exc:
+        return str(exc)
+
+
+def window_kind(kernel, rec):
+    """How much of the source grid the record's likelihood window covers."""
+    window = kernel.source_window(rec.x, rec.y)
+    if window is None:
+        return "closed form"
+    f, rows, cols = window
+    cells = f[rows, cols].size
+    return "whole grid" if cells == kernel.grid.n_src_cells else "empty" if not cells else "part"
+
+
+def test_window_fold_equals_the_per_reading_fold():
+    # oracle for posterior_update's fold: each reading added on its window
+    # only, the off-window value everywhere else, against one full-grid
+    # loglik_grid per reading; AllMassLost alike, message included
+    rng = np.random.default_rng(41)
+    desk = GridSpec()  # 64 x 64: the blob reaches every source cell
+    desk_plume = blob(length_scale=1.815, noise_sigma=0.5)
+    small = GridSpec(0.0, 16.0, 0.0, 8.0, 16, 8, 16, 8)
+    small_plume = PlumeParams(
+        kind=ADVECTED, strength=1.7, wind=(1.0, 0.3), sigma0=0.8, spread_rate=0.25,
+        noise_sigma=0.3,
+    )
+    # one row, wind along it: f is 100 on every source upwind of a reading, else 0
+    row = GridSpec(0.0, 8.0, 0.0, 1.0, 8, 1, 4, 1)
+    row_plume = PlumeParams(kind=ADVECTED, strength=100.0, wind=(1.0, 0.0))
+    cases = []
+    for g, params in ((desk, desk_plume), (small, small_plume)):
+        source = g.src_cell_center(int(rng.integers(g.n_src_cells)))
+        on = [g.meas_cell_center(int(c)) for c in rng.integers(g.n_meas_cells, size=12)]
+        off = [(g.x_max * u, g.y_max * v) for u, v in rng.random((6, 2))]  # off the lattice
+        records = [
+            MeasurementRecord(float(x), float(y), float(concentration((x, y), source, params))
+                              + params.noise_sigma * float(rng.standard_normal()))
+            for x, y in on + off
+        ]
+        order = rng.permutation(len(records))
+        mixed = [[records[k] for k in order[lo : lo + 5]] for lo in range(0, len(order), 5)]
+        cases.append((g, params, [records[:12], records[12:], *mixed]))
+    upwind, part, whole = ((x, 0.5) for x in (0.5, 4.5, 7.5))
+    cases.append((row, row_plume, [
+        [MeasurementRecord(*upwind, -30.0), MeasurementRecord(*upwind, 2.0)],  # empty windows
+        # every window cell floors, the cells off it do not: possible
+        [MeasurementRecord(*part, -30.0), MeasurementRecord(*part, 100.5)],
+        # the window is the whole grid, and every cell floors: impossible
+        [MeasurementRecord(*part, 100.0), MeasurementRecord(*whole, -30.0)],
+        # the first impossible reading is the one named
+        [MeasurementRecord(*part, 99.0), MeasurementRecord(*upwind, 1e6),
+         MeasurementRecord(*whole, -30.0)],
+        [MeasurementRecord(*whole, 101.0), MeasurementRecord(*part, 0.3)],
+    ]))
+    kinds, raised = set(), 0
+    for g, params, batches in cases:
+        kernel = squared_snr_kernel(params, g)
+        fast = slow = posterior_from_weights(g, rng.random(g.n_src_cells) + 0.05)
+        for batch in batches:
+            kinds.update(window_kind(kernel, rec) for rec in batch)
+            got = update_outcome(fast, batch, params, kernel)
+            want = fold_outcome(slow, batch, params, kernel)
+            if isinstance(want, str):
+                assert got == want
+                raised += 1
+                continue
+            assert same_bits(got.log_probs, want.log_probs)
+            fast, slow = got, want
+    assert kinds == {"closed form", "whole grid", "part", "empty"}
+    assert raised == 2
+
+
 def test_kernel_for_another_grid_or_plume_is_refused():
     g = GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 12, 6)
     params = blob(noise_sigma=0.4)
@@ -379,10 +461,23 @@ def _logsumexp_cases():
             a = np.round(a)  # ties below the maximum too
         yield a
     # full-scale sizes, so that the sums run through pairwise-summation blocks
+    yield rng.normal(scale=300.0, size=(512, 256))
     big = rng.normal(scale=30.0, size=(512, 256))
     big[rng.random(big.shape) < 0.3] = -np.inf
     yield big
     yield np.round(rng.normal(scale=5.0, size=(64, 4096)))  # tied maxima in every row
+    # a concentrated desk posterior: 1200 readings around the source leave
+    # almost every cell at probability 0
+    g, plume = GridSpec(), blob(length_scale=1.815, noise_sigma=0.5)
+    source = g.src_cell_center(2080)
+    cells = [g.meas_cell_center(2080 + 64 * dx + dy) for dx, dy in rng.integers(-2, 3, (1200, 2))]
+    records = [
+        MeasurementRecord(x, y, float(concentration((x, y), source, plume)) + 0.5 * z)
+        for (x, y), z in zip(cells, rng.standard_normal(len(cells)))
+    ]
+    desk = posterior_update(uniform_posterior(g), records, plume, squared_snr_kernel(plume, g))
+    assert np.count_nonzero(desk.probs()) < 100
+    yield desk.log_probs
 
 
 @pytest.mark.parametrize(
@@ -399,7 +494,10 @@ def test_logsumexp_equals_scipy(kwargs):
         got = logsumexp(a, **kwargs)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
-    assert type(logsumexp(np.zeros((2, 2)))) is np.float64  # a full reduction is 0-d
+    # a full reduction is a NumPy scalar, or all ones in shape with keepdims
+    assert type(logsumexp(np.zeros((2, 2)))) is np.float64
+    kept = logsumexp(np.zeros((2, 2)), keepdims=True)
+    assert type(kept) is np.ndarray and kept.shape == (1, 1)
 
 
 def test_impossible_measurement_raises():

@@ -442,6 +442,8 @@ def test_bad_value_in_any_section_exits_2(tmp_path, capsys, command, section, ke
             "rl.reward.action_costs",
         ),
         ({"rl": {"reward": {"w_info": 1e305}}}, "rl.reward.w_info"),
+        # 1e308 steps x 5 agents is no float, whatever quad_coeff (here 0) prices a move
+        ({"sim": {"n_steps": 10**308}}, "sim.n_steps"),
     ],
 )
 def test_overflowing_plume_or_cost_names_the_setting(payload, setting):

@@ -1,5 +1,6 @@
 """Concentration models, grid geometry, and the offset kernel."""
 import math
+import pickle
 import re
 
 import numpy as np
@@ -60,6 +61,23 @@ def test_grid_cell_centers_are_offset_half_pitch():
     assert g.meas_cell_center(1) == (0.5, 1.5)
     assert g.meas_cell_center(4) == (1.5, 0.5)
     assert g.src_cell_center(3) == (3.0, 3.0)
+
+
+def test_grid_center_axes_are_computed_once_read_only_and_survive_pickle():
+    # every caller shares the axes, so none may write them; --threads ships
+    # grids to worker processes by pickle
+    g = GridSpec(-1.0, 3.0, 2.0, 8.0, 3, 5, 4, 2)
+    names = ("meas_x_centers", "meas_y_centers", "src_x_centers", "src_y_centers")
+    for name in names:
+        axis = getattr(g, name)
+        assert axis() is axis()
+        with pytest.raises(ValueError):
+            axis()[0] = 0.0
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and hash(copy) == hash(g)
+    for name in names:
+        axis = getattr(copy, name)()
+        assert same_bits(axis, getattr(g, name)()) and not axis.flags.writeable
 
 
 def test_grid_centers_arrays_match_flat_indexing():
