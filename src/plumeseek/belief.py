@@ -161,29 +161,6 @@ def _window_loglik(
     return gaussian_loglik(record.value, f[rows, cols], params.noise_sigma), rows, cols
 
 
-def loglik_grid(
-    record: MeasurementRecord,
-    grid: GridSpec,
-    params: PlumeParams,
-    kernel: OffsetKernel | None = None,
-) -> np.ndarray:
-    """Floored log-likelihood of one record against every source hypothesis, (I, J).
-
-    kernel, squared_snr_kernel(params, grid), changes no bit of the result:
-    the window _window_loglik evaluates is filled out to the grid with
-    gaussian_loglik(m, 0.0).
-    """
-    if kernel is not None:
-        kernel.check(grid, params)
-    ll, rows, cols = _window_loglik(record, grid, params, kernel)
-    if ll.size == grid.n_src_cells:
-        return ll
-    off = gaussian_loglik(record.value, 0.0, params.noise_sigma)
-    full = np.full((grid.i_cells, grid.j_cells), off)
-    full[rows, cols] = ll
-    return full
-
-
 def posterior_update(
     post: SourcePosterior, records, params: PlumeParams, kernel: OffsetKernel | None = None
 ) -> SourcePosterior:
@@ -193,8 +170,8 @@ def posterior_update(
     some record's likelihood floors out on every hypothesis at once. kernel
     changes no bit of the result: each record's log-likelihood is added on
     its window only (see _window_loglik), and every cell off the window gets
-    the record's off-window value, so each cell sums what loglik_grid holds
-    there, in record order.
+    the record's off-window value, gaussian_loglik(m, 0.0), so each cell sums
+    its closed-form log-likelihoods in record order.
     """
     records = list(records)
     if not records:

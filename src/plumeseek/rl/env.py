@@ -112,7 +112,7 @@ class HybridEnv:
         self._corner = np.array([g.x_max, g.y_max])
         self._span = np.array([g.x_max - g.x_min, g.y_max - g.y_min])
         self._wind_obs = np.clip(np.asarray(self._plume.wind), -1.0, 1.0)
-        self._max_ig = np.log2(g.n_src_cells)
+        self._max_ig = cfg.world.max_info_bits
         self._costs = np.asarray(cfg.reward.action_costs, dtype=float)
 
     @property

@@ -272,10 +272,6 @@ class EpisodeLog:
     prior: SourcePosterior | None = None
     final_posterior: SourcePosterior | None = None
 
-    def ig_series(self) -> np.ndarray:
-        """Shared info gain after each step's update (one value per step)."""
-        return ig_by_step(self.records)
-
     def to_csv(self, path) -> None:
         """Write the records as a StepRecord table; read_episode_csv reads it back exactly."""
         write_rows(path, self.records, StepRecord)
@@ -385,7 +381,7 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
 
 def steps_to_ig(log: EpisodeLog, threshold_bits: float) -> int | None:
     """First step whose post-update shared IG reaches the threshold."""
-    for step, ig in enumerate(log.ig_series()):
+    for step, ig in enumerate(ig_by_step(log.records)):
         if ig >= threshold_bits:
             return step
     return None

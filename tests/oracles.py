@@ -12,7 +12,7 @@ setting rather than the unit of cost, and the plume and
 likelihood closed forms written as plain expressions, one fresh array per
 operation, for the closed forms in `field` and the in-place likelihood in
 `belief`. The per-reading fold is the Bayes update as it was first
-written: one full-grid `loglik_grid` per reading, checked and added in
+written: one full-grid plain likelihood per reading, checked and added in
 turn, where `posterior_update` adds each reading on its window only. They
 share no code with the code under test, so a change there that moves a
 bit shows up against them.
@@ -30,7 +30,6 @@ from plumeseek.belief import (
     MeasurementRecord,
     SourcePosterior,
     info_gain_bits,
-    loglik_grid,
     logsumexp,
     map_estimate,
     posterior_update,
@@ -165,7 +164,7 @@ def per_agent_observe(env):
     obs = np.zeros((cfg.n_agents, OBS_SIZE))
     span = np.array([g.x_max - g.x_min, g.y_max - g.y_min])
     origin = np.array([g.x_min, g.y_min])
-    max_ig = np.log2(g.n_src_cells)
+    max_ig = cfg.world.max_info_bits
     for i in range(cfg.n_agents):
         obs[i, 0:2] = (env._pos[i] - origin) / span
         obs[i, 2:4] = env._vel[i] / cfg.v_max
@@ -252,7 +251,7 @@ class BufferLedgerOracle:
         """env's observation: the ledger's last reading, estimate and IG, the rest per agent."""
         g = env.cfg.world.grid
         obs = per_agent_observe(env)
-        max_ig = np.log2(g.n_src_cells)
+        max_ig = env.cfg.world.max_info_bits
         for i in range(env.cfg.n_agents):
             obs[i, 6] = np.clip(self.last_m[i], 0.0, 1.0)
             obs[i, 7] = (self.estimates[i, 0] - g.x_min) / (g.x_max - g.x_min)
@@ -345,11 +344,11 @@ def plain_loglik_grid(record, grid, params):
     return plain_gaussian_loglik(record.value, f, params.noise_sigma)
 
 
-def per_reading_fold(post, records, params, kernel=None):
-    """posterior_update with one full-grid loglik_grid per record, each checked, then added."""
+def per_reading_fold(post, records, params):
+    """posterior_update as one full-grid plain_loglik_grid per record, each checked, then added."""
     total = np.array(post.log_probs, dtype=float, copy=True)
     for rec in records:
-        ll = loglik_grid(rec, post.grid, params, kernel)
+        ll = plain_loglik_grid(rec, post.grid, params)
         if np.all(ll <= LOGLIK_FLOOR):
             raise AllMassLost(
                 f"measurement {rec.value!r} at ({rec.x}, {rec.y}) is impossible "

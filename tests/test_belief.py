@@ -9,7 +9,6 @@ from oracles import (
     masked_info_gain_bits,
     per_reading_fold,
     plain_gaussian_loglik,
-    plain_loglik_grid,
     same_bits,
 )
 from scipy.stats import norm
@@ -23,7 +22,6 @@ from plumeseek.belief import (
     gaussian_loglik,
     hpd_region,
     info_gain_bits,
-    loglik_grid,
     logsumexp,
     map_estimate,
     posterior_from_weights,
@@ -107,6 +105,29 @@ def test_log_likelihood_matches_gaussian_density():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def update_outcome(post, batch, params, kernel=None):
+    """The updated posterior, or the AllMassLost message."""
+    try:
+        return posterior_update(post, batch, params, kernel)
+    except AllMassLost as exc:
+        return str(exc)
+
+
+def fold_outcome(post, batch, params):
+    """per_reading_fold's posterior, or its AllMassLost message."""
+    try:
+        return per_reading_fold(post, batch, params)
+    except AllMassLost as exc:
+        return str(exc)
+
+
+def same_outcome(got, want):
+    """True when both raised the same AllMassLost message or hold the same posterior bits."""
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return same_bits(got.log_probs, want.log_probs)
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -131,26 +152,20 @@ def test_log_likelihood_matches_gaussian_density():
     ],
 )
 def test_loglik_grid_equals_plain_formula_oracle(g, params):
-    # the in-place likelihood must give the plain closed forms' bits, on and
-    # off the lattice, outside the world, and where readings hit the floor
+    # a one-reading update must add the plain closed forms' log-likelihood
+    # grid to every cell (the fold oracle adds plain_loglik_grid), bit for
+    # bit: on and off the lattice, outside the world, and where readings hit
+    # the floor
     rng = np.random.default_rng(21)
     on_lattice = [g.meas_cell_center(int(c)) for c in rng.integers(g.n_meas_cells, size=4)]
     off_lattice = [tuple(rng.uniform(0.0, 12.0, 2)) for _ in range(4)]
     outside = [(-3.0, 20.0), (40.0, -0.5)]
     values = [0.0, 0.37, -1.2, 30.0]
+    prior = posterior_from_weights(g, np.random.default_rng(22).random(g.n_src_cells) + 0.05)
     for k, (x, y) in enumerate(on_lattice + off_lattice + outside):
         rec = MeasurementRecord(float(x), float(y), values[k % len(values)])
-        got = loglik_grid(rec, g, params)
-        assert got.shape == (g.i_cells, g.j_cells)
-        assert np.array_equal(got, plain_loglik_grid(rec, g, params))
-
-
-def update_outcome(post, batch, params, kernel=None):
-    """The updated posterior, or the AllMassLost message."""
-    try:
-        return posterior_update(post, batch, params, kernel)
-    except AllMassLost as exc:
-        return str(exc)
+        want = fold_outcome(prior, [rec], params)
+        assert same_outcome(update_outcome(prior, [rec], params), want)
 
 
 @pytest.mark.parametrize(
@@ -193,12 +208,13 @@ def test_kernel_likelihood_and_update_equal_the_closed_form_bit_for_bit(g, param
         MeasurementRecord(float(x), float(y), values[k % len(values)], step=k)
         for k, (x, y) in enumerate(on + off)
     ]
-    for rec in records:
-        assert same_bits(loglik_grid(rec, g, params, kernel), loglik_grid(rec, g, params))
     order = rng.permutation(len(records))
     batches = [[records[k] for k in order[lo : lo + 5]] for lo in range(0, len(order), 5)]
     batches.append([records[0], MeasurementRecord(*on[-1], 1e6)])  # floors every cell
     fast = slow = posterior_from_weights(g, rng.random(g.n_src_cells) + 0.05)
+    for rec in records:  # one reading at a time
+        got = update_outcome(fast, [rec], params, kernel)
+        assert same_outcome(got, update_outcome(fast, [rec], params))
     for batch in batches:
         got = update_outcome(fast, batch, params, kernel)
         want = update_outcome(slow, batch, params)
@@ -208,14 +224,6 @@ def test_kernel_likelihood_and_update_equal_the_closed_form_bit_for_bit(g, param
         assert same_bits(got.log_probs, want.log_probs)
         fast, slow = got, want
     assert isinstance(want, str)
-
-
-def fold_outcome(post, batch, params, kernel):
-    """per_reading_fold's posterior, or its AllMassLost message."""
-    try:
-        return per_reading_fold(post, batch, params, kernel)
-    except AllMassLost as exc:
-        return str(exc)
 
 
 def window_kind(kernel, rec):
@@ -231,7 +239,7 @@ def window_kind(kernel, rec):
 def test_window_fold_equals_the_per_reading_fold():
     # oracle for posterior_update's fold: each reading added on its window
     # only, the off-window value everywhere else, against one full-grid
-    # loglik_grid per reading; AllMassLost alike, message included
+    # plain_loglik_grid per reading; AllMassLost alike, message included
     rng = np.random.default_rng(41)
     desk = GridSpec()  # 64 x 64: the blob reaches every source cell
     desk_plume = blob(length_scale=1.815, noise_sigma=0.5)
@@ -275,7 +283,7 @@ def test_window_fold_equals_the_per_reading_fold():
         for batch in batches:
             kinds.update(window_kind(kernel, rec) for rec in batch)
             got = update_outcome(fast, batch, params, kernel)
-            want = fold_outcome(slow, batch, params, kernel)
+            want = fold_outcome(slow, batch, params)
             if isinstance(want, str):
                 assert got == want
                 raised += 1
@@ -293,8 +301,6 @@ def test_kernel_for_another_grid_or_plume_is_refused():
     post = uniform_posterior(g)
     for kernel in (squared_snr_kernel(blob(noise_sigma=0.5), g),
                    squared_snr_kernel(params, GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 6, 6))):
-        with pytest.raises(KernelGridMismatch):
-            loglik_grid(rec, g, params, kernel)
         with pytest.raises(KernelGridMismatch):
             posterior_update(post, [rec], params, kernel)
 

@@ -14,8 +14,12 @@ from plumeseek.swarm import POLICY_INFO, run_episode
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the one wrap site with no function behind it: the RL env measures through swarm.sense
-KNOWN_UNWRAPPED = ["field.concentration at plumeseek.rl.env:concentration"]
+# wrap sites with no function behind them: posterior_update computes each
+# reading's likelihood itself, and the RL env measures through swarm.sense
+KNOWN_UNWRAPPED = [
+    "belief.loglik_grid at plumeseek.belief:loglik_grid",
+    "field.concentration at plumeseek.rl.env:concentration",
+]
 
 FIXED_SOURCE_WEIGHTS_PRIOR = {
     "grid": {"x_max": 4.0, "y_max": 4.0, "a_cells": 4, "b_cells": 4, "i_cells": 4, "j_cells": 4},

@@ -169,6 +169,21 @@ def test_vectorised_observation_equals_per_agent_oracle(overrides):
                 assert np.all(obs[:, OBS_MOVED_FLAG] == 1.0)
 
 
+def test_ig_observation_is_a_share_of_the_worlds_most_bits():
+    # the least likely cell of this prior holds 0.5 / 20.5 = 1/41 of the
+    # mass, so a belief can learn log2(41) ~ 5.36 bits, more than the
+    # log2(16) = 4 of a uniform prior; the observation reaches 1 only there
+    weights = (1, 2, 0, 1, 0.5, 1, 1, 3, 1, 1, 0, 2, 1, 1, 1, 4)
+    env = make_env(n_agents=3, prior_weights=weights, source_xy=None)
+    env.reset(seed=0)
+    most = env.cfg.world.max_info_bits
+    assert most > np.log2(GRID.n_src_cells)
+    env._igs[:] = (3.0, 4.5, most)  # below log2(16), above it, and the most
+    obs = env._observe()
+    assert np.array_equal(obs[:, OBS_IG], [3.0 / most, 4.5 / most, 1.0])
+    assert np.array_equal(obs, per_agent_observe(env))
+
+
 def test_wind_observation_normalized_and_clipped():
     windy = PlumeParams(
         kind=ADVECTED, strength=1.0, wind=(0.6, -0.8), sigma0=1.0, noise_sigma=0.5
@@ -436,7 +451,7 @@ def test_scripted_episode_shifts_from_information_to_exploitation():
         plume=PlumeParams(kind=BLOB, strength=1.0, length_scale=1.0, noise_sigma=0.2),
     )
     obs = env.reset(seed=18)
-    max_bits = np.log2(GRID.n_src_cells)
+    max_bits = env.cfg.world.max_info_bits
     ig_before, deltas, errors = 0.0, [], []
     for cycle in range(20):
         env.step([MEASURE])

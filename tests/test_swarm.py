@@ -30,6 +30,7 @@ from plumeseek.swarm import (
     World,
     agent_streams,
     cost_only_policy,
+    ig_by_step,
     random_policy,
     read_episode_csv,
     read_rows,
@@ -276,12 +277,12 @@ def test_silent_world_yields_no_information():
         n_steps=4,
     )
     log = run_episode(cfg)
-    assert np.all(np.abs(log.ig_series()) <= 1e-9)
+    assert np.all(np.abs(ig_by_step(log.records)) <= 1e-9)
 
 
 def test_ig_series_is_one_value_per_step():
     log = run_episode(small_config(n_steps=5))
-    series = log.ig_series()
+    series = ig_by_step(log.records)
     assert series.shape == (5,)
     per_step = {}
     for r in log.records:
@@ -294,7 +295,7 @@ def test_steps_to_ig_thresholds():
     log = run_episode(small_config(policy=POLICY_INFO, n_steps=5))
     assert steps_to_ig(log, 0.0) == 0
     assert steps_to_ig(log, 1e9) is None
-    series = log.ig_series()
+    series = ig_by_step(log.records)
     mid = float(series[2])
     first = steps_to_ig(log, mid)
     assert first is not None and series[first] >= mid
