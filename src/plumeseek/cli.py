@@ -25,8 +25,6 @@ from .svgplot import PALETTE, Series, line_chart
 POLICY_COLORS = {"info": "#1f77b4", "cost-only": "#ff7f0e", "random": "#2ca02c"}
 MODE_COLORS = {"individual": "#d62728", "communicating": "#1f77b4"}
 BENCH_SIZES = (8, 16, 32, 64)
-BENCH_FFT_MAX_RATIO = 4.5
-BENCH_BRUTE_MIN_RATIO = 10.0
 
 
 def _echo_config(cfg: RunConfig) -> None:
@@ -264,18 +262,6 @@ def cmd_bench(ns) -> int:
         print(f"{side:>4}x{side:<4} fft {fft_ms:10.3f} ms   brute {brute_ms:10.3f} ms")
 
     write_rows(out_dir / "bench.csv", rows, BenchRow)
-
-    if len(rows) >= 2:
-        (s0, fft0, brute0), (s1, fft1, brute1) = rows[-2], rows[-1]
-        fft_ratio = fft1 / fft0
-        brute_ratio = brute1 / brute0
-        print(
-            f"{s0}->{s1} doubling: fft x{fft_ratio:.2f} (limit {BENCH_FFT_MAX_RATIO}), "
-            f"brute x{brute_ratio:.2f} (floor {BENCH_BRUTE_MIN_RATIO})"
-        )
-        if fft_ratio > BENCH_FFT_MAX_RATIO or brute_ratio < BENCH_BRUTE_MIN_RATIO:
-            print("bench: relative-growth invariant violated", file=sys.stderr)
-            return 3
     return 0
 
 

@@ -22,7 +22,7 @@ from ..belief import (
     posterior_update,
 )
 from ..field import check_number, check_values
-from ..swarm import World, sense
+from ..swarm import World, agent_streams, sense
 
 OBS_SIZE = 17
 
@@ -142,9 +142,7 @@ class HybridEnv:
     def reset(self, seed: int = 0) -> np.ndarray:
         cfg = self.cfg
         seed = check_number("seed", seed, low=0, integer=True)
-        children = np.random.SeedSequence(seed).spawn(1 + cfg.n_agents)
-        world = np.random.default_rng(children[0])
-        self._meas_rngs = [np.random.default_rng(c) for c in children[1:]]
+        world, self._meas_rngs, _ = agent_streams(seed, cfg.n_agents)
         self._prior, self._source, self._pos = cfg.world.setup(world, cfg.n_agents)
         self._vel = np.zeros((cfg.n_agents, 2))
         self._beliefs = [self._prior] * cfg.n_agents
@@ -171,7 +169,7 @@ class HybridEnv:
         target = self._estimates[i]
         delta = target - self._pos[i]
         dist = float(np.hypot(*delta))
-        accel = (cfg.a_max / dist) * delta if dist > 0 else np.zeros(2)
+        accel = cfg.a_max * (delta / dist) if dist > 0 else np.zeros(2)
         v = cfg.damping * self._vel[i] + accel
         speed = float(np.hypot(*v))
         if speed > cfg.v_max:

@@ -295,10 +295,13 @@ class EpisodeLog:
 def agent_streams(seed: int, n_agents: int):
     """Per-agent RNG streams split so extra agents never shift earlier ones.
 
-    Returns (world_rng, measurement_rngs, policy_rngs); stream k of an agent
-    depends only on the seed and the agent id. In `run_episode` they draw the
-    source and start positions, each agent's reading noise, and each agent's
-    random or cost-only targets. In `rl.train` they draw each episode's reset
+    The program's one stream layout. Returns (world_rng, measurement_rngs,
+    policy_rngs); stream k of an agent depends only on the seed and the agent
+    id. In `run_episode` they draw the source and start positions, each
+    agent's reading noise, and each agent's random or cost-only targets.
+    `HybridEnv.reset` draws the same world and reading-noise streams, so at
+    one seed agent i's readings in an RL episode carry the noise of its
+    `run_episode` readings. In `rl.train` they draw each episode's reset
     seed, each agent's initial Q-net weights, and each agent's exploration
     and replay picks.
     """

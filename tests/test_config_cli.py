@@ -1,4 +1,6 @@
 """Config parsing/validation and the command-line front end."""
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -10,7 +12,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plumeseek import swarm
@@ -466,6 +468,14 @@ def test_bounded_reward_at_the_edge_still_loads():
     assert parse_config(raw).train.env.reward.w_est == 1e300
 
 
+def assert_only_finite_numbers(out):
+    files = [path for path in out.rglob("*") if path.is_file()]
+    assert files
+    for path in files:
+        text = path.read_text()
+        assert not re.search(r"NaN|Infinity|\bnan\b|\binf\b", text), path.name
+
+
 def test_diverging_training_writes_no_non_finite_number(tmp_path, capsys):
     raw = json.loads((CONFIGS / "quickstart.json").read_text())
     raw["rl"]["learning_rate"] = 1e6  # the Q-nets' weights reach nan
@@ -474,11 +484,19 @@ def test_diverging_training_writes_no_non_finite_number(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(args) == 3
     assert "not JSON compliant" in capsys.readouterr().err
-    files = [path for path in out.rglob("*") if path.is_file()]
-    assert files
-    for path in files:
-        text = path.read_text()
-        assert not re.search(r"NaN|Infinity|\bnan\b|\binf\b", text), path.name
+    assert_only_finite_numbers(out)
+
+
+@pytest.mark.parametrize("rl", [{"a_max": 1e308}, {"a_max": 1e308, "v_max": 1e308}])
+def test_huge_acceleration_trains_to_the_end(tmp_path, rl):
+    # Move scales the unit vector toward its target by a_max, so a kick from
+    # less than a cell away stays finite where a_max / dist would overflow
+    raw = json.loads((CONFIGS / "quickstart.json").read_text())
+    raw["rl"].update(rl, train_steps=200)
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, raw)
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--mode", "communicating"]) == 0
+    assert_only_finite_numbers(out)
 
 
 @pytest.mark.parametrize(
@@ -593,6 +611,57 @@ def test_every_numeric_setting_rejects_non_numbers():
                 continue
             accepted.append((path, replacement))
     assert accepted == []
+
+
+# quickstart cut to a few steps, with every real-valued setting spelled out
+FUZZ_BASE = json.loads((CONFIGS / "quickstart.json").read_text())
+FUZZ_BASE["sim"]["n_steps"] = 4
+FUZZ_BASE["rl"].update(train_steps=40, horizon=10, batch_size=8, eps_decay_steps=20, target_sync=10)
+FUZZ_BASE = parse_config(FUZZ_BASE).effective_dict()
+REAL_SETTINGS = [path for path, value in _numeric_leaves(FUZZ_BASE) if isinstance(value, float)]
+EXTREMES = [5e-324, 1e-308, 1e-150, -1e-150, 1e150, 1e300, 1e308, -1e308, 0.0]
+
+
+def _run_quietly(args):
+    """main(args) in-process: its exit code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            code = main(args)
+    return code, err.getvalue()
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(REAL_SETTINGS), st.sampled_from(EXTREMES)),
+        min_size=1,
+        max_size=2,
+        unique_by=lambda setting: setting[0],
+    )
+)
+@example([(("rl", "a_max"), 1e308)])
+@example([(("rl", "a_max"), 1e308), (("rl", "v_max"), 1e308)])
+def test_every_config_the_loader_accepts_runs_to_the_end(tmp_path_factory, settings_drawn):
+    # the loader contract: a config exits 2 at load naming a setting, or
+    # simulate runs to the end and train either does or stops on a diverging
+    # (non-finite) checkpoint; no output file holds a number that is not finite
+    raw = FUZZ_BASE
+    for path, value in settings_drawn:
+        raw = _replaced(raw, path, value)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg_path = write_config(tmp, raw)
+    code, err = _run_quietly(["simulate", "--config", cfg_path, "--out", str(tmp / "sim")])
+    if code == 2:
+        named = {key for path, _ in settings_drawn for key in path if isinstance(key, str)}
+        assert err.startswith("error:") and any(key in err for key in named), err
+        assert not (tmp / "sim").exists()
+        return
+    assert code == 0, err
+    assert_only_finite_numbers(tmp / "sim")
+    code, err = _run_quietly(["train", "--config", cfg_path, "--out", str(tmp / "train")])
+    assert code == 0 or (code == 3 and "runtime failure: checkpoint" in err), err
+    assert_only_finite_numbers(tmp / "train")
 
 
 @pytest.mark.parametrize(
@@ -881,6 +950,16 @@ def test_bench_single_size_writes_csv(tmp_path):
     lines = (out / "bench.csv").read_text().strip().splitlines()
     assert lines[0] == "size,fft_ms,brute_ms"
     assert len(lines) == 2 and lines[1].startswith("8,")
+
+
+def test_bench_times_every_size_whatever_its_growth(tmp_path):
+    # bench only measures: criterion 10 judges the 32->64 growth, and a
+    # 32->48 step grows brute force about 1.5^4, not the 16x of a doubling
+    out = tmp_path / "bench"
+    args = ["--sizes", "16,32,48", "--repeats", "1"]
+    assert main(["bench", "--config", str(CONFIGS / "bench.json"), "--out", str(out), *args]) == 0
+    lines = (out / "bench.csv").read_text().strip().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["size", "16", "32", "48"]
 
 
 def test_bench_rejects_unsorted_sizes(tmp_path):

@@ -25,7 +25,7 @@ from plumeseek.rl.env import (
     OBS_WIND,
     RewardWeights,
 )
-from plumeseek.swarm import World
+from plumeseek.swarm import World, agent_streams
 
 GRID = GridSpec(0.0, 4.0, 0.0, 4.0, 4, 4, 4, 4)
 PLUME = PlumeParams(kind=BLOB, strength=1.0, length_scale=1.0, noise_sigma=0.5)
@@ -39,9 +39,9 @@ def make_env(**overrides):
 
 
 def meas_rng(seed, n_agents, agent):
-    # the per-agent measurement stream contract: child 1+i of the reset seed
-    children = np.random.SeedSequence(seed).spawn(1 + n_agents)
-    return np.random.default_rng(children[1 + agent])
+    # the per-agent measurement stream contract: agent i's reading-noise stream
+    # of swarm.agent_streams at the reset seed, as in run_episode
+    return agent_streams(seed, n_agents)[1][agent]
 
 
 NOTHING, MOVE, MEASURE, UPDATE, COMM = (

@@ -18,7 +18,7 @@ from plumeseek.belief import (
 )
 from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams
 from plumeseek.planner import CostModel, TIER_SNR_FFT, movement_cost, snr_score_map_bruteforce
-from plumeseek.rl.env import HybridEnv, HybridEnvConfig
+from plumeseek.rl.env import Action, HybridEnv, HybridEnvConfig
 from plumeseek.rl.train import CurveRow
 from plumeseek.swarm import (
     POLICY_COST_ONLY,
@@ -250,6 +250,18 @@ def test_one_module_reads_and_writes_csv():
     assert importers == ["swarm.py"]
 
 
+def test_one_module_seeds_rng_streams():
+    # swarm.agent_streams is the one stream layout: both episode engines and
+    # training draw from it, so no other module splits a seed
+    src = Path(swarm.__file__).parent
+    seeders = [
+        path.relative_to(src).as_posix()
+        for path in sorted(src.rglob("*.py"))
+        for _ in re.finditer(r"\bSeedSequence\s*\(", path.read_text())
+    ]
+    assert seeders == ["swarm.py"]
+
+
 def test_cumulative_cost_sums_record_costs():
     log = run_episode(small_config(seed=1))
     paid = 0.0
@@ -430,8 +442,9 @@ def test_world_rejects_bad_source_and_prior_in_both_engines(bad):
 
 
 def test_episode_and_rl_env_draw_the_same_world():
-    # the world stream is child 0 of the seed in both layouts, and both draw
-    # the source and then the start positions from it through World.setup
+    # both engines take their streams from agent_streams: they draw the source
+    # and then the start positions through World.setup from the world stream,
+    # and agent i's first reading from its own reading-noise stream
     weights = tuple(np.arange(1.0, 65.0))
     cfg = small_config(n_agents=3, n_steps=1, seed=21, prior_weights=weights)
     log = run_episode(cfg)
@@ -440,6 +453,8 @@ def test_episode_and_rl_env_draw_the_same_world():
     assert tuple(env.source) == log.source_xy
     assert [(r.x, r.y) for r in log.records] == [tuple(p) for p in env.positions]
     assert np.array_equal(env.prior.log_probs, log.prior.log_probs)
+    env.step([Action.MEASURE] * 3)
+    assert [r.m for r in log.records] == [rs[-1].value for rs in env._readings]
 
 
 @pytest.mark.parametrize("plume", [
