@@ -2,27 +2,20 @@
 
 A discrete action chooses between idling, moving toward the agent's MAP
 estimate of the source, sensing, folding its own unfolded readings into its
-belief, or pulling its peers' newest readings.
-Beliefs are per agent here, unlike the fully shared heuristic episodes, so
-communication is a real choice with a real price.
+belief, or pulling its peers' newest readings. Beliefs are per agent here,
+on the same `swarm.Team` as the shared heuristic episodes, so communication
+is a real choice with a real price.
 """
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..belief import (
-    MeasurementRecord,
-    SourcePosterior,
-    info_gain_bits,
-    map_estimate,
-    posterior_update,
-)
+from ..belief import SourcePosterior, map_estimate
 from ..field import check_number, check_values
-from ..swarm import World, agent_streams, sense
+from ..swarm import Team, World
 
 OBS_SIZE = 17
 
@@ -106,34 +99,17 @@ class HybridEnv:
         self.cfg = cfg
         self._done = True
         self._grid = g = cfg.world.grid
-        self._plume = cfg.world.plume
         # observation scales, fixed by cfg
         self._origin = np.array([g.x_min, g.y_min])
         self._corner = np.array([g.x_max, g.y_max])
         self._span = np.array([g.x_max - g.x_min, g.y_max - g.y_min])
-        self._wind_obs = np.clip(np.asarray(self._plume.wind), -1.0, 1.0)
+        self._wind_obs = np.clip(np.asarray(cfg.world.plume.wind), -1.0, 1.0)
         self._max_ig = cfg.world.max_info_bits
         self._costs = np.asarray(cfg.reward.action_costs, dtype=float)
 
     @property
-    def prior(self) -> SourcePosterior:
-        return self._prior
-
-    @property
     def done(self) -> bool:
         return self._done
-
-    @property
-    def beliefs(self) -> list[SourcePosterior]:
-        return list(self._beliefs)
-
-    @property
-    def source(self) -> np.ndarray:
-        return self._source.copy()
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._pos.copy()
 
     @property
     def velocities(self) -> np.ndarray:
@@ -142,19 +118,12 @@ class HybridEnv:
     def reset(self, seed: int = 0) -> np.ndarray:
         cfg = self.cfg
         seed = check_number("seed", seed, low=0, integer=True)
-        world, self._meas_rngs, _ = agent_streams(seed, cfg.n_agents)
-        self._prior, self._source, self._pos = cfg.world.setup(world, cfg.n_agents)
+        self.team = Team(cfg.world, seed, cfg.n_agents, keep=cfg.buffer_capacity)
         self._vel = np.zeros((cfg.n_agents, 2))
-        self._beliefs = [self._prior] * cfg.n_agents
-        # readings[i]: agent i's newest readings, oldest first, named by (agent_id, step);
-        # seen[i, j]: the step of agent j's newest reading that i folded or passed over
-        self._readings = [deque(maxlen=cfg.buffer_capacity) for _ in range(cfg.n_agents)]
-        self._seen = np.full((cfg.n_agents, cfg.n_agents), -1, dtype=int)
         self._last_action = np.full(cfg.n_agents, -1, dtype=int)
         self._repeat_count = np.zeros(cfg.n_agents, dtype=int)
         self._moved_since_measure = np.zeros(cfg.n_agents, dtype=bool)
-        self._igs = np.zeros(cfg.n_agents)
-        self._estimates = np.tile(map_estimate(self._prior)[1], (cfg.n_agents, 1))
+        self._estimates = np.tile(map_estimate(self.team.prior)[1], (cfg.n_agents, 1))
         self.t = 0
         self._done = False
         return self._observe()
@@ -165,45 +134,41 @@ class HybridEnv:
         pass
 
     def _do_move(self, i: int) -> None:
-        cfg = self.cfg
+        cfg, positions = self.cfg, self.team.positions
         target = self._estimates[i]
-        delta = target - self._pos[i]
+        delta = target - positions[i]
         dist = float(np.hypot(*delta))
         accel = cfg.a_max * (delta / dist) if dist > 0 else np.zeros(2)
         v = cfg.damping * self._vel[i] + accel
         speed = float(np.hypot(*v))
         if speed > cfg.v_max:
             v *= cfg.v_max / speed
-        pos = self._pos[i] + v
+        pos = positions[i] + v
         # walls are sticky: clamp and zero the offending velocity component
         clamped = np.clip(pos, self._origin, self._corner)
         v[clamped != pos] = 0.0
-        self._pos[i] = clamped
+        positions[i] = clamped
         self._vel[i] = v
         self._moved_since_measure[i] = True
 
     def _do_measure(self, i: int) -> None:
-        rec = sense(self._pos[i], self._source, self._plume, self._meas_rngs[i], self.t, i)
-        self._readings[i].append(rec)
+        self.team.measure(i, self.t)
         self._moved_since_measure[i] = False
 
-    def _fold(self, i: int, readings: list[MeasurementRecord]) -> None:
-        """Mark readings seen by agent i and fold them in; with none, the belief stays put."""
-        if not readings:
-            return
-        for rec in readings:
-            self._seen[i, rec.agent_id] = rec.step
-        self._beliefs[i] = posterior_update(self._beliefs[i], readings, self._plume)
-        self._igs[i] = info_gain_bits(self._beliefs[i], self._prior)
-        self._estimates[i] = map_estimate(self._beliefs[i])[1]
-
     def _do_update(self, i: int) -> None:
-        self._fold(i, [r for r in self._readings[i] if r.step > self._seen[i, i]])
+        team = self.team
+        self._estimate(i, team.fold([i], [r for r in team.readings[i] if r.step > team.seen[i, i]]))
 
     def _do_communicate(self, i: int) -> None:
         # each peer's newest reading only, each reading evidence once
-        newest = [r[-1] for j, r in enumerate(self._readings) if j != i and r]
-        self._fold(i, [r for r in newest if r.step > self._seen[i, r.agent_id]])
+        team = self.team
+        newest = [r[-1] for j, r in enumerate(team.readings) if j != i and r]
+        self._estimate(i, team.fold([i], [r for r in newest if r.step > team.seen[i, r.agent_id]]))
+
+    def _estimate(self, i: int, belief: SourcePosterior | None) -> None:
+        """Agent i's MAP estimate from the belief a fold returned; None leaves it as it was."""
+        if belief is not None:
+            self._estimates[i] = map_estimate(belief)[1]
 
     # indexed by Action: do-nothing, move, measure, update, communicate
     _HANDLERS = (_do_nothing, _do_move, _do_measure, _do_update, _do_communicate)
@@ -217,13 +182,13 @@ class HybridEnv:
         if len(actions) != self.cfg.n_agents:
             raise ValueError("one action per agent required")
 
-        prev_ig = self._igs.copy()
+        prev_ig = self.team.igs.copy()
         for i, a in enumerate(actions):  # effects resolve in agent-id order
             self._HANDLERS[a](self, i)
             self._repeat_count[i] = self._repeat_count[i] + 1 if a == self._last_action[i] else 1
             self._last_action[i] = a
 
-        info, estimate, action_cost = self.reward_components(actions, self._igs - prev_ig)
+        info, estimate, action_cost = self.reward_components(actions, self.team.igs - prev_ig)
         self.t += 1
         self._done = self.t >= self.cfg.horizon
         return self._observe(), info + estimate - action_cost, self._done
@@ -234,7 +199,7 @@ class HybridEnv:
         One entry per agent; the step reward is info + estimate - action_cost.
         """
         w = self.cfg.reward
-        err = np.hypot(*(self._estimates - self._source).T)
+        err = np.hypot(*(self._estimates - self.team.source).T)
         return (
             w.w_info * np.asarray(delta_ig_bits, dtype=float),
             w.w_est * (1.0 - err / self._grid.diagonal),
@@ -242,15 +207,15 @@ class HybridEnv:
         )
 
     def _observe(self) -> np.ndarray:
-        cfg = self.cfg
+        cfg, team = self.cfg, self.team
         obs = np.zeros((cfg.n_agents, OBS_SIZE))
-        obs[:, OBS_POS] = (self._pos - self._origin) / self._span
+        obs[:, OBS_POS] = (team.positions - self._origin) / self._span
         obs[:, OBS_VEL] = self._vel / cfg.v_max
         obs[:, OBS_WIND] = self._wind_obs
-        obs[:, OBS_LAST_M] = np.clip([r[-1].value if r else 0.0 for r in self._readings], 0.0, 1.0)
+        obs[:, OBS_LAST_M] = np.clip([r[-1].value if r else 0.0 for r in team.readings], 0.0, 1.0)
         obs[:, OBS_ESTIMATE] = (self._estimates - self._origin) / self._span
         if self._max_ig > 0:
-            obs[:, OBS_IG] = np.clip(self._igs / self._max_ig, 0.0, 1.0)
+            obs[:, OBS_IG] = np.clip(team.igs / self._max_ig, 0.0, 1.0)
         obs[:, OBS_MOVED_FLAG] = self._moved_since_measure
         obs[:, OBS_REPEAT_FLAG] = self._repeat_count > 4
         acted = self._last_action >= 0  # -1 before the first step: no one-hot

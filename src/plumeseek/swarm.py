@@ -1,15 +1,17 @@
-"""Multi-agent search episodes with a shared belief.
+"""Multi-agent search episodes on the team state both episode engines share.
 
-Each step runs measure -> broadcast -> update -> plan -> move. Every agent's
-reading is shared before the single Bayes update, so all agents act on the
-same posterior; movement is an instantaneous relocation that pays the cost
-model's price. Two sampling baselines (uniform-random and inverse-cost) ride
-alongside the information-driven policy for efficiency comparisons.
+`Team` sets up a search and holds each agent's readings, belief and info
+gain; `Team.fold` is the one place a reading becomes evidence. `run_episode`
+is its broadcast case: measure -> broadcast -> one shared update -> plan ->
+move, where a move is an instantaneous relocation that pays the cost
+model's price. Uniform-random and inverse-cost baselines ride alongside the
+information-driven policy.
 """
 from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
@@ -84,23 +86,6 @@ class World:
         """The most bits a posterior can gain: -log2 of the least positive prior probability."""
         lp = self.prior().log_probs
         return -float(lp[lp > -np.inf].min()) / LOG_2
-
-    def setup(self, world_rng: np.random.Generator, n_agents: int):
-        """(prior, source, start positions) of one episode, drawn from the world stream.
-
-        A fixed source is used as given, else the center of a cell drawn from
-        the prior; start positions are uniform over the world, drawn after it.
-        """
-        grid = self.grid
-        prior = self.prior()
-        source = self.source_xy
-        if source is None:
-            flat = int(world_rng.choice(grid.n_src_cells, p=prior.probs().ravel()))
-            source = grid.src_cell_center(flat)
-        positions = world_rng.uniform(
-            low=(grid.x_min, grid.y_min), high=(grid.x_max, grid.y_max), size=(n_agents, 2)
-        )
-        return prior, np.asarray(source), positions
 
 
 @dataclass(frozen=True)
@@ -297,13 +282,12 @@ def agent_streams(seed: int, n_agents: int):
 
     The program's one stream layout. Returns (world_rng, measurement_rngs,
     policy_rngs); stream k of an agent depends only on the seed and the agent
-    id. In `run_episode` they draw the source and start positions, each
-    agent's reading noise, and each agent's random or cost-only targets.
-    `HybridEnv.reset` draws the same world and reading-noise streams, so at
-    one seed agent i's readings in an RL episode carry the noise of its
-    `run_episode` readings. In `rl.train` they draw each episode's reset
-    seed, each agent's initial Q-net weights, and each agent's exploration
-    and replay picks.
+    id. In `Team`, which both episode engines set up through, they draw the
+    source and start positions, each agent's reading noise, and (in
+    `run_episode`) each agent's random or cost-only targets, so at one seed
+    agent i's readings in an RL episode carry the noise of its `run_episode`
+    readings. In `rl.train` they draw each episode's reset seed, each agent's
+    initial Q-net weights, and each agent's exploration and replay picks.
     """
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(1 + 2 * n_agents)
@@ -343,42 +327,91 @@ def sense(
     )
 
 
+class Team:
+    """The per-agent half of a search, set up and folded alike for both episode engines.
+
+    From the seed's agent_streams: the prior, the source (fixed, else a cell
+    center drawn from the prior) and start positions, then each agent's
+    reading and policy streams, newest `keep` readings, belief and info gain.
+    seen[i, j] is the step of agent j's newest reading that i folded or passed
+    over. Agents that have folded the same readings share one belief object.
+    """
+
+    def __init__(self, world: World, seed: int, n_agents: int, keep: int = 1, kernel=None):
+        world_rng, self.meas_rngs, self.policy_rngs = agent_streams(seed, n_agents)
+        grid = world.grid
+        self.plume, self.kernel = world.plume, kernel
+        self.prior = world.prior()
+        source = world.source_xy
+        if source is None:
+            flat = int(world_rng.choice(grid.n_src_cells, p=self.prior.probs().ravel()))
+            source = grid.src_cell_center(flat)
+        self.source = np.asarray(source)
+        self.positions = world_rng.uniform(
+            low=(grid.x_min, grid.y_min), high=(grid.x_max, grid.y_max), size=(n_agents, 2)
+        )
+        self.beliefs = [self.prior] * n_agents
+        self.igs = np.zeros(n_agents)
+        self.readings = [deque(maxlen=keep) for _ in range(n_agents)]
+        self.seen = np.full((n_agents, n_agents), -1, dtype=int)
+
+    def measure(self, i: int, step: int) -> MeasurementRecord:
+        """Agent i's reading at its position on its own noise stream, kept as its newest."""
+        rec = sense(self.positions[i], self.source, self.plume, self.meas_rngs[i], step, i)
+        self.readings[i].append(rec)
+        return rec
+
+    def fold(self, agents, readings) -> SourcePosterior | None:
+        """Fold readings into the belief the listed agents hold, and mark them seen.
+
+        The listed agents must hold one belief object, as agents that have
+        folded the same readings do. Each then holds the new belief, which is
+        returned, and its info gain; no readings change nothing and return None.
+        """
+        if not readings:
+            return None
+        for rec in readings:
+            self.seen[agents, rec.agent_id] = rec.step
+        # no local holds the old belief, so it is freed before the info gain is computed
+        belief = posterior_update(self.beliefs[agents[0]], readings, self.plume, self.kernel)
+        for i in agents:
+            self.beliefs[i] = belief
+        self.igs[agents] = info_gain_bits(belief, self.prior)
+        return belief
+
+
 def run_episode(cfg: SimConfig) -> EpisodeLog:
     """Run one seeded episode and return its full log."""
-    world_rng, meas_rngs, policy_rngs = agent_streams(cfg.seed, cfg.n_agents)
-    prior, source, positions = cfg.world.setup(world_rng, cfg.n_agents)
     grid, plume = cfg.world.grid, cfg.world.plume
-    belief = prior
     kernel = squared_snr_kernel(plume, grid) if cfg.tier == TIER_SNR_FFT else None
+    team = Team(cfg.world, cfg.seed, cfg.n_agents, kernel=kernel)
+    everyone = np.arange(cfg.n_agents)
 
-    log = EpisodeLog(cfg, (float(source[0]), float(source[1])), prior=prior)
+    log = EpisodeLog(cfg, (float(team.source[0]), float(team.source[1])), prior=team.prior)
 
     for step in range(cfg.n_steps):
-        # measure, in agent-id order, each on its own noise stream
-        readings = [
-            sense(positions[i], source, plume, meas_rngs[i], step, i)
-            for i in range(cfg.n_agents)
-        ]
-        # broadcast: every reading reaches every agent before one shared update
-        belief = posterior_update(belief, readings, plume, kernel)
-        ig = info_gain_bits(belief, prior)
+        # measure, in agent-id order, each on its own noise stream; broadcast:
+        # every reading reaches every agent before one shared update
+        readings = [team.measure(i, step) for i in range(cfg.n_agents)]
+        team.fold(everyone, readings)
+        ig = float(team.igs[0])
 
         scores = None
         if cfg.policy == POLICY_INFO:
-            scores = compute_score_map(belief, plume, cfg.tier, cfg.quad_nodes, kernel)
-        for i, position in enumerate(positions):
+            scores = compute_score_map(team.beliefs[0], plume, cfg.tier, cfg.quad_nodes, kernel)
+        for i, position in enumerate(team.positions):
             if cfg.policy == POLICY_INFO:
                 target = select_next(scores, cfg.cost, position)
             elif cfg.policy == POLICY_COST_ONLY:
-                target = cost_only_policy(position, cfg.cost, policy_rngs[i], grid)
+                target = cost_only_policy(position, cfg.cost, team.policy_rngs[i], grid)
             else:
-                target = random_policy(policy_rngs[i], grid)
+                target = random_policy(team.policy_rngs[i], grid)
             paid = float(movement_cost(cfg.cost, position, np.asarray(target)))
             x, y = float(position[0]), float(position[1])
             log.records.append(StepRecord(step, i, x, y, readings[i].value, ig, paid))
-            positions[i] = target
+            team.positions[i] = target
 
-    log.final_posterior = belief
+    log.final_posterior = team.beliefs[0]
     return log
 
 

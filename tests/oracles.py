@@ -165,13 +165,14 @@ def per_agent_observe(env):
     span = np.array([g.x_max - g.x_min, g.y_max - g.y_min])
     origin = np.array([g.x_min, g.y_min])
     max_ig = cfg.world.max_info_bits
+    team = env.team
     for i in range(cfg.n_agents):
-        obs[i, 0:2] = (env._pos[i] - origin) / span
+        obs[i, 0:2] = (team.positions[i] - origin) / span
         obs[i, 2:4] = env._vel[i] / cfg.v_max
         obs[i, 4:6] = np.clip(np.asarray(cfg.world.plume.wind), -1.0, 1.0)
-        obs[i, 6] = np.clip(env._readings[i][-1].value if env._readings[i] else 0.0, 0.0, 1.0)
+        obs[i, 6] = np.clip(team.readings[i][-1].value if team.readings[i] else 0.0, 0.0, 1.0)
         obs[i, 7:9] = (env._estimates[i] - origin) / span
-        obs[i, 9] = np.clip(env._igs[i] / max_ig, 0.0, 1.0) if max_ig > 0 else 0.0
+        obs[i, 9] = np.clip(team.igs[i] / max_ig, 0.0, 1.0) if max_ig > 0 else 0.0
         obs[i, 10] = float(env._moved_since_measure[i])
         obs[i, 11] = float(env._repeat_count[i] > 4)
         if env._last_action[i] >= 0:
@@ -184,7 +185,7 @@ def per_agent_rewards(env, actions, delta_ig_bits):
     w = env.cfg.reward
     out = np.empty(len(actions))
     for i, a in enumerate(actions):
-        err = float(np.hypot(*(env._estimates[i] - env._source)))
+        err = float(np.hypot(*(env._estimates[i] - env.team.source)))
         info = w.w_info * delta_ig_bits[i]
         estimate = w.w_est * (1.0 - err / env.cfg.world.grid.diagonal)
         out[i] = info + estimate - w.action_costs[int(a)]
@@ -203,15 +204,15 @@ class BufferLedgerOracle:
 
     def __init__(self, env):
         n, cap = env.cfg.n_agents, env.cfg.buffer_capacity
-        self.prior, self.plume = env.prior, env.cfg.world.plume
-        self.beliefs = [env.prior] * n
+        self.prior, self.plume = env.team.prior, env.cfg.world.plume
+        self.beliefs = [env.team.prior] * n
         self.buffers = [deque(maxlen=cap) for _ in range(n)]
         self.latest = [None] * n
         self.next_id = 1
         self.consumed = np.zeros((n, n), dtype=int)
         self.last_m = np.zeros(n)
         self.igs = np.zeros(n)
-        self.estimates = np.tile(map_estimate(env.prior)[1], (n, 1))
+        self.estimates = np.tile(map_estimate(env.team.prior)[1], (n, 1))
         self.rewards = None
 
     def _fold(self, i, records):
@@ -223,7 +224,7 @@ class BufferLedgerOracle:
         prev_ig = self.igs.copy()
         for i, a in enumerate(actions):
             if a == Action.MEASURE:
-                rec = env._readings[i][-1]
+                rec = env.team.readings[i][-1]
                 assert (rec.agent_id, rec.step) == (i, env.t - 1)
                 self.buffers[i].append(rec)
                 self.latest[i] = (self.next_id, rec)
@@ -243,7 +244,7 @@ class BufferLedgerOracle:
         w, diag = env.cfg.reward, env.cfg.world.grid.diagonal
         self.rewards = np.empty(len(actions))
         for i, a in enumerate(actions):
-            err = float(np.hypot(*(self.estimates[i] - env._source)))
+            err = float(np.hypot(*(self.estimates[i] - env.team.source)))
             estimate = w.w_est * (1.0 - err / diag)
             self.rewards[i] = w.w_info * (self.igs[i] - prev_ig[i]) + estimate - w.action_costs[a]
 

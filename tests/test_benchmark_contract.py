@@ -10,14 +10,18 @@ import numpy as np
 import pytest
 
 from plumeseek.config import load_config, parse_config
+from plumeseek.rl.env import Action, HybridEnv
 from plumeseek.swarm import POLICY_INFO, run_episode
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # wrap sites with no function behind them: posterior_update computes each
-# reading's likelihood itself, and the RL env measures through swarm.sense
+# reading's likelihood itself, the RL env folds through swarm.Team (so the
+# swarm sites see its updates and info gains) and measures through swarm.sense
 KNOWN_UNWRAPPED = [
+    "belief.posterior_update at plumeseek.rl.env:posterior_update",
     "belief.loglik_grid at plumeseek.belief:loglik_grid",
+    "belief.info_gain_bits at plumeseek.rl.env:info_gain_bits",
     "field.concentration at plumeseek.rl.env:concentration",
 ]
 
@@ -70,7 +74,29 @@ def test_every_tracer_wrap_site_resolves_but_the_known_gap():
             patches.apply("normalisation guard", module, attr, lambda fn: fn)
     finally:
         patches.undo()
-    assert patches.unwrapped == KNOWN_UNWRAPPED
+    guard_gap = "normalisation guard at plumeseek.rl.env:posterior_update"
+    assert patches.unwrapped == [*KNOWN_UNWRAPPED, guard_gap]
+
+
+def test_normalisation_guard_checks_every_rl_env_fold():
+    # the env folds through swarm.Team, so the guard's swarm site sees each of
+    # its updates: measure, update, communicate cycles fold each agent's own
+    # reading and then its peer's, four updates per cycle with two agents
+    cfg = load_config(ROOT / "configs" / "quickstart.json").train.env
+    guard, patches = checks.NormalisationGuard(), tracer.Patches()
+    guard.install(patches)
+    try:
+        env = HybridEnv(cfg)
+        env.reset(seed=3)
+        folds = 0
+        for action in (Action.MEASURE, Action.UPDATE, Action.COMMUNICATE) * 16:
+            before = list(env.team.beliefs)
+            env.step([action] * cfg.n_agents)
+            folds += sum(a is not b for a, b in zip(before, env.team.beliefs))
+    finally:
+        patches.undo()
+    assert cfg.n_agents == 2 and folds == 64
+    assert (guard.checked, guard.bad) == (folds, 0)
 
 
 def test_tracer_count_hooks_run_on_the_program(tmp_path, capsys):

@@ -81,10 +81,10 @@ def test_action_enum_is_stable():
 def test_reset_is_deterministic_and_seed_sensitive():
     env = make_env(source_xy=None)
     a = env.reset(seed=3)
-    src_a = env.source
+    src_a = env.team.source.copy()
     b = env.reset(seed=3)
     assert np.array_equal(a, b)
-    assert np.array_equal(src_a, env.source)
+    assert np.array_equal(src_a, env.team.source)
     c = env.reset(seed=4)
     assert not np.array_equal(a, c)
 
@@ -94,7 +94,7 @@ def test_reset_samples_source_from_prior():
     weights[5] = 1.0
     env = make_env(source_xy=None, prior_weights=tuple(weights))
     env.reset(seed=0)
-    assert tuple(env.source) == GRID.src_cell_center(5)
+    assert tuple(env.team.source) == GRID.src_cell_center(5)
 
 
 def test_step_validates_actions():
@@ -131,7 +131,7 @@ def test_initial_observation_layout():
     assert obs.shape == (2, OBS_SIZE)
     span = 4.0
     for i in range(2):
-        assert np.allclose(obs[i, OBS_POS] * span, env.positions[i])
+        assert np.allclose(obs[i, OBS_POS] * span, env.team.positions[i])
         assert np.all(obs[i, OBS_VEL] == 0.0)
         assert np.all(obs[i, OBS_WIND] == 0.0)  # calm world
         assert obs[i, OBS_LAST_M] == 0.0
@@ -178,7 +178,7 @@ def test_ig_observation_is_a_share_of_the_worlds_most_bits():
     env.reset(seed=0)
     most = env.cfg.world.max_info_bits
     assert most > np.log2(GRID.n_src_cells)
-    env._igs[:] = (3.0, 4.5, most)  # below log2(16), above it, and the most
+    env.team.igs[:] = (3.0, 4.5, most)  # below log2(16), above it, and the most
     obs = env._observe()
     assert np.array_equal(obs[:, OBS_IG], [3.0 / most, 4.5 / most, 1.0])
     assert np.array_equal(obs, per_agent_observe(env))
@@ -235,25 +235,25 @@ def test_moved_flag_set_by_move_cleared_by_measure():
 def test_do_nothing_changes_no_state():
     env = make_env()
     env.reset(seed=4)
-    pos, vel = env.positions, env.velocities
-    beliefs = env.beliefs
+    pos, vel = env.team.positions.copy(), env.velocities
+    beliefs = list(env.team.beliefs)
     obs, rewards, _ = env.step([NOTHING, NOTHING])
-    assert np.array_equal(env.positions, pos)
+    assert np.array_equal(env.team.positions, pos)
     assert np.array_equal(env.velocities, vel)
-    assert env.beliefs[0] is beliefs[0] and env.beliefs[1] is beliefs[1]
+    assert env.team.beliefs[0] is beliefs[0] and env.team.beliefs[1] is beliefs[1]
     assert obs[0, OBS_IG] == 0.0
 
 
 def test_move_kicks_toward_estimate_with_damped_velocity():
     env = make_env(a_max=0.5, damping=0.95, v_max=1.0)
     env.reset(seed=5)
-    start = env.positions[0].copy()
+    start = env.team.positions[0].copy()
     target = env._estimates[0].copy()
     direction = (target - start) / np.hypot(*(target - start))
     env.step([MOVE, NOTHING])
     want_v = 0.5 * direction  # velocity started at zero
     assert np.allclose(env.velocities[0], want_v, atol=1e-12)
-    assert np.allclose(env.positions[0], start + want_v, atol=1e-12)
+    assert np.allclose(env.team.positions[0], start + want_v, atol=1e-12)
     # second kick: damped old velocity plus a fresh unit kick, speed capped
     env.step([MOVE, NOTHING])
     assert np.hypot(*env.velocities[0]) <= 1.0 + 1e-12
@@ -262,22 +262,22 @@ def test_move_kicks_toward_estimate_with_damped_velocity():
 def test_move_at_zero_distance_stays_put():
     env = make_env()
     env.reset(seed=6)
-    env._pos[0] = env._estimates[0].copy()
-    before = env.positions[0].copy()
+    env.team.positions[0] = env._estimates[0].copy()
+    before = env.team.positions[0].copy()
     env.step([MOVE, NOTHING])
-    assert np.array_equal(env.positions[0], before)
+    assert np.array_equal(env.team.positions[0], before)
     assert np.array_equal(env.velocities[0], np.zeros(2))
 
 
 def test_walls_are_sticky():
     env = make_env(a_max=0.5)
     env.reset(seed=7)
-    env._pos[0] = np.array([0.3, 2.0])
+    env.team.positions[0] = np.array([0.3, 2.0])
     env._estimates[0] = np.array([0.0, 2.0])  # pull straight into the wall
     env.step([MOVE, NOTHING])
-    assert env.positions[0][0] == 0.0
+    assert env.team.positions[0][0] == 0.0
     assert env.velocities[0][0] == 0.0
-    assert env.positions[0][1] == 2.0
+    assert env.team.positions[0][1] == 2.0
 
 
 def test_positions_stay_in_bounds_under_random_actions():
@@ -286,7 +286,7 @@ def test_positions_stay_in_bounds_under_random_actions():
     rng = np.random.default_rng(0)
     for _ in range(40):
         env.step(rng.integers(0, N_ACTIONS, size=2))
-        pos = env.positions
+        pos = env.team.positions
         assert np.all(pos[:, 0] >= 0.0) and np.all(pos[:, 0] <= 4.0)
         assert np.all(pos[:, 1] >= 0.0) and np.all(pos[:, 1] <= 4.0)
 
@@ -294,12 +294,12 @@ def test_positions_stay_in_bounds_under_random_actions():
 def test_measure_reading_follows_the_agent_stream():
     env = make_env(n_agents=2)
     env.reset(seed=9)
-    pos = env.positions
+    pos = env.team.positions.copy()
     obs, _, _ = env.step([MEASURE, MEASURE])
     from plumeseek.field import concentration
 
     for i in range(2):
-        f = float(concentration(pos[i], env.source, PLUME))
+        f = float(concentration(pos[i], env.team.source, PLUME))
         want = f + PLUME.noise_sigma * float(meas_rng(9, 2, i).standard_normal())
         assert obs[i, OBS_LAST_M] == pytest.approx(np.clip(want, 0.0, 1.0), abs=1e-12)
 
@@ -307,30 +307,30 @@ def test_measure_reading_follows_the_agent_stream():
 def test_update_folds_buffer_and_clears_it():
     env = make_env()
     env.reset(seed=10)
-    pos = env.positions[0].copy()
+    pos = env.team.positions[0].copy()
     env.step([MEASURE, NOTHING])
     rng = meas_rng(10, 2, 0)
     from plumeseek.field import concentration
 
-    f = float(concentration(pos, env.source, PLUME))
+    f = float(concentration(pos, env.team.source, PLUME))
     m = f + PLUME.noise_sigma * float(rng.standard_normal())
     rec = MeasurementRecord(x=pos[0], y=pos[1], value=m, step=0, agent_id=0)
-    want = posterior_update(env.prior, [rec], PLUME)
+    want = posterior_update(env.team.prior, [rec], PLUME)
 
     env.step([UPDATE, NOTHING])
-    assert np.array_equal(env.beliefs[0].log_probs, want.log_probs)
+    assert np.array_equal(env.team.beliefs[0].log_probs, want.log_probs)
     # buffer consumed: a second update is a no-op on the same belief object
-    folded = env.beliefs[0]
+    folded = env.team.beliefs[0]
     env.step([UPDATE, NOTHING])
-    assert env.beliefs[0] is folded
+    assert env.team.beliefs[0] is folded
 
 
 def test_update_with_empty_buffer_is_a_no_op():
     env = make_env()
     env.reset(seed=11)
-    before = env.beliefs[0]
+    before = env.team.beliefs[0]
     _, rewards, _ = env.step([UPDATE, NOTHING])
-    assert env.beliefs[0] is before
+    assert env.team.beliefs[0] is before
     # still pays the update price
     assert rewards[0] == pytest.approx(
         env.reward_components([UPDATE, NOTHING], [0.0, 0.0])[1][0] - 0.1
@@ -340,22 +340,22 @@ def test_update_with_empty_buffer_is_a_no_op():
 def test_buffer_keeps_only_the_newest_readings():
     env = make_env(buffer_capacity=2)
     env.reset(seed=12)
-    pos = env.positions[0].copy()
+    pos = env.team.positions[0].copy()
     for _ in range(3):
         env.step([MEASURE, NOTHING])
     rng = meas_rng(12, 2, 0)
     from plumeseek.field import concentration
 
-    f = float(concentration(pos, env.source, PLUME))
+    f = float(concentration(pos, env.team.source, PLUME))
     ms = [f + PLUME.noise_sigma * float(rng.standard_normal()) for _ in range(3)]
     # capacity 2: the first reading fell off the front
     recs = [
         MeasurementRecord(x=pos[0], y=pos[1], value=m, step=t + 1, agent_id=0)
         for t, m in enumerate(ms[1:])
     ]
-    want = posterior_update(env.prior, recs, PLUME)
+    want = posterior_update(env.team.prior, recs, PLUME)
     env.step([UPDATE, NOTHING])
-    assert np.allclose(env.beliefs[0].log_probs, want.log_probs, atol=1e-12, rtol=0)
+    assert np.allclose(env.team.beliefs[0].log_probs, want.log_probs, atol=1e-12, rtol=0)
 
 
 def test_communicate_pulls_peer_reading_once():
@@ -364,34 +364,34 @@ def test_communicate_pulls_peer_reading_once():
     env.step([MEASURE, NOTHING])
     # agent 0 folds its own reading; agent 1 pulls the same reading by radio
     env.step([UPDATE, COMM])
-    assert np.array_equal(env.beliefs[1].log_probs, env.beliefs[0].log_probs)
+    assert np.array_equal(env.team.beliefs[1].log_probs, env.team.beliefs[0].log_probs)
     # no new peer readings: a repeat communicate leaves the belief object alone
-    pulled = env.beliefs[1]
+    pulled = env.team.beliefs[1]
     env.step([NOTHING, COMM])
-    assert env.beliefs[1] is pulled
+    assert env.team.beliefs[1] is pulled
     # a fresh reading becomes available and is folded exactly once
     env.step([MEASURE, NOTHING])
     env.step([UPDATE, COMM])
     assert np.allclose(
-        env.beliefs[1].log_probs, env.beliefs[0].log_probs, atol=1e-12, rtol=0
+        env.team.beliefs[1].log_probs, env.team.beliefs[0].log_probs, atol=1e-12, rtol=0
     )
 
 
 def test_communicate_with_no_peer_readings_is_a_no_op():
     env = make_env()
     env.reset(seed=14)
-    before = env.beliefs[1]
+    before = env.team.beliefs[1]
     env.step([NOTHING, COMM])
-    assert env.beliefs[1] is before
+    assert env.team.beliefs[1] is before
 
 
 def test_communicate_does_not_consume_own_reading():
     env = make_env()
     env.reset(seed=15)
     env.step([MEASURE, NOTHING])
-    before = env.beliefs[0]
+    before = env.team.beliefs[0]
     env.step([COMM, NOTHING])  # nobody else has measured
-    assert env.beliefs[0] is before
+    assert env.team.beliefs[0] is before
 
 
 # -- rewards ---------------------------------------------------------------------------
@@ -402,7 +402,7 @@ def test_reward_components_hand_example():
     # update price 0.1: reward = 2.0 + 0.5 - 0.1 = 2.4
     env = make_env()
     env.reset(seed=16)
-    env._estimates[0] = env._source + np.array([GRID.diagonal / 2.0, 0.0])
+    env._estimates[0] = env.team.source + np.array([GRID.diagonal / 2.0, 0.0])
     info, estimate, action_cost = env.reward_components([UPDATE, NOTHING], [2.0, 0.0])
     assert info[0] == 2.0
     assert estimate[0] == pytest.approx(0.5)
@@ -436,9 +436,9 @@ def test_team_reward_equals_per_agent_oracle(n_agents, grid):
     done = False
     while not done:
         actions = rng.integers(0, N_ACTIONS, size=n_agents)
-        prev_ig = env._igs.copy()
+        prev_ig = env.team.igs.copy()
         _, rewards, done = env.step(actions)
-        want = per_agent_rewards(env, actions, env._igs - prev_ig)
+        want = per_agent_rewards(env, actions, env.team.igs - prev_ig)
         assert np.array_equal(rewards, want)
 
 
@@ -459,7 +459,7 @@ def test_scripted_episode_shifts_from_information_to_exploitation():
         ig_now = float(obs[0, OBS_IG]) * max_bits
         deltas.append(ig_now - ig_before)
         ig_before = ig_now
-        errors.append(float(np.hypot(*(env._estimates[0] - env.source))))
+        errors.append(float(np.hypot(*(env._estimates[0] - env.team.source))))
         env.step([MOVE])
     assert ig_before > 2.0  # learned most of the four available bits
     assert errors[-1] <= errors[0]
@@ -496,7 +496,7 @@ def test_reading_ledger_matches_buffer_ledger_oracle(seed, n_agents, capacity, g
         actions = rng.choice(N_ACTIONS, size=n_agents, p=p)
         obs, rewards, done = env.step(actions)
         oracle.step(env, actions)
-        for got, want in zip(env.beliefs, oracle.beliefs):
+        for got, want in zip(env.team.beliefs, oracle.beliefs):
             assert np.array_equal(got.log_probs, want.log_probs)
         assert np.array_equal(obs, oracle.observe(env))
         assert np.array_equal(rewards, oracle.rewards)
@@ -506,28 +506,28 @@ def test_reading_ledger_matches_buffer_ledger_oracle(seed, n_agents, capacity, g
 def test_communicate_pulls_only_the_peers_newest_reading():
     env = make_env()
     env.reset(seed=20)
-    pos = env.positions[1].copy()
+    pos = env.team.positions[1].copy()
     env.step([NOTHING, MEASURE])
     env.step([NOTHING, MEASURE])
     env.step([COMM, NOTHING])
     from plumeseek.field import concentration
 
-    f = float(concentration(pos, env.source, PLUME))
+    f = float(concentration(pos, env.team.source, PLUME))
     rng = meas_rng(20, 2, 1)
     ms = [f + PLUME.noise_sigma * float(rng.standard_normal()) for _ in range(2)]
     newest = MeasurementRecord(x=pos[0], y=pos[1], value=ms[1], step=1, agent_id=1)
-    want = posterior_update(env.prior, [newest], PLUME)
-    assert np.array_equal(env.beliefs[0].log_probs, want.log_probs)
+    want = posterior_update(env.team.prior, [newest], PLUME)
+    assert np.array_equal(env.team.beliefs[0].log_probs, want.log_probs)
     # the older reading was passed over: a second communicate folds nothing
-    pulled = env.beliefs[0]
+    pulled = env.team.beliefs[0]
     env.step([COMM, NOTHING])
-    assert env.beliefs[0] is pulled
+    assert env.team.beliefs[0] is pulled
 
 
 def test_reading_dropped_from_a_full_buffer_is_never_folded():
     env = make_env(buffer_capacity=1)
     env.reset(seed=21)
-    pos = env.positions[0].copy()
+    pos = env.team.positions[0].copy()
     env.step([MEASURE, NOTHING])  # step 0
     env.step([UPDATE, NOTHING])
     env.step([MEASURE, NOTHING])  # step 2: dropped when step 3's reading arrives
@@ -535,19 +535,19 @@ def test_reading_dropped_from_a_full_buffer_is_never_folded():
     env.step([UPDATE, NOTHING])
     from plumeseek.field import concentration
 
-    f = float(concentration(pos, env.source, PLUME))
+    f = float(concentration(pos, env.team.source, PLUME))
     rng = meas_rng(21, 2, 0)
     m0, _, m3 = (f + PLUME.noise_sigma * float(rng.standard_normal()) for _ in range(3))
     r0, r3 = (
         MeasurementRecord(x=pos[0], y=pos[1], value=m, step=t, agent_id=0)
         for m, t in ((m0, 0), (m3, 3))
     )
-    want = posterior_update(posterior_update(env.prior, [r0], PLUME), [r3], PLUME)
-    assert np.array_equal(env.beliefs[0].log_probs, want.log_probs)
-    folded = env.beliefs[0]
+    want = posterior_update(posterior_update(env.team.prior, [r0], PLUME), [r3], PLUME)
+    assert np.array_equal(env.team.beliefs[0].log_probs, want.log_probs)
+    folded = env.team.beliefs[0]
     for _ in range(3):
         env.step([UPDATE, NOTHING])
-        assert env.beliefs[0] is folded
+        assert env.team.beliefs[0] is folded
 
 
 def test_readings_stay_bounded_by_buffer_capacity():
@@ -556,8 +556,8 @@ def test_readings_stay_bounded_by_buffer_capacity():
     done = False
     while not done:
         _, _, done = env.step([MEASURE] * 3)
-        assert all(len(r) <= 2 for r in env._readings)
+        assert all(len(r) <= 2 for r in env.team.readings)
     # each agent holds exactly its two newest readings
-    assert [[(r.agent_id, r.step) for r in rs] for rs in env._readings] == [
+    assert [[(r.agent_id, r.step) for r in rs] for rs in env.team.readings] == [
         [(i, 38), (i, 39)] for i in range(3)
     ]

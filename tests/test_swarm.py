@@ -16,7 +16,7 @@ from plumeseek.belief import (
     posterior_update,
     uniform_posterior,
 )
-from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams
+from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams, squared_snr_kernel
 from plumeseek.planner import CostModel, TIER_SNR_FFT, movement_cost, snr_score_map_bruteforce
 from plumeseek.rl.env import Action, HybridEnv, HybridEnvConfig
 from plumeseek.rl.train import CurveRow
@@ -27,6 +27,7 @@ from plumeseek.swarm import (
     POLICIES,
     SimConfig,
     StepRecord,
+    Team,
     World,
     agent_streams,
     cost_only_policy,
@@ -262,6 +263,54 @@ def test_one_module_seeds_rng_streams():
     assert seeders == ["swarm.py"]
 
 
+def test_one_module_folds_readings():
+    # swarm.Team.fold is the one place a reading becomes evidence: both
+    # episode engines fold through it, so no other module calls the update
+    src = Path(swarm.__file__).parent
+    callers = [
+        path.relative_to(src).as_posix()
+        for path in sorted(src.rglob("*.py"))
+        for _ in re.finditer(r"(?<!def )\bposterior_update\s*\(", path.read_text())
+    ]
+    assert callers == ["swarm.py"]
+
+
+@pytest.mark.parametrize("n_agents,keep,with_kernel", [(1, 1, True), (3, 1, True), (4, 2, False)])
+def test_broadcast_fold_equals_each_agent_folding_alone(n_agents, keep, with_kernel):
+    # the aliasing fast path: one update shared by the whole team gives every
+    # agent the bits it gets by folding the same readings through its own fold
+    cfg = small_config(n_agents=n_agents)
+    world = cfg.world
+    kernel = squared_snr_kernel(world.plume, world.grid) if with_kernel else None
+    broadcast, alone = (Team(world, 7, n_agents, keep, kernel) for _ in range(2))
+    everyone = list(range(n_agents))
+    rng = np.random.default_rng(n_agents)
+    for step in range(10):
+        readings = [broadcast.measure(i, step) for i in everyone]
+        assert [alone.measure(i, step) for i in everyone] == readings
+        shared = broadcast.fold(everyone, readings)
+        assert all(belief is shared for belief in broadcast.beliefs)
+        for i in everyone:
+            alone.fold([i], readings)
+        for got, want in zip(broadcast.beliefs, alone.beliefs):
+            assert same_bits(got.log_probs, want.log_probs)
+        assert same_bits(broadcast.igs, alone.igs)
+        assert np.array_equal(broadcast.seen, alone.seen)
+        moves = rng.uniform(0.0, 8.0, size=(n_agents, 2))
+        broadcast.positions[:] = alone.positions[:] = moves
+    assert broadcast.igs.min() > 0.0
+
+
+def test_fold_of_no_readings_changes_nothing():
+    team = Team(small_config().world, 0, 2)
+    assert team.fold([0, 1], []) is None
+    assert all(belief is team.prior for belief in team.beliefs)
+    assert not team.igs.any() and np.all(team.seen == -1)
+    team.fold([0], [team.measure(0, 0)])
+    assert team.fold([0], []) is None
+    assert team.seen.tolist() == [[0, -1], [-1, -1]] and team.beliefs[1] is team.prior
+
+
 def test_cumulative_cost_sums_record_costs():
     log = run_episode(small_config(seed=1))
     paid = 0.0
@@ -442,19 +491,19 @@ def test_world_rejects_bad_source_and_prior_in_both_engines(bad):
 
 
 def test_episode_and_rl_env_draw_the_same_world():
-    # both engines take their streams from agent_streams: they draw the source
-    # and then the start positions through World.setup from the world stream,
-    # and agent i's first reading from its own reading-noise stream
+    # both engines set up through swarm.Team on agent_streams: they draw the
+    # source and then the start positions from the world stream, and agent i's
+    # first reading from its own reading-noise stream
     weights = tuple(np.arange(1.0, 65.0))
     cfg = small_config(n_agents=3, n_steps=1, seed=21, prior_weights=weights)
     log = run_episode(cfg)
     env = HybridEnv(HybridEnvConfig(world=cfg.world, n_agents=3))
     env.reset(seed=21)
-    assert tuple(env.source) == log.source_xy
-    assert [(r.x, r.y) for r in log.records] == [tuple(p) for p in env.positions]
-    assert np.array_equal(env.prior.log_probs, log.prior.log_probs)
+    assert tuple(env.team.source) == log.source_xy
+    assert [(r.x, r.y) for r in log.records] == [tuple(p) for p in env.team.positions]
+    assert np.array_equal(env.team.prior.log_probs, log.prior.log_probs)
     env.step([Action.MEASURE] * 3)
-    assert [r.m for r in log.records] == [rs[-1].value for rs in env._readings]
+    assert [r.m for r in log.records] == [rs[-1].value for rs in env.team.readings]
 
 
 @pytest.mark.parametrize("plume", [
