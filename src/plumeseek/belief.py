@@ -6,6 +6,7 @@ and are order invariant because log-likelihoods add.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,34 +77,54 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     entry -inf, an inf or a NaN), the direct log(sum(exp(a))) is returned.
     A full reduction gives a NumPy scalar, as SciPy does.
 
-    A full reduction (axis None) works on scalars: a.max(), a count and
-    .sum(), which sums in the order SciPy's reduction over every axis does.
-    An axis reduction keeps the reduced axes so they broadcast against a.
     exp(a - max) is one temporary, computed in place; the maxima are zeroed
-    after the exp, which is SciPy's exp(-inf) where max is finite. Where it
-    is not, the result is the direct sum in both.
+    after the exp, which is SciPy's exp(-inf) where max is finite. A full
+    reduction (axis None) is _logsumexp_all, on scalars. An axis reduction
+    keeps the reduced axes so they broadcast against a; where its max is not
+    finite, the result is the direct sum in both.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    reduce = {} if axis is None else {"axis": axis, "keepdims": True}
+    if axis is None:
+        out = _logsumexp_all(a)
+        return np.reshape(out, (1,) * a.ndim) if keepdims else out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(**reduce)
+        a_max = a.max(axis=axis, keepdims=True)
         is_max = a == a_max
-        count = np.count_nonzero(is_max, **reduce)
+        count = np.count_nonzero(is_max, axis=axis, keepdims=True)
         shifted = np.subtract(a, a_max)
         np.exp(shifted, out=shifted)
         np.copyto(shifted, 0.0, where=is_max)
         # SciPy keeps a rest of 0 as is rather than divide it; unweighted, that
         # is rest / count, as count is 0 only where max is NaN, and rest with it
-        rest = shifted.sum(**reduce) / count
+        rest = shifted.sum(axis=axis, keepdims=True) / count
         out = np.log1p(rest) + np.log(count) + a_max
         finite = np.isfinite(out)
         if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(**reduce)))
-    if axis is None:
-        out = np.reshape(out, (1,) * a.ndim) if keepdims else out
-    elif not keepdims:
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    if not keepdims:
         out = np.squeeze(out, axis=axis)
     return out[()] if np.ndim(out) == 0 else out
+
+
+def _logsumexp_all(a: np.ndarray) -> np.float64:
+    """logsumexp over every entry of a float array, SciPy's bits, as a NumPy scalar.
+
+    .sum() sums in the order SciPy's reduction over every axis does. With a
+    finite max nothing overflows or divides by 0, so no error state is
+    needed, and the last two additions run on Python floats, which round as
+    NumPy's do and overflow to inf without a warning.
+    """
+    a_max = a.max()
+    if not math.isfinite(a_max):  # every entry -inf, an inf or a NaN
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.log(np.exp(a).sum())
+    is_max = a == a_max
+    count = np.count_nonzero(is_max)
+    shifted = np.subtract(a, a_max)
+    np.exp(shifted, out=shifted)
+    np.copyto(shifted, 0.0, where=is_max)
+    rest = shifted.sum() / count
+    return np.float64(float(np.log1p(rest)) + float(np.log(count)) + float(a_max))
 
 
 def uniform_posterior(grid: GridSpec) -> SourcePosterior:

@@ -54,14 +54,14 @@ def _write_json(path: Path, payload) -> None:
 def _run_jobs(ns, cfg: RunConfig, job, kinds, summary_name: str, plot, what: str) -> int:
     """Run job((cfg, kind, seed, out_dir)) for every kind and seed, then write the summary.
 
-    Each job returns (its summary, the path of the table it wrote). The
-    output directory gets effective_config.json first, then
-    {"runs": [one summary per job]} under summary_name in job order, then
-    plot(out_dir, tables), which charts these jobs' tables and no other
-    file. With --threads > 1 the jobs run in min(threads, jobs)
-    worker processes; the outputs do not depend on that. Bad --seed values, an
-    empty run list and a kind and seed listed twice (one file, two runs) fail
-    before any write.
+    Each job returns (its summary, (the path of the table it wrote, the
+    series charted from it)). The output directory gets
+    effective_config.json first, then {"runs": [one summary per job]} under
+    summary_name in job order, then plot(out_dir, tables), which charts
+    these jobs' series, held in memory, and no other file. With --threads > 1
+    the jobs run in min(threads, jobs) worker processes; the outputs do not
+    depend on that. Bad --seed values, an empty run list and a kind and seed
+    listed twice (one file, two runs) fail before any write.
     """
     if ns.threads < 1:
         raise ConfigError("--threads must be >= 1")
@@ -102,7 +102,7 @@ def _simulate_job(args):
     table = Path(out_dir) / policy / f"episode_{seed}.csv"
     table.parent.mkdir(parents=True, exist_ok=True)
     log.to_csv(table)
-    return log.summary(), table
+    return log.summary(), (table, ig_by_step(log.records))
 
 
 def _write_chart(path: Path, series, **labels) -> str | None:
@@ -113,11 +113,14 @@ def _write_chart(path: Path, series, **labels) -> str | None:
     return path.name
 
 
-def _ig_curves_svg(out_dir: Path, paths) -> str | None:
-    """Chart the episode CSVs <policy>/episode_<seed>.csv in paths, by policy, then file name."""
+def _ig_curves_svg(out_dir: Path, tables) -> str | None:
+    """Chart (path, IG by step) of episode tables <policy>/episode_<seed>.csv, by policy, then name.
+
+    The one IG chart: a run charts its episodes' series as it holds them,
+    and plot charts ig_by_step of the tables it reads, which equal them.
+    """
     series = []
-    for path in sorted(paths, key=lambda p: (POLICIES.index(p.parent.name), p.name)):
-        ig = ig_by_step(read_episode_csv(path))
+    for path, ig in sorted(tables, key=lambda t: (POLICIES.index(t[0].parent.name), t[0].name)):
         policy = path.parent.name
         series.append(
             Series(
@@ -153,7 +156,7 @@ def _train_job(args):
     curves_to_csv(result, table)
     for j, net in enumerate(result.nets):
         net.save(out / f"qnet_{mode}_{seed}_agent{j}.json")
-    mean_curve = result.curves.mean(axis=1)
+    mean_curve = _mean_curve(result.curves)
     quarter = max(1, len(mean_curve) // 4)
     return {
         "mode": mode,
@@ -166,23 +169,29 @@ def _train_job(args):
         "mean_reward_last_quarter": float(mean_curve[-quarter:].mean())
         if mean_curve.size
         else 0.0,
-    }, table
+    }, (table, mean_curve)
 
 
-def _reward_curves_svg(out_dir: Path, paths) -> str | None:
-    """Chart the curves_<mode>_<seed>.csv tables in paths, by file name."""
+def _mean_curve(curves: np.ndarray) -> np.ndarray:
+    """The agent mean of (train_steps, n_agents) reward curves; empty for a 0-step run."""
+    return curves.mean(axis=1) if curves.size else np.empty(0)
+
+
+def _reward_curves_svg(out_dir: Path, tables) -> str | None:
+    """Chart (path, agent-mean curve) of curves_<mode>_<seed>.csv tables, by file name.
+
+    The one reward chart: a run charts its curves as it holds them, and plot
+    charts _mean_curve of the tables it reads, which equal them.
+    """
     series = []
-    for path in sorted(paths):
-        curves = read_curves_csv(path)
+    for path, mean_curve in sorted(tables, key=lambda t: t[0]):
         tag = path.stem[len("curves_") :]
         mode = tag.rsplit("_", 1)[0]
-        # a 0-step run, (0, 0), is drawn as an empty series, as a 0-step episode is
-        mean_curve = curves.mean(axis=1) if curves.size else []
         series.append(
             Series(
                 label=tag,
-                xs=list(range(len(mean_curve))),
-                ys=[float(v) for v in mean_curve],
+                xs=list(range(mean_curve.size)),
+                ys=mean_curve.tolist(),
                 color=MODE_COLORS.get(mode, PALETTE[len(series) % len(PALETTE)]),
             )
         )
@@ -271,9 +280,10 @@ def cmd_plot(ns) -> int:
         raise ConfigError(f"not a directory: {out_dir}")
     try:
         episodes = [p for pol in POLICIES for p in (out_dir / pol).glob("episode_*.csv")]
+        curves = out_dir.glob("curves_*.csv")
         charts = (
-            _ig_curves_svg(out_dir, episodes),
-            _reward_curves_svg(out_dir, out_dir.glob("curves_*.csv")),
+            _ig_curves_svg(out_dir, [(p, ig_by_step(read_episode_csv(p))) for p in episodes]),
+            _reward_curves_svg(out_dir, [(p, _mean_curve(read_curves_csv(p))) for p in curves]),
         )
         names = [name for name in charts if name]
     except ValueError as exc:  # a CSV under --out that is not the table its name says

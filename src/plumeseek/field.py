@@ -137,6 +137,14 @@ class GridSpec:
             axis.setflags(write=False)
         return axes
 
+    @cached_property
+    def _center_index(self) -> tuple[dict, dict]:
+        """Measurement x and y centre value -> its column; the first of equal centres wins."""
+        return tuple(
+            dict(zip(axis[::-1].tolist(), range(axis.size - 1, -1, -1)))
+            for axis in self._center_axes[:2]
+        )
+
     def __getstate__(self):
         # a pickled grid carries its settings only; unpickled arrays would be writable
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -162,6 +170,16 @@ class GridSpec:
         """All source cell centers, shape (i_cells, j_cells, 2)."""
         xx, yy = np.meshgrid(self.src_x_centers(), self.src_y_centers(), indexing="ij")
         return np.stack([xx, yy], axis=-1)
+
+    def meas_cell_index(self, x, y) -> tuple[int, int] | None:
+        """(ix, iy) of the measurement cell centred at (x, y) exactly, else None.
+
+        A dict lookup on the centre values: a value equal to a centre finds
+        it (-0.0 finds a 0.0 centre), and NaN or any other value finds none.
+        """
+        ix = self._center_index[0].get(float(x))
+        iy = self._center_index[1].get(float(y))
+        return None if ix is None or iy is None else (ix, iy)
 
     def meas_cell_center(self, flat_index: int) -> tuple[float, float]:
         ix, iy = divmod(int(flat_index), self.b_cells)
@@ -340,12 +358,16 @@ class OffsetKernel:
     transposed_rfft2), computed once so correlate does not redo it.
 
     f is the plume's mean concentration on the same lattice, values before
-    squaring, and params the plume it was tabulated for. f_box (x0, x1, y0,
-    y1) bounds f's non-zero cells, half-open; (0, 0, 0, 0) when there are
-    none. exact is true when every lattice offset, as squared_snr_kernel
-    computes it, is meas_x_centers()[ix] - src_x_centers()[is] (and the
-    same in y), bit for bit, for every measurement/source pair; only then
-    does source_window read f.
+    squaring, stored reversed on both axes: f[px * (A - 1) - tx, ...] holds
+    the offset tx, so measurement column ix meets source column is at
+    px * (A - 1 - ix) + qx * is (A = a_cells; the same in y), and each
+    reading's window is a forward view with source stride qx. params is the
+    plume f was tabulated for. f_box (x0, x1, y0, y1) bounds the stored f's
+    non-zero cells, half-open; (0, 0, 0, 0) when there are none. exact is
+    true when every lattice offset, as squared_snr_kernel computes it, is
+    meas_x_centers()[ix] - src_x_centers()[is] (and the same in y), bit for
+    bit, for every measurement/source pair; only then does source_window
+    read f.
     """
 
     values: np.ndarray
@@ -396,9 +418,9 @@ class OffsetKernel:
     def source_window(self, x: float, y: float):
         """f over the source grid for a reading at (x, y), read off the table, or None.
 
-        When (x, y) is a measurement-cell centre exactly and the kernel is
-        exact, returns (window, rows, cols). window is an (i_cells, j_cells)
-        strided view of f equal, bit for bit, to
+        When (x, y) is a measurement-cell centre exactly (GridSpec.meas_cell_index)
+        and the kernel is exact, returns (window, rows, cols). window is an
+        (i_cells, j_cells) forward strided view of f equal, bit for bit, to
         concentration_at_sources((x, y), grid, params); it is 0.0 outside
         window[rows, cols], the source cells whose offsets meet f_box. Any
         other reading returns None and takes the closed form.
@@ -406,32 +428,28 @@ class OffsetKernel:
         if not self.exact:
             return None
         g = self.grid
-        x0, x1, y0, y1 = self.f_box
-        ax = _window_axis(x, g.meas_x_centers(), self.stride_meas_x, self.stride_src_x,
-                          g.i_cells, x0, x1)
-        ay = _window_axis(y, g.meas_y_centers(), self.stride_meas_y, self.stride_src_y,
-                          g.j_cells, y0, y1)
-        if ax is None or ay is None:
+        cell = g.meas_cell_index(x, y)
+        if cell is None:
             return None
-        (xs, rows), (ys, cols) = ax, ay
-        return self.f[xs, ys][::-1, ::-1], rows, cols
+        x0, x1, y0, y1 = self.f_box
+        xs, rows = _window_axis(cell[0], g.a_cells, self.stride_meas_x, self.stride_src_x,
+                                g.i_cells, x0, x1)
+        ys, cols = _window_axis(cell[1], g.b_cells, self.stride_meas_y, self.stride_src_y,
+                                g.j_cells, y0, y1)
+        return self.f[xs, ys], rows, cols
 
 
-def _window_axis(v, centres, p: int, q: int, n_src: int, lo: int, hi: int):
-    """(table slice, source slice) of one axis for a reading at v, or None off the centres.
+def _window_axis(im: int, n_meas: int, p: int, q: int, n_src: int, lo: int, hi: int):
+    """(table slice, source slice) of one axis for a reading at measurement column im.
 
-    Measurement column im and source column s meet at table index
-    c - q*s with c = p*im + q*(n_src - 1): the table slice, reversed, runs
-    over s = 0 .. n_src - 1, and the source slice holds the s whose index
-    lies in [lo, hi).
+    Source column s meets im at stored table index b + q*s with
+    b = p*(n_meas - 1 - im): the table slice runs over s = 0 .. n_src - 1,
+    and the source slice holds the s whose index lies in [lo, hi).
     """
-    im = int(np.searchsorted(centres, v))
-    if im == centres.size or centres[im] != v:
-        return None
-    c = p * im + q * (n_src - 1)
-    s_lo = max(0, -((hi - 1 - c) // q))
-    s_hi = max(s_lo, min(n_src, (c - lo) // q + 1))
-    return slice(p * im, c + 1, q), slice(s_lo, s_hi)
+    b = p * (n_meas - 1 - im)
+    s_lo = max(0, -((b - lo) // q))
+    s_hi = max(s_lo, min(n_src, (hi - 1 - b) // q + 1))
+    return slice(b, b + q * (n_src - 1) + 1, q), slice(s_lo, s_hi)
 
 
 def _exact_axis(meas, src, off, p: int, q: int, t0: int) -> bool:
@@ -479,8 +497,9 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     The lattice spans all displacements (measurement center - source center),
     including sub-pitch shifts, from the most negative, so the origin sits at
     q * (n_src - 1) on each axis. The concentration f on the lattice is kept,
-    with its non-zero box and its exactness flag, so that on-lattice readings
-    take their likelihood from this one evaluation (see source_window).
+    tabulated in its reversed stored orientation (see OffsetKernel), with its
+    non-zero box and its exactness flag, so that on-lattice readings take
+    their likelihood from this one evaluation (see source_window).
     """
     (px, qx), (py, qy), fft_shape = offset_lattice(grid, params)
     fine_dx = grid.meas_dx / px
@@ -495,8 +514,11 @@ def squared_snr_kernel(params: PlumeParams, grid: GridSpec) -> OffsetKernel:
     ty = np.arange(ty0, py * (grid.b_cells - 1) + 1)
     off_x = tx * fine_dx + shift_x
     off_y = ty * fine_dy + shift_y
-    f = _concentration_at_offset(off_x[:, None], off_y[None, :], params)
-    values = (f * f) / (2.0 * params.noise_sigma**2)
+    # f in its stored orientation, offsets descending; values ascending
+    f = _concentration_at_offset(off_x[::-1, None], off_y[None, ::-1], params)
+    ascending = f[::-1, ::-1]
+    values = np.multiply(ascending, ascending, out=np.empty(ascending.shape))
+    values /= 2.0 * params.noise_sigma**2
     nz_x = np.flatnonzero(f.any(axis=1))
     nz_y = np.flatnonzero(f.any(axis=0))
     f_box = (0, 0, 0, 0)

@@ -8,6 +8,7 @@ source cells.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .field import (
     KernelGridMismatch,
     OffsetKernel,
     PlumeParams,
+    _exact_axis,
     check_number,
     concentration,
     concentration_at_sources,
@@ -48,7 +50,10 @@ class ScoreMap:
 
 
 def movement_cost(cm: CostModel, frm, to) -> np.ndarray:
-    """Cost of relocating from frm to to; to may be an array of points."""
+    """Cost of relocating from frm to to; each may be a point or an array of points.
+
+    frm and to broadcast, so one call prices a whole team's moves, one per row.
+    """
     frm = np.asarray(frm, dtype=float)
     to = np.asarray(to, dtype=float)
     d2 = np.sum((to - frm) ** 2, axis=-1)
@@ -69,6 +74,79 @@ def movement_cost_map(cm: CostModel, grid: GridSpec, frm) -> np.ndarray:
     cost *= cm.quad_coeff
     cost += 1.0
     return cost
+
+
+def _centre_offsets(centres: np.ndarray) -> np.ndarray | None:
+    """Centre differences by index offset t = 1 - n .. n - 1, or None if one is not exact.
+
+    Entry n - 1 + t is centres[t] - centres[0] (centres[0] - centres[-t] for
+    t < 0, its exact negation). Returned only when, as _exact_axis checks the
+    kernel's offsets, centres[k + t] - centres[k] is that value bit for bit
+    for every pair, so the difference of two centres depends on t alone. The
+    pairs are checked 64 rows at a time, so the check's temporaries stay
+    well below the cost table's size.
+    """
+    n = centres.size
+    d = centres - centres[0]
+    off = np.concatenate([-d[:0:-1], d])
+    for k in range(0, n, 64):
+        if not _exact_axis(centres[k : k + 64], centres, off, 1, 1, 1 - n - k):
+            return None
+    return off
+
+
+def _tabulate_costs(cm: CostModel, grid: GridSpec) -> np.ndarray | None:
+    """1 + quad_coeff * (dx^2 + dy^2) over the centre offsets, (2A - 1, 2B - 1), or None.
+
+    Built in movement_cost_map's order from the exact centre differences, so
+    cost_window's view at a centre equals that map bit for bit. None when a
+    grid's centre differences are not translation-exact (_centre_offsets).
+    """
+    off_x = _centre_offsets(grid.meas_x_centers())
+    off_y = _centre_offsets(grid.meas_y_centers())
+    if off_x is None or off_y is None:
+        return None
+    cost = (off_x**2)[:, None] + (off_y**2)[None, :]
+    cost *= cm.quad_coeff
+    cost += 1.0
+    return cost
+
+
+@functools.lru_cache(maxsize=4)
+def cost_table(cm: CostModel, grid: GridSpec) -> np.ndarray | None:
+    """The read-only cost table of (cm, grid), tabulated once (see _tabulate_costs)."""
+    table = _tabulate_costs(cm, grid)
+    if table is not None:
+        table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=4)
+def weight_table(cm: CostModel, grid: GridSpec) -> np.ndarray | None:
+    """1 / cost_table(cm, grid), read-only: the cost-only policy's weights, tabulated once.
+
+    Divided in place from its own tabulation, so an episode holds only the
+    tables its policy reads.
+    """
+    table = _tabulate_costs(cm, grid)
+    if table is not None:
+        np.divide(1.0, table, out=table)
+        table.setflags(write=False)
+    return table
+
+
+def cost_window(table: np.ndarray | None, grid: GridSpec, frm) -> np.ndarray | None:
+    """table's (a_cells, b_cells) view for a move from frm, or None.
+
+    None without a table, or when frm is not a measurement-cell centre
+    exactly (GridSpec.meas_cell_index), as a random start is not. The view
+    from cell (ix, iy) is table[A - 1 - ix : 2A - 1 - ix, B - 1 - iy : 2B - 1 - iy].
+    """
+    cell = None if table is None else grid.meas_cell_index(*frm)
+    if cell is None:
+        return None
+    x0, y0 = grid.a_cells - 1 - cell[0], grid.b_cells - 1 - cell[1]
+    return table[x0 : x0 + grid.a_cells, y0 : y0 + grid.b_cells]
 
 
 def eig_exact(
@@ -178,10 +256,15 @@ def compute_score_map(
 def select_next(scores: ScoreMap, cm: CostModel, agent_pos) -> tuple[float, float]:
     """Measurement cell center maximizing score / movement cost.
 
-    Exact ratio ties resolve to the lowest row-major cell index, so selection
-    is deterministic.
+    From a cell centre on a grid whose centre differences are exact, the
+    costs are a view of the (cm, grid) cost table, tabulated once; from
+    anywhere else, or on any other grid, they are movement_cost_map's. Both
+    hold the same bits. Exact ratio ties resolve to the lowest row-major cell
+    index, so selection is deterministic.
     """
-    cost = movement_cost_map(cm, scores.grid, agent_pos)
-    ratio = np.divide(scores.values, cost, out=cost)
-    best = int(np.argmax(ratio))  # first occurrence wins ties
-    return scores.grid.meas_cell_center(best)
+    grid = scores.grid
+    cost = cost_window(cost_table(cm, grid), grid, agent_pos)
+    if cost is None:
+        cost = movement_cost_map(cm, grid, agent_pos)
+    best = int(np.argmax(scores.values / cost))  # first occurrence wins ties
+    return grid.meas_cell_center(best)

@@ -37,9 +37,11 @@ from .planner import (
     TIERS,
     CostModel,
     compute_score_map,
+    cost_window,
     movement_cost,
     movement_cost_map,
     select_next,
+    weight_table,
 )
 
 POLICY_INFO = "info"
@@ -302,11 +304,31 @@ def random_policy(rng: np.random.Generator, grid: GridSpec):
     return grid.meas_cell_center(int(rng.integers(grid.n_meas_cells)))
 
 
+def cost_only_probs(position, cm: CostModel, grid: GridSpec) -> np.ndarray:
+    """Row-major probabilities of each cell under the cost-only policy from position.
+
+    w / w.sum() with w = 1 / movement cost: a contiguous copy of the
+    weight table's view from a cell centre (planner.cost_window), else the
+    reciprocal of movement_cost_map. Both hold the same bits.
+    """
+    w = cost_window(weight_table(cm, grid), grid, position)
+    if w is None:
+        w = 1.0 / movement_cost_map(cm, grid, position)
+    w = np.ascontiguousarray(w).ravel()
+    return w / w.sum()
+
+
 def cost_only_policy(position, cm: CostModel, rng: np.random.Generator, grid: GridSpec):
-    """Sample a cell with probability proportional to 1 / movement cost from position."""
-    w = 1.0 / movement_cost_map(cm, grid, position).ravel()
-    flat = int(rng.choice(w.size, p=w / w.sum()))
-    return grid.meas_cell_center(flat)
+    """Sample a cell with probability proportional to 1 / movement cost from position.
+
+    The draw is Generator.choice(n_meas_cells, p=cost_only_probs(...))'s own
+    inverse CDF: cdf = p.cumsum(), cdf /= cdf[-1], then the first cell whose
+    cdf exceeds one rng.random(). It takes the same cell and leaves rng in
+    the same state as choice, without choice's checks of p.
+    """
+    cdf = cost_only_probs(position, cm, grid).cumsum()
+    cdf /= cdf[-1]
+    return grid.meas_cell_center(int(cdf.searchsorted(rng.random(), side="right")))
 
 
 def sense(
@@ -396,20 +418,21 @@ def run_episode(cfg: SimConfig) -> EpisodeLog:
         team.fold(everyone, readings)
         ig = float(team.igs[0])
 
-        scores = None
         if cfg.policy == POLICY_INFO:
             scores = compute_score_map(team.beliefs[0], plume, cfg.tier, cfg.quad_nodes, kernel)
-        for i, position in enumerate(team.positions):
-            if cfg.policy == POLICY_INFO:
-                target = select_next(scores, cfg.cost, position)
-            elif cfg.policy == POLICY_COST_ONLY:
-                target = cost_only_policy(position, cfg.cost, team.policy_rngs[i], grid)
-            else:
-                target = random_policy(team.policy_rngs[i], grid)
-            paid = float(movement_cost(cfg.cost, position, np.asarray(target)))
-            x, y = float(position[0]), float(position[1])
-            log.records.append(StepRecord(step, i, x, y, readings[i].value, ig, paid))
-            team.positions[i] = target
+            targets = [select_next(scores, cfg.cost, position) for position in team.positions]
+        elif cfg.policy == POLICY_COST_ONLY:
+            targets = [
+                cost_only_policy(position, cfg.cost, rng, grid)
+                for position, rng in zip(team.positions, team.policy_rngs)
+            ]
+        else:
+            targets = [random_policy(rng, grid) for rng in team.policy_rngs]
+        # one call prices the team's moves; each row sums two terms, as one move's would
+        paid = movement_cost(cfg.cost, team.positions, targets).tolist()
+        for i, (x, y) in enumerate(team.positions.tolist()):
+            log.records.append(StepRecord(step, i, x, y, readings[i].value, ig, paid[i]))
+        team.positions[:] = targets
 
     log.final_posterior = team.beliefs[0]
     return log

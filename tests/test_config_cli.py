@@ -1026,6 +1026,21 @@ def test_plot_regenerates_svg_and_needs_data(tmp_path, capsys):
     assert main(["plot", "--out", str(tmp_path / "missing")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command,svg_name", [("simulate", "ig_curves.svg"), ("train", "reward_curves.svg")]
+)
+def test_a_runs_own_chart_is_the_chart_plot_draws_from_its_tables(
+    tmp_path, capsys, command, svg_name
+):
+    # a run charts the series it holds in memory; plot reads its tables back
+    out = tmp_path / command
+    assert main([command, "--config", str(CONFIGS / "quickstart.json"), "--out", str(out)]) == 0
+    own = (out / svg_name).read_bytes()
+    (out / svg_name).unlink()
+    assert main(["plot", "--out", str(out)]) == 0
+    assert (out / svg_name).read_bytes() == own
+
+
 def test_plot_escapes_a_label_taken_from_a_file_name(tmp_path, capsys):
     cfg_path = write_config(tmp_path, TINY_SIM)
     out = tmp_path / "run"

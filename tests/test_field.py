@@ -498,12 +498,72 @@ def test_kernel_source_window_is_none_off_the_lattice():
     for x, y in [(0.5, 0.25), (0.25, 0.5), (12.5, 0.5), (-0.5, 0.5), (0.5, 6.5),
                  (math.nan, 0.5), (0.5, -math.inf), (math.nextafter(0.5, 1.0), 0.5)]:
         assert k.source_window(x, y) is None
+    for c in g.meas_y_centers().tolist():  # one ulp off every centre, either side, either axis
+        for d in (-math.inf, math.inf):
+            assert k.source_window(math.nextafter(c, d), c) is None
+            assert k.source_window(c, math.nextafter(c, d)) is None
     # pitch 0.1 from x_min 0.1: centre differences round off the lattice offsets
     inexact = GridSpec(0.1, 1.3, 0.1, 0.7, 12, 6, 12, 6)
     k = squared_snr_kernel(blob(length_scale=0.2), inexact)
     assert not k.exact
     for flat in range(inexact.n_meas_cells):
         assert k.source_window(*inexact.meas_cell_center(flat)) is None
+
+
+def searchsorted_cell(v, centres):
+    """The centre lookup source_window made before the dict: searchsorted, then equality."""
+    im = int(np.searchsorted(centres, v))
+    return im if im < centres.size and centres[im] == v else None
+
+
+def test_meas_cell_index_finds_what_searchsorted_found():
+    # centres -2 .. 2 in x include 0.0 exactly: -0.0 finds it, as it did
+    g = GridSpec(-2.5, 2.5, -1.0, 5.0, 5, 3, 5, 3)
+    cx, cy = g.meas_x_centers(), g.meas_y_centers()
+    assert 0.0 in cx.tolist()
+    values = [*cx.tolist(), 0.0, -0.0, math.nan, math.inf, -math.inf, 1.7, 2.5]
+    values += [math.nextafter(c, d) for c in cx.tolist() for d in (-math.inf, math.inf)]
+    for x in values:
+        for y in [cy[1], math.nextafter(cy[1], 9.0), math.nan]:
+            want = searchsorted_cell(x, cx), searchsorted_cell(y, cy)
+            got = g.meas_cell_index(x, y)
+            assert got == (None if None in want else want), (x, y)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_kernel_source_window_at_a_signed_zero_centre_is_the_closed_form(zero):
+    g = GridSpec(-2.5, 2.5, -2.5, 2.5, 5, 5, 5, 5)  # a centre at 0.0 on both axes
+    for params in (blob(length_scale=0.8), advected(wind=(1.0, 0.5))):
+        k = squared_snr_kernel(params, g)
+        assert k.exact
+        for x, y in [(zero, zero), (zero, 1.0), (-2.0, zero)]:
+            window, rows, cols = k.source_window(x, y)
+            assert same_bits(window, concentration_at_sources((x, y), g, params))
+
+
+def test_advected_kernel_stores_f_reversed_with_its_upwind_half_zero():
+    # wind along +x: a source downwind of the sensor (offset x <= 0) reads nothing
+    g = GridSpec(0.0, 12.0, 0.0, 6.0, 12, 6, 24, 9)  # strides 2:1 in x, 3:2 in y
+    params = advected(wind=(1.0, 0.0), spread_rate=0.2)
+    k = squared_snr_kernel(params, g)
+    (px, qx), (py, qy), _ = offset_lattice(g, params)
+    tx = px * (g.a_cells - 1) - np.arange(k.f.shape[0])  # stored row u holds offset tx
+    ty = py * (g.b_cells - 1) - np.arange(k.f.shape[1])
+    off_x = tx * (g.meas_dx / px) + 0.5 * (g.meas_dx - g.src_dx)
+    off_y = ty * (g.meas_dy / py) + 0.5 * (g.meas_dy - g.src_dy)
+    offsets = np.stack(np.meshgrid(off_x, off_y, indexing="ij"), axis=-1)
+    assert same_bits(k.f, plain_concentration(offsets, (0.0, 0.0), params))
+    assert not k.f[off_x <= 0.0].any() and k.f[off_x > 0.0].any()
+    x0, x1, y0, y1 = k.f_box
+    nz_x = np.flatnonzero(k.f.any(axis=1))
+    nz_y = np.flatnonzero(k.f.any(axis=0))
+    assert (x0, x1, y0, y1) == (nz_x[0], nz_x[-1] + 1, nz_y[0], nz_y[-1] + 1)
+    assert x0 == 0 and x1 == np.count_nonzero(off_x > 0.0)  # the upwind half is cut off
+    outside = np.ones(k.f.shape, dtype=bool)
+    outside[x0:x1, y0:y1] = False
+    assert not k.f[outside].any()
+    # values keeps the ascending orientation its spectrum is taken in
+    assert same_bits(k.values, (k.f * k.f)[::-1, ::-1] / (2.0 * params.noise_sigma**2))
 
 
 def test_next_fast_len_equals_scipy():

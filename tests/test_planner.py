@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
-from oracles import overhead_pick, snr_score_bruteforce
+from oracles import overhead_pick, same_bits, snr_score_bruteforce
 from scipy.fft import next_fast_len
 
 from plumeseek.belief import (
@@ -33,12 +33,15 @@ from plumeseek.planner import (
     CostModel,
     ScoreMap,
     compute_score_map,
+    cost_table,
+    cost_window,
     eig_exact,
     movement_cost,
     movement_cost_map,
     select_next,
     snr_score_map_bruteforce,
     snr_score_map_fft,
+    weight_table,
 )
 
 LOG2 = math.log(2.0)
@@ -516,6 +519,77 @@ def test_a_fixed_cost_other_than_1_only_rescales_the_quadratic_term(seed):
         cm = CostModel(quad_coeff=quad_coeff / overhead)
         for pos in rng.uniform((0.0, 0.0), (16.0, 12.0), size=(10, 2)):
             assert select_next(scores, cm, pos) == overhead_pick(scores, overhead, quad_coeff, pos)
+
+
+# grids whose centre differences are exact, with measurement:source pitch
+# ratios (and measurement x:y pitch ratios) 1:1, 1:2 and 2:3
+EXACT_GRIDS = [
+    GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 16, 12),
+    GridSpec(0.0, 8.0, 0.0, 20.0, 8, 10, 4, 5),
+    GridSpec(-4.0, 8.0, 2.0, 20.0, 6, 6, 4, 4),
+]
+RATIOS = ["1:1", "1:2", "2:3"]
+
+
+@pytest.mark.parametrize("g,ratio", zip(EXACT_GRIDS, RATIOS), ids=RATIOS)
+def test_cost_table_window_is_the_cost_map_at_every_centre(g, ratio):
+    a, b = map(float, ratio.split(":"))
+    assert g.meas_dx / g.src_dx == g.meas_dx / g.meas_dy == a / b
+    for quad_coeff in (0.0, 0.03, 7.5):
+        cm = CostModel(quad_coeff=quad_coeff)
+        table = cost_table(cm, g)
+        assert table.shape == (2 * g.a_cells - 1, 2 * g.b_cells - 1)
+        assert not table.flags.writeable and cost_table(cm, g) is table  # tabulated once
+        weights = weight_table(cm, g)
+        for flat in range(g.n_meas_cells):
+            pos = g.meas_cell_center(flat)
+            want = movement_cost_map(cm, g, pos)
+            assert same_bits(cost_window(table, g, pos), want)
+            assert same_bits(cost_window(weights, g, pos), 1.0 / want)
+        assert cost_window(table, g, (pos[0] + 0.25, pos[1])) is None  # off the centres
+
+
+def test_cost_table_is_none_where_centre_differences_are_not_translation_exact():
+    # from x_min -3.7 the centres' differences round apart: the cost map serves
+    g = GridSpec(-3.7, 12.3, 0.0, 12.0, 16, 12, 8, 6)
+    cx = g.meas_x_centers().tolist()
+    assert len({cx[k + 1] - cx[k] for k in range(15)}) > 1  # one pitch, two differences
+    cm = CostModel(quad_coeff=0.03)
+    assert cost_table(cm, g) is None and weight_table(cm, g) is None
+    assert cost_window(cost_table(cm, g), g, g.meas_cell_center(5)) is None
+    vals = np.random.default_rng(5).random((16, 12))
+    for flat in range(g.n_meas_cells):
+        pos = g.meas_cell_center(flat)
+        scores = ScoreMap(vals, g)
+        assert select_next(scores, cm, pos) == select_next_oracle(scores, cm, pos)
+
+
+def cost_map_pick(scores, cm, pos):
+    """select_next through movement_cost_map alone: the first argmax of score / cost."""
+    ratio = scores.values / movement_cost_map(cm, scores.grid, pos)
+    return scores.grid.meas_cell_center(int(np.argmax(ratio)))
+
+
+@pytest.mark.parametrize("g", EXACT_GRIDS, ids=RATIOS)
+def test_select_next_from_a_centre_picks_the_cost_map_cell_with_planted_ties(g):
+    rng = np.random.default_rng(29)
+    cm = CostModel(quad_coeff=0.05)
+    for _ in range(30):
+        vals = rng.random((g.a_cells, g.b_cells))
+        ix, iy = rng.integers(g.a_cells), rng.integers(g.b_cells)
+        pos = (float(g.meas_x_centers()[ix]), float(g.meas_y_centers()[iy]))
+        # equal scores at cells mirrored about the agent tie exactly in ratio,
+        # as do several copies of the top score at the agent's own distance
+        top = vals.max() + 1.0
+        for dx, dy in ((1, 0), (0, 1), (2, 2)):
+            for sx, sy in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+                a, b = ix + sx * dx, iy + sy * dy
+                if 0 <= a < g.a_cells and 0 <= b < g.b_cells:
+                    vals[a, b] = top
+        scores = ScoreMap(vals, g)
+        want = cost_map_pick(scores, cm, pos)
+        assert select_next(scores, cm, pos) == want == select_next_oracle(scores, cm, pos)
+        assert select_next(ScoreMap(np.ones_like(vals), g), cm, pos) == pos  # staying is cheapest
 
 
 def test_select_next_all_equal_scores_picks_nearest():

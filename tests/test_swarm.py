@@ -17,7 +17,13 @@ from plumeseek.belief import (
     uniform_posterior,
 )
 from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams, squared_snr_kernel
-from plumeseek.planner import CostModel, TIER_SNR_FFT, movement_cost, snr_score_map_bruteforce
+from plumeseek.planner import (
+    TIER_SNR_FFT,
+    CostModel,
+    movement_cost,
+    snr_score_map_bruteforce,
+    weight_table,
+)
 from plumeseek.rl.env import Action, HybridEnv, HybridEnvConfig
 from plumeseek.rl.train import CurveRow
 from plumeseek.swarm import (
@@ -31,6 +37,7 @@ from plumeseek.swarm import (
     World,
     agent_streams,
     cost_only_policy,
+    cost_only_probs,
     ig_by_step,
     random_policy,
     read_episode_csv,
@@ -428,37 +435,38 @@ def test_cost_only_policy_prefers_cheap_cells():
 
 
 def test_cost_only_policy_equals_movement_cost_oracle():
+    # the policy's inverse-CDF draw is Generator.choice's: the same cell, and
+    # the generator left in the same state, off the centres (the cost map)
+    # and on them (the weight table)
     g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)
-    cm = CostModel(quad_coeff=0.03)
     centers = g.meas_centers().reshape(-1, 2)
     # (8.0, 6.0) sits on a cell corner: its four nearest cells tie exactly
-    for pos in [np.array([8.0, 6.0]), np.array([2.3, 10.9]), np.array([15.1, 0.2])]:
-        w = 1.0 / movement_cost(cm, pos, centers)
-        want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
-        for _ in range(50):
-            want = g.meas_cell_center(int(want_rng.choice(w.size, p=w / w.sum())))
-            assert cost_only_policy(pos, cm, got_rng, g) == want
-
-
-class ChoiceSpy:
-    """Stands in for a Generator: records the probabilities choice() is given, returns cell 0."""
-
-    def choice(self, n, p):
-        self.p = p
-        return 0
+    off_centre = [np.array([8.0, 6.0]), np.array([2.3, 10.9]), np.array([15.1, 0.2])]
+    on_centre = [np.asarray(g.meas_cell_center(flat)) for flat in (0, 77, 100, 191)]
+    for quad_coeff in (0.03, 0.0, 250.0):
+        cm = CostModel(quad_coeff=quad_coeff)
+        assert weight_table(cm, g) is not None  # the on-centre draws read the table
+        for pos in off_centre + on_centre:
+            w = 1.0 / movement_cost(cm, pos, centers)
+            want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
+            for _ in range(50):
+                want = g.meas_cell_center(int(want_rng.choice(w.size, p=w / w.sum())))
+                assert cost_only_policy(pos, cm, got_rng, g) == want
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_cost_only_probabilities_do_not_depend_on_the_unit_of_cost(seed):
-    # 1 / (o + q d^2) = (1 / o) / (1 + (q / o) d^2): normalizing drops the 1 / o
+    # 1 / (o + q d^2) = (1 / o) / (1 + (q / o) d^2): normalizing drops the 1 / o;
+    # cost_only_probs is what the policy draws from, on and off the centres
     rng = np.random.default_rng(seed)
     g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)
+    on_centre = [g.meas_cell_center(int(flat)) for flat in rng.integers(g.n_meas_cells, size=3)]
     for overhead, quad_coeff in [(0.7, 0.03), (1e-3, 0.5), (250.0, 0.01), (3.0, 0.0)]:
-        for pos in rng.uniform((0.0, 0.0), (16.0, 12.0), size=(5, 2)):
-            spy = ChoiceSpy()
-            cost_only_policy(pos, CostModel(quad_coeff=quad_coeff / overhead), spy, g)
+        for pos in [*rng.uniform((0.0, 0.0), (16.0, 12.0), size=(5, 2)), *on_centre]:
+            got = cost_only_probs(pos, CostModel(quad_coeff=quad_coeff / overhead), g)
             want = overhead_cost_only_probs(g, overhead, quad_coeff, pos)
-            np.testing.assert_allclose(spy.p, want, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize(
