@@ -198,14 +198,15 @@ def posterior_update(
     if not records:
         return post
     total = np.array(post.log_probs, dtype=float, copy=True)
-    floors = None
     if kernel is not None:
         kernel.check(post.grid, params)
-        values = np.array([rec.value for rec in records], dtype=float)
-        floors = gaussian_loglik(values, 0.0, params.noise_sigma)
+    floors = None  # the batch's off-window values, built at its first partial window
     for k, rec in enumerate(records):
         ll, rows, cols = _window_loglik(rec, post.grid, params, kernel)
         partial = ll.size < total.size  # cells off the window hold floors[k]
+        if partial and floors is None:
+            values = np.array([r.value for r in records], dtype=float)
+            floors = gaussian_loglik(values, 0.0, params.noise_sigma)
         floored = ll.size == 0 or ll.max() <= LOGLIK_FLOOR
         if floored and (not partial or floors[k] <= LOGLIK_FLOOR):
             raise AllMassLost(

@@ -453,9 +453,17 @@ def _window_axis(im: int, n_meas: int, p: int, q: int, n_src: int, lo: int, hi: 
 
 
 def _exact_axis(meas, src, off, p: int, q: int, t0: int) -> bool:
-    """True when off[p*im - q*is - t0] is meas[im] - src[is], bit for bit, for every pair."""
-    t = p * np.arange(meas.size)[:, None] - q * np.arange(src.size)[None, :] - t0
-    return np.array_equal((meas[:, None] - src[None, :]).view(np.int64), off[t].view(np.int64))
+    """True when off[p*im - q*is - t0] is meas[im] - src[is], bit for bit, for every pair.
+
+    Checked 64 measurement rows at a time, so the temporaries stay bounded.
+    """
+    cols = q * np.arange(src.size) + t0
+    for k in range(0, meas.size, 64):
+        t = p * np.arange(k, min(k + 64, meas.size))[:, None] - cols
+        diff = meas[k : k + 64, None] - src
+        if not np.array_equal(diff.view(np.int64), off[t].view(np.int64)):
+            return False
+    return True
 
 
 def next_fast_len(n: int) -> int:

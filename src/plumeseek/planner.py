@@ -60,17 +60,9 @@ def movement_cost(cm: CostModel, frm, to) -> np.ndarray:
     return 1.0 + cm.quad_coeff * d2
 
 
-def movement_cost_map(cm: CostModel, grid: GridSpec, frm) -> np.ndarray:
-    """Cost of relocating from frm to every measurement cell center, (a_cells, b_cells).
-
-    Equal to movement_cost(cm, frm, grid.meas_centers()), bit for bit, from
-    the squared x and y distances to the center axes; the map is built in
-    place, in the order of 1.0 + quad_coeff * d^2.
-    """
-    x, y = np.asarray(frm, dtype=float)
-    dx2 = (grid.meas_x_centers() - x) ** 2
-    dy2 = (grid.meas_y_centers() - y) ** 2
-    cost = dx2[:, None] + dy2[None, :]
+def _outer_cost(cm: CostModel, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """1 + quad_coeff * (dx^2 + dy^2) for every (dx, dy) pair, built in place in that order."""
+    cost = (dx**2)[:, None] + (dy**2)[None, :]
     cost *= cm.quad_coeff
     cost += 1.0
     return cost
@@ -82,69 +74,47 @@ def _centre_offsets(centres: np.ndarray) -> np.ndarray | None:
     Entry n - 1 + t is centres[t] - centres[0] (centres[0] - centres[-t] for
     t < 0, its exact negation). Returned only when, as _exact_axis checks the
     kernel's offsets, centres[k + t] - centres[k] is that value bit for bit
-    for every pair, so the difference of two centres depends on t alone. The
-    pairs are checked 64 rows at a time, so the check's temporaries stay
-    well below the cost table's size.
+    for every pair, so the difference of two centres depends on t alone.
     """
     n = centres.size
     d = centres - centres[0]
     off = np.concatenate([-d[:0:-1], d])
-    for k in range(0, n, 64):
-        if not _exact_axis(centres[k : k + 64], centres, off, 1, 1, 1 - n - k):
-            return None
-    return off
+    return off if _exact_axis(centres, centres, off, 1, 1, 1 - n) else None
 
 
-def _tabulate_costs(cm: CostModel, grid: GridSpec) -> np.ndarray | None:
-    """1 + quad_coeff * (dx^2 + dy^2) over the centre offsets, (2A - 1, 2B - 1), or None.
+@functools.lru_cache(maxsize=4)
+def _cost_table(cm: CostModel, grid: GridSpec) -> np.ndarray | None:
+    """The read-only cost of every move between centres of (cm, grid), (2A - 1, 2B - 1), or None.
 
-    Built in movement_cost_map's order from the exact centre differences, so
-    cost_window's view at a centre equals that map bit for bit. None when a
+    Entry (A - 1 + tx, B - 1 + ty) is the cost of a move tx cells along x
+    and ty along y, by _outer_cost over the exact centre differences, so a
+    view of it holds movement_cost_map's bits. Tabulated once; None when a
     grid's centre differences are not translation-exact (_centre_offsets).
     """
     off_x = _centre_offsets(grid.meas_x_centers())
     off_y = _centre_offsets(grid.meas_y_centers())
     if off_x is None or off_y is None:
         return None
-    cost = (off_x**2)[:, None] + (off_y**2)[None, :]
-    cost *= cm.quad_coeff
-    cost += 1.0
-    return cost
-
-
-@functools.lru_cache(maxsize=4)
-def cost_table(cm: CostModel, grid: GridSpec) -> np.ndarray | None:
-    """The read-only cost table of (cm, grid), tabulated once (see _tabulate_costs)."""
-    table = _tabulate_costs(cm, grid)
-    if table is not None:
-        table.setflags(write=False)
+    table = _outer_cost(cm, off_x, off_y)
+    table.setflags(write=False)
     return table
 
 
-@functools.lru_cache(maxsize=4)
-def weight_table(cm: CostModel, grid: GridSpec) -> np.ndarray | None:
-    """1 / cost_table(cm, grid), read-only: the cost-only policy's weights, tabulated once.
+def movement_cost_map(cm: CostModel, grid: GridSpec, frm) -> np.ndarray:
+    """Cost of relocating from frm to every measurement cell center, (a_cells, b_cells).
 
-    Divided in place from its own tabulation, so an episode holds only the
-    tables its policy reads.
+    Equal to movement_cost(cm, frm, grid.meas_centers()), bit for bit. From
+    the centre of measurement cell (ix, iy) exactly (GridSpec.meas_cell_index)
+    on a grid with a cost table, it is the table's read-only view
+    table[A - 1 - ix : 2A - 1 - ix, B - 1 - iy : 2B - 1 - iy]; from anywhere
+    else, as a random start, or on any other grid, it is a new array built by
+    _outer_cost from the distances to the centre axes.
     """
-    table = _tabulate_costs(cm, grid)
-    if table is not None:
-        np.divide(1.0, table, out=table)
-        table.setflags(write=False)
-    return table
-
-
-def cost_window(table: np.ndarray | None, grid: GridSpec, frm) -> np.ndarray | None:
-    """table's (a_cells, b_cells) view for a move from frm, or None.
-
-    None without a table, or when frm is not a measurement-cell centre
-    exactly (GridSpec.meas_cell_index), as a random start is not. The view
-    from cell (ix, iy) is table[A - 1 - ix : 2A - 1 - ix, B - 1 - iy : 2B - 1 - iy].
-    """
-    cell = None if table is None else grid.meas_cell_index(*frm)
-    if cell is None:
-        return None
+    x, y = np.asarray(frm, dtype=float)
+    cell = grid.meas_cell_index(x, y)
+    table = None if cell is None else _cost_table(cm, grid)
+    if table is None:
+        return _outer_cost(cm, grid.meas_x_centers() - x, grid.meas_y_centers() - y)
     x0, y0 = grid.a_cells - 1 - cell[0], grid.b_cells - 1 - cell[1]
     return table[x0 : x0 + grid.a_cells, y0 : y0 + grid.b_cells]
 
@@ -254,17 +224,11 @@ def compute_score_map(
 
 
 def select_next(scores: ScoreMap, cm: CostModel, agent_pos) -> tuple[float, float]:
-    """Measurement cell center maximizing score / movement cost.
+    """Measurement cell center maximizing score / movement_cost_map.
 
-    From a cell centre on a grid whose centre differences are exact, the
-    costs are a view of the (cm, grid) cost table, tabulated once; from
-    anywhere else, or on any other grid, they are movement_cost_map's. Both
-    hold the same bits. Exact ratio ties resolve to the lowest row-major cell
-    index, so selection is deterministic.
+    Exact ratio ties resolve to the lowest row-major cell index, so selection
+    is deterministic.
     """
     grid = scores.grid
-    cost = cost_window(cost_table(cm, grid), grid, agent_pos)
-    if cost is None:
-        cost = movement_cost_map(cm, grid, agent_pos)
-    best = int(np.argmax(scores.values / cost))  # first occurrence wins ties
+    best = int(np.argmax(scores.values / movement_cost_map(cm, grid, agent_pos)))
     return grid.meas_cell_center(best)

@@ -7,7 +7,6 @@ the tests, so there is no autograd framework underneath.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np

@@ -37,11 +37,9 @@ from .planner import (
     TIERS,
     CostModel,
     compute_score_map,
-    cost_window,
     movement_cost,
     movement_cost_map,
     select_next,
-    weight_table,
 )
 
 POLICY_INFO = "info"
@@ -307,19 +305,14 @@ def random_policy(rng: np.random.Generator, grid: GridSpec):
 def cost_only_probs(position, cm: CostModel, grid: GridSpec) -> np.ndarray:
     """Row-major probabilities of each cell under the cost-only policy from position.
 
-    w / w.sum() with w = 1 / movement cost: a contiguous copy of the
-    weight table's view from a cell centre (planner.cost_window), else the
-    reciprocal of movement_cost_map. Both hold the same bits.
+    w / w.sum() with w = 1 / movement_cost_map(cm, grid, position).
     """
-    w = cost_window(weight_table(cm, grid), grid, position)
-    if w is None:
-        w = 1.0 / movement_cost_map(cm, grid, position)
-    w = np.ascontiguousarray(w).ravel()
+    w = (1.0 / movement_cost_map(cm, grid, position)).ravel()
     return w / w.sum()
 
 
 def cost_only_policy(position, cm: CostModel, rng: np.random.Generator, grid: GridSpec):
-    """Sample a cell with probability proportional to 1 / movement cost from position.
+    """Sample a cell with probability proportional to 1 / movement_cost_map from position.
 
     The draw is Generator.choice(n_meas_cells, p=cost_only_probs(...))'s own
     inverse CDF: cdf = p.cumsum(), cdf /= cdf[-1], then the first cell whose

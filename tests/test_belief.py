@@ -13,6 +13,7 @@ from oracles import (
 )
 from scipy.stats import norm
 
+from plumeseek import belief
 from plumeseek.belief import (
     AllMassLost,
     LOGLIK_FLOOR,
@@ -292,6 +293,33 @@ def test_window_fold_equals_the_per_reading_fold():
             fast, slow = got, want
     assert kinds == {"closed form", "whole grid", "part", "empty"}
     assert raised == 2
+
+
+def test_off_window_values_are_built_only_for_a_partial_window(monkeypatch):
+    # one row, wind along it: a reading at x = 7.5 has every source upwind, so
+    # its window is the whole grid; at x = 4.5 it is part of it. Each reading
+    # takes one gaussian_loglik call; the batch's off-window values take one
+    # more, and only when some window is partial
+    g = GridSpec(0.0, 8.0, 0.0, 1.0, 8, 1, 4, 1)
+    params = PlumeParams(kind=ADVECTED, strength=100.0, wind=(1.0, 0.0))
+    kernel = squared_snr_kernel(params, g)
+    whole = [MeasurementRecord(7.5, 0.5, 100.0 + 0.1 * k, step=k) for k in range(5)]
+    part = whole[:3] + [MeasurementRecord(4.5, 0.5, 100.2), MeasurementRecord(4.5, 0.5, 0.3)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gaussian_loglik(*args, **kwargs)
+
+    prior = uniform_posterior(g)
+    for batch, n_calls in ((whole, 5), (part, 6)):
+        want = posterior_update(prior, batch, params)  # the closed form, no kernel
+        calls.clear()
+        monkeypatch.setattr(belief, "gaussian_loglik", counted)
+        got = posterior_update(prior, batch, params, kernel)
+        monkeypatch.undo()
+        assert len(calls) == n_calls
+        assert same_bits(got.log_probs, want.log_probs)
 
 
 def test_kernel_for_another_grid_or_plume_is_refused():

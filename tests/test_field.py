@@ -13,6 +13,7 @@ from plumeseek.field import (
     GridSpec,
     KernelGridMismatch,
     PlumeParams,
+    _exact_axis,
     check_values,
     concentration,
     concentration_at_sources,
@@ -564,6 +565,33 @@ def test_advected_kernel_stores_f_reversed_with_its_upwind_half_zero():
     assert not k.f[outside].any()
     # values keeps the ascending orientation its spectrum is taken in
     assert same_bits(k.values, (k.f * k.f)[::-1, ::-1] / (2.0 * params.noise_sigma**2))
+
+
+def exact_axis_oneshot(meas, src, off, p, q, t0):
+    """_exact_axis's rule over every pair at once, with no row chunks."""
+    t = p * np.arange(meas.size)[:, None] - q * np.arange(src.size)[None, :] - t0
+    return np.array_equal((meas[:, None] - src[None, :]).view(np.int64), off[t].view(np.int64))
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2)], ids=["cost-table", "kernel"])
+def test_exact_axis_checks_every_row_chunk(p, q):
+    # 140 measurement centres of pitch 1 span three 64-row chunks; the sources
+    # have pitch q, and every difference is a dyadic value, so exact
+    n_meas, n_src = 140, 140 // q
+    meas = np.arange(n_meas) + 0.5
+    src = q * np.arange(n_src) + 0.5 * q
+    t0 = -q * (n_src - 1)
+    off = np.arange(t0, p * (n_meas - 1) + 1) + 0.5 - 0.5 * q  # off[t - t0] = t + 0.5 - q/2
+    assert _exact_axis(meas, src, off, p, q, t0) and exact_axis_oneshot(meas, src, off, p, q, t0)
+    t = p * np.arange(n_meas)[:, None] - q * np.arange(n_src)[None, :] - t0
+    first_reader = [int(np.flatnonzero((t == k).any(axis=1))[0]) for k in range(off.size)]
+    for first_row in (64, 128):  # an offset that only rows from first_row on read
+        idx = first_reader.index(first_row)
+        bumped = off.copy()
+        bumped[idx] = np.nextafter(bumped[idx], np.inf)  # one ulp
+        assert _exact_axis(meas[:first_row], src, bumped, p, q, t0)  # the rows above miss it
+        assert not exact_axis_oneshot(meas, src, bumped, p, q, t0)
+        assert not _exact_axis(meas, src, bumped, p, q, t0)
 
 
 def test_next_fast_len_equals_scipy():

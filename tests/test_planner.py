@@ -32,16 +32,14 @@ from plumeseek.planner import (
     TIERS,
     CostModel,
     ScoreMap,
+    _cost_table,
     compute_score_map,
-    cost_table,
-    cost_window,
     eig_exact,
     movement_cost,
     movement_cost_map,
     select_next,
     snr_score_map_bruteforce,
     snr_score_map_fft,
-    weight_table,
 )
 
 LOG2 = math.log(2.0)
@@ -535,28 +533,33 @@ RATIOS = ["1:1", "1:2", "2:3"]
 def test_cost_table_window_is_the_cost_map_at_every_centre(g, ratio):
     a, b = map(float, ratio.split(":"))
     assert g.meas_dx / g.src_dx == g.meas_dx / g.meas_dy == a / b
+    centers = g.meas_centers()
     for quad_coeff in (0.0, 0.03, 7.5):
         cm = CostModel(quad_coeff=quad_coeff)
-        table = cost_table(cm, g)
+        table = _cost_table(cm, g)
         assert table.shape == (2 * g.a_cells - 1, 2 * g.b_cells - 1)
-        assert not table.flags.writeable and cost_table(cm, g) is table  # tabulated once
-        weights = weight_table(cm, g)
+        assert not table.flags.writeable and _cost_table(cm, g) is table  # tabulated once
         for flat in range(g.n_meas_cells):
             pos = g.meas_cell_center(flat)
-            want = movement_cost_map(cm, g, pos)
-            assert same_bits(cost_window(table, g, pos), want)
-            assert same_bits(cost_window(weights, g, pos), 1.0 / want)
-        assert cost_window(table, g, (pos[0] + 0.25, pos[1])) is None  # off the centres
+            got = movement_cost_map(cm, g, pos)
+            assert np.shares_memory(got, table) and not got.flags.writeable
+            assert same_bits(got, movement_cost(cm, pos, centers))
+        off = (pos[0] + 0.25, pos[1])  # off the centres: a new array
+        got = movement_cost_map(cm, g, off)
+        assert not np.shares_memory(got, table) and got.flags.writeable
+        assert same_bits(got, movement_cost(cm, off, centers))
 
 
 def test_cost_table_is_none_where_centre_differences_are_not_translation_exact():
-    # from x_min -3.7 the centres' differences round apart: the cost map serves
+    # from x_min -3.7 the centres' differences round apart: the map is built
     g = GridSpec(-3.7, 12.3, 0.0, 12.0, 16, 12, 8, 6)
     cx = g.meas_x_centers().tolist()
     assert len({cx[k + 1] - cx[k] for k in range(15)}) > 1  # one pitch, two differences
     cm = CostModel(quad_coeff=0.03)
-    assert cost_table(cm, g) is None and weight_table(cm, g) is None
-    assert cost_window(cost_table(cm, g), g, g.meas_cell_center(5)) is None
+    assert _cost_table(cm, g) is None
+    pos = g.meas_cell_center(5)
+    got = movement_cost_map(cm, g, pos)
+    assert got.flags.writeable and same_bits(got, movement_cost(cm, pos, g.meas_centers()))
     vals = np.random.default_rng(5).random((16, 12))
     for flat in range(g.n_meas_cells):
         pos = g.meas_cell_center(flat)

@@ -20,9 +20,9 @@ from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams, squared_snr_k
 from plumeseek.planner import (
     TIER_SNR_FFT,
     CostModel,
+    _cost_table,
     movement_cost,
     snr_score_map_bruteforce,
-    weight_table,
 )
 from plumeseek.rl.env import Action, HybridEnv, HybridEnvConfig
 from plumeseek.rl.train import CurveRow
@@ -437,7 +437,7 @@ def test_cost_only_policy_prefers_cheap_cells():
 def test_cost_only_policy_equals_movement_cost_oracle():
     # the policy's inverse-CDF draw is Generator.choice's: the same cell, and
     # the generator left in the same state, off the centres (the cost map)
-    # and on them (the weight table)
+    # and on them (a view of the cost table)
     g = GridSpec(0.0, 16.0, 0.0, 12.0, 16, 12, 8, 6)
     centers = g.meas_centers().reshape(-1, 2)
     # (8.0, 6.0) sits on a cell corner: its four nearest cells tie exactly
@@ -445,7 +445,7 @@ def test_cost_only_policy_equals_movement_cost_oracle():
     on_centre = [np.asarray(g.meas_cell_center(flat)) for flat in (0, 77, 100, 191)]
     for quad_coeff in (0.03, 0.0, 250.0):
         cm = CostModel(quad_coeff=quad_coeff)
-        assert weight_table(cm, g) is not None  # the on-centre draws read the table
+        assert _cost_table(cm, g) is not None  # the on-centre draws read the table
         for pos in off_centre + on_centre:
             w = 1.0 / movement_cost(cm, pos, centers)
             want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
