@@ -1,8 +1,9 @@
 """Grid Bayes filter over source-location hypotheses.
 
-The posterior lives on the source grid in natural-log space and is only
-exponentiated for readouts. Updates accept batches of measurement records
-and are order invariant because log-likelihoods add.
+The posterior lives on the source grid in natural-log space. It is
+exponentiated once, when it is built: that one array is both its readout and
+its normalisation check. Updates accept batches of measurement records and
+are order invariant because log-likelihoods add.
 """
 from __future__ import annotations
 
@@ -45,29 +46,44 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class SourcePosterior:
-    """Normalized log-probabilities over the source grid, shape (I, J)."""
+    """Normalized log-probabilities over the source grid, shape (I, J), and their probabilities.
+
+    exp(log_probs) is taken once, here: it is the readout (probs) and the
+    normalisation check, |sum - 1| <= _NORM_TOL, which no NaN or infinite sum
+    meets. Both arrays are stored read-only; log_probs is a view, so the
+    caller's array keeps its own flags.
+    """
 
     log_probs: np.ndarray
     grid: GridSpec
 
     def __post_init__(self):
         # row-major, so info_gain_bits's full-array and masked sums take one order
-        lp = np.ascontiguousarray(self.log_probs, dtype=float)
+        lp = np.ascontiguousarray(self.log_probs, dtype=float).view()
         if lp.shape != (self.grid.i_cells, self.grid.j_cells):
             raise ValueError(
                 f"log_probs shape {lp.shape} does not match source grid "
                 f"({self.grid.i_cells}, {self.grid.j_cells})"
             )
-        total = logsumexp(lp)
-        if not np.isfinite(total) or abs(total) > _NORM_TOL:
-            raise ValueError(f"posterior is not normalized (logsumexp={total})")
+        p = np.exp(lp)
+        total = p.sum()
+        if not abs(total - 1.0) <= _NORM_TOL:
+            raise ValueError(f"posterior is not normalized (probabilities sum to {total})")
+        lp.flags.writeable = False
+        p.flags.writeable = False
         object.__setattr__(self, "log_probs", lp)
+        object.__setattr__(self, "_probs", p)
 
     def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
+        """exp(log_probs): the one read-only array __post_init__ took, not a copy."""
+        return self._probs
+
+    def __reduce__(self):
+        # a pickle carries log_probs only; unpickled, the readout is taken and checked again
+        return (SourcePosterior, (self.log_probs, self.grid))
 
 
-def logsumexp(a, axis=None, keepdims: bool = False):
+def logsumexp(a, axis=None):
     """log(sum(exp(a))) over axis, stable for real input.
 
     A NumPy port of SciPy's real-input algorithm, so results match
@@ -75,18 +91,17 @@ def logsumexp(a, axis=None, keepdims: bool = False):
     sum and counted, the rest is summed as exp(a - max), and the result is
     log1p(rest / count) + log(count) + max. Where that is not finite (every
     entry -inf, an inf or a NaN), the direct log(sum(exp(a))) is returned.
-    A full reduction gives a NumPy scalar, as SciPy does.
+    A full reduction gives a NumPy scalar, as SciPy does; an axis reduction
+    keeps the reduced axis, so it broadcasts against a (SciPy's keepdims=True).
 
     exp(a - max) is one temporary, computed in place; the maxima are zeroed
     after the exp, which is SciPy's exp(-inf) where max is finite. A full
-    reduction (axis None) is _logsumexp_all, on scalars. An axis reduction
-    keeps the reduced axes so they broadcast against a; where its max is not
-    finite, the result is the direct sum in both.
+    reduction (axis None) is _logsumexp_all, on scalars. Where an axis
+    reduction's max is not finite, the result is the direct sum in both.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if axis is None:
-        out = _logsumexp_all(a)
-        return np.reshape(out, (1,) * a.ndim) if keepdims else out
+        return _logsumexp_all(a)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a.max(axis=axis, keepdims=True)
         is_max = a == a_max
@@ -101,9 +116,7 @@ def logsumexp(a, axis=None, keepdims: bool = False):
         finite = np.isfinite(out)
         if not finite.all():
             out = np.where(finite, out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-    return out[()] if np.ndim(out) == 0 else out
+    return out
 
 
 def _logsumexp_all(a: np.ndarray) -> np.float64:
@@ -235,9 +248,10 @@ def info_gain_bits(post: SourcePosterior, reference: SourcePosterior) -> float:
     """KL divergence (bits) of the posterior from a reference distribution.
 
     The convention 0 * log(0/q) = 0 applies; mass on cells where the
-    reference has none is an error, not infinity. Where p > 0 on every cell
-    the sums run over the full arrays, which hold the masked values in the
-    same order, so the result is the same.
+    reference has none is an error, not infinity. p is the posterior's one
+    readout (SourcePosterior.probs), so nothing is exponentiated here. Where
+    p > 0 on every cell the sums run over the full arrays, which hold the
+    masked values in the same order, so the result is the same.
     """
     check_reference(post, reference)
     p = post.probs()

@@ -149,7 +149,7 @@ def eig_exact(
     live = p > 0.0  # components with no mass contribute nothing
     m = (f[live, None] + np.sqrt(2.0) * params.noise_sigma * nodes[None, :]).ravel()
     new_lp = lp[None, :] + gaussian_loglik(m[:, None], f[None, :], params.noise_sigma)
-    new_lp -= logsumexp(new_lp, axis=1, keepdims=True)
+    new_lp -= logsumexp(new_lp, axis=1)
     p_new = np.exp(new_lp)
     with np.errstate(invalid="ignore"):  # zero-mass cells hit 0 * -inf, masked out
         terms = np.where(p_new > 0.0, p_new * (new_lp - reference.log_probs.ravel()), 0.0)

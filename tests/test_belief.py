@@ -1,5 +1,6 @@
 """Grid Bayes filter: updates, information gain, and readouts."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -60,12 +61,59 @@ def point_mass(g, flat):
 # -- construction and validation ----------------------------------------------
 
 
+def _with_sum(total):
+    """Log-probabilities on grid(2) whose probabilities sum to total: three cells at 1/4."""
+    lp = np.full((2, 2), np.log(0.25))
+    lp[1, 1] = np.log(total - 0.75)
+    return lp
+
+
 def test_posterior_rejects_wrong_shape_and_unnormalized():
     g = grid(2)
     with pytest.raises(ValueError):
         SourcePosterior(np.zeros((3, 2)), g)
     with pytest.raises(ValueError):
         SourcePosterior(np.zeros((2, 2)), g)  # sums to 4, not 1
+    # the rule's edges: |sum - 1| <= 1e-9, which no NaN or infinite sum meets
+    for total in (1.0 + 5e-10, 1.0 - 5e-10):
+        SourcePosterior(_with_sum(total), g)
+    one_nan, one_inf = _with_sum(1.0), _with_sum(1.0)
+    one_nan[0, 1], one_inf[0, 1] = np.nan, np.inf
+    all_zero = np.full((2, 2), -np.inf)
+    for lp in (_with_sum(1.0 + 2e-9), _with_sum(1.0 - 2e-9), all_zero, one_nan, one_inf):
+        with pytest.raises(ValueError, match="not normalized"):
+            SourcePosterior(lp, g)
+
+
+def _readout_cases():
+    g, plume = grid(4), blob()
+    start = posterior_from_weights(g, np.arange(16.0))
+    records = [MeasurementRecord(1.5, 2.5, 0.4), MeasurementRecord(0.5, 0.5, 0.1)]
+    return {
+        "uniform": uniform_posterior(g),
+        "weights": start,
+        "update": posterior_update(start, records, plume),
+        "update-kernel": posterior_update(start, records, plume, squared_snr_kernel(plume, g)),
+    }
+
+
+@pytest.mark.parametrize("case", ["uniform", "weights", "update", "update-kernel"])
+def test_a_posterior_has_one_read_only_readout(case):
+    built = _readout_cases()[case]
+    for post in (built, pickle.loads(pickle.dumps(built))):
+        assert post.probs() is post.probs()
+        assert same_bits(post.probs(), np.exp(post.log_probs))
+        for stored in (post.probs(), post.log_probs):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 0.0
+
+
+def test_a_posterior_leaves_the_callers_array_writable():
+    lp = np.full((2, 2), np.log(0.25))
+    post = SourcePosterior(lp, grid(2))
+    assert lp.flags.writeable and not post.log_probs.flags.writeable
+    lp[0, 0] = 0.0
 
 
 def test_uniform_posterior_probs():
@@ -514,24 +562,22 @@ def _logsumexp_cases():
     yield desk.log_probs
 
 
-@pytest.mark.parametrize(
-    "kwargs", [{}, {"axis": 0}, {"axis": -1}, {"axis": 1, "keepdims": True}, {"keepdims": True}]
-)
+@pytest.mark.parametrize("kwargs", [{}, {"axis": 0}, {"axis": -1}, {"axis": 1}])
 def test_logsumexp_equals_scipy(kwargs):
     from scipy.special import logsumexp as scipy_logsumexp
 
+    # an axis reduction keeps the reduced axis: SciPy's keepdims=True
+    scipy_kwargs = {**kwargs, "keepdims": True} if kwargs else {}
     for a in _logsumexp_cases():
         if kwargs.get("axis") == 1 and a.ndim < 2:
             continue
         with np.errstate(all="ignore"):
-            want = scipy_logsumexp(a, **kwargs)
+            want = scipy_logsumexp(a, **scipy_kwargs)
         got = logsumexp(a, **kwargs)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
-    # a full reduction is a NumPy scalar, or all ones in shape with keepdims
+    # a full reduction is a NumPy scalar
     assert type(logsumexp(np.zeros((2, 2)))) is np.float64
-    kept = logsumexp(np.zeros((2, 2)), keepdims=True)
-    assert type(kept) is np.ndarray and kept.shape == (1, 1)
 
 
 def test_impossible_measurement_raises():

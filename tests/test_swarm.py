@@ -1,5 +1,6 @@
 """Shared-belief search episodes: determinism, streams, logs, baselines."""
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from plumeseek.belief import (
     posterior_update,
     uniform_posterior,
 )
+from plumeseek.config import load_config
 from plumeseek.field import ADVECTED, BLOB, GridSpec, PlumeParams, squared_snr_kernel
 from plumeseek.planner import (
     TIER_SNR_FFT,
@@ -280,6 +282,42 @@ def test_one_module_folds_readings():
         for _ in re.finditer(r"(?<!def )\bposterior_update\s*\(", path.read_text())
     ]
     assert callers == ["swarm.py"]
+
+
+class _CountingNumpy:
+    """numpy, except that exp notes each call on an array of `size` entries in `events`."""
+
+    def __init__(self, events, size):
+        self._events, self._size = events, size
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        if np.size(x) == self._size:
+            self._events.append("exp")
+        return np.exp(x, *args, **kwargs)
+
+
+def test_an_info_step_exponentiates_two_grids(monkeypatch):
+    # the update's normaliser and the new posterior's one readout: the
+    # information gain and the score map read that readout, not exp again
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "quickstart.json")
+    sim = replace(cfg.sim_config(0, POLICY_INFO), n_steps=20)
+    events = []
+    for module in ("plumeseek.belief", "plumeseek.field"):
+        monkeypatch.setattr(f"{module}.np", _CountingNumpy(events, sim.world.grid.n_src_cells))
+    fold = Team.fold
+
+    def marked_fold(self, *args):
+        events.append("step")
+        return fold(self, *args)
+
+    monkeypatch.setattr(Team, "fold", marked_fold)
+    run_episode(sim)
+    per_step = [part.count("exp") for part in " ".join(events).split("step")[1:]]
+    assert len(per_step) == 20
+    assert per_step[1:] == [2] * 19
 
 
 @pytest.mark.parametrize("n_agents,keep,with_kernel", [(1, 1, True), (3, 1, True), (4, 2, False)])
